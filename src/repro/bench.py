@@ -18,9 +18,9 @@ tables) under a ``kernel_bench`` key:
 validates the schema of an existing results file and exits.
 
 ``--engine fabric-large`` selects the *fabric fast-path* suite instead:
-large-ring (N=16/32) scaling runs timed twice -- once with the plain
-step loop, once with the fast path (allocation cache + steady-state
-fast-forward for deterministic traffic, cache + time-sliced sharding
+large-ring (N=16/32) scaling runs timed twice through the fabric engine
+-- once uncached, once with the fast path (allocation cache +
+steady-state fast-forward for deterministic traffic, the cache alone
 for stochastic traffic).  Results land under a separate
 ``fabric_large`` key; every scenario records ``stats_match`` (the fast
 path must be bit-identical to the step loop).  With ``--check`` the
@@ -131,80 +131,68 @@ def run_bench(
 #: Schema tag for the ``fabric_large`` results section.
 FABRIC_LARGE_SCHEMA = "repro-fabric-large-bench/1"
 
-#: Scenario budgets.  Each scenario is timed as (plain step loop) vs
-#: (fast path); ``optimized`` names which fast-path layers the scenario
-#: exercises.  Deterministic traffic gets cache + fast-forward;
-#: stochastic traffic gets cache + sharding only (fast-forward
-#: auto-disables on aperiodic sources).
+#: Scenario budgets.  Each scenario runs ``workload`` through the fabric
+#: engine twice: uncached (the plain step loop) vs the fast path that
+#: ``optimized`` names.  Deterministic traffic gets cache + fast-forward;
+#: stochastic traffic gets the cache alone (fast-forward auto-disables
+#: on aperiodic sources).
 FABRIC_LARGE_SCENARIOS: Dict[str, List[Dict[str, Any]]] = {
     "full": [
         {"name": "saturated_n16", "ports": 16, "quanta": 20_000, "warmup": 200,
-         "source": {"kind": "permutation", "words": 256, "shift": 8},
+         "workload": {"pattern": "permutation", "shift": 8},
          "optimized": "cache+fast_forward"},
         {"name": "uniform_n16", "ports": 16, "quanta": 12_000, "warmup": 200,
-         "source": {"kind": "uniform_counter", "words": 256, "seed": 42,
-                    "exclude_self": True},
-         "optimized": "cache+sharded", "shards": 8},
+         "seed": 42, "workload": {"pattern": "uniform"},
+         "optimized": "cache"},
         {"name": "saturated_n32", "ports": 32, "quanta": 8_000, "warmup": 200,
-         "source": {"kind": "permutation", "words": 256, "shift": 16},
+         "workload": {"pattern": "permutation", "shift": 16},
          "optimized": "cache+fast_forward"},
         {"name": "imix_onoff_n16", "ports": 16, "quanta": 12_000,
-         "warmup": 200,
-         "source": {"kind": "traffic", "spec": "imix_onoff", "seed": 7},
-         "optimized": "cache+sharded", "shards": 8},
+         "warmup": 200, "seed": 7, "workload": {"traffic": "imix_onoff"},
+         "optimized": "cache"},
     ],
     "quick": [
         {"name": "saturated_n16", "ports": 16, "quanta": 2_500, "warmup": 100,
-         "source": {"kind": "permutation", "words": 256, "shift": 8},
+         "workload": {"pattern": "permutation", "shift": 8},
          "optimized": "cache+fast_forward"},
         {"name": "uniform_n16", "ports": 16, "quanta": 1_500, "warmup": 100,
-         "source": {"kind": "uniform_counter", "words": 256, "seed": 42,
-                    "exclude_self": True},
-         "optimized": "cache+sharded", "shards": 4},
+         "seed": 42, "workload": {"pattern": "uniform"},
+         "optimized": "cache"},
         {"name": "imix_onoff_n16", "ports": 16, "quanta": 1_500, "warmup": 100,
-         "source": {"kind": "traffic", "spec": "imix_onoff", "seed": 7},
-         "optimized": "cache+sharded", "shards": 4},
+         "seed": 7, "workload": {"traffic": "imix_onoff"},
+         "optimized": "cache"},
     ],
 }
+
+#: Allocation LRU size the fast path runs with.
+FAST_PATH_CACHE = 4096
+
+
+def _fabric_result_key(result) -> Dict[str, Any]:
+    """Everything a fabric run reports except its configuration and the
+    fast path's own counters: what "bit-identical" compares."""
+    d = result.to_dict()
+    d.pop("config")
+    d["extra"].pop("fabric_fast_path", None)
+    return d
 
 
 def _bench_fabric_large_scenario(sc: Dict[str, Any]) -> Dict[str, Any]:
     """Time one scenario both ways; the fast path must be bit-identical."""
-    from repro.parallel.fabric_shard import (
-        ShardSpec, build_sim, make_source, run_serial, run_sharded,
+    config = SimConfig(ports=sc["ports"], seed=sc.get("seed", 0))
+    workload = WorkloadSpec(
+        quanta=sc["quanta"], warmup_quanta=sc["warmup"], **sc["workload"]
     )
-
-    spec = ShardSpec(
-        ports=sc["ports"],
-        source=ShardSpec.pack_source(sc["source"]),
-        quanta=sc["quanta"],
-        warmup_quanta=sc["warmup"],
-        shards=sc.get("shards", 1),
+    fast_config = config.replace(
+        alloc_cache=FAST_PATH_CACHE,
+        fast_forward=sc["optimized"] == "cache+fast_forward",
     )
     t0 = time.perf_counter()
-    baseline = run_serial(spec, cached=False)
+    baseline = run_config(config, workload)
     baseline_wall = time.perf_counter() - t0
-
-    extra: Dict[str, Any]
-    if sc["optimized"] == "cache+fast_forward":
-        sim = build_sim(spec, cached=True)
-        sim.fast_forward = True
-        t0 = time.perf_counter()
-        fast = sim.run(
-            make_source(spec), quanta=spec.quanta,
-            warmup_quanta=spec.warmup_quanta,
-        )
-        fast_wall = time.perf_counter() - t0
-        extra = {
-            "ff_quanta": sim.ff_quanta,
-            "cache": sim.allocator.cache_info(),
-        }
-    else:
-        t0 = time.perf_counter()
-        fast, info = run_sharded(spec)
-        fast_wall = time.perf_counter() - t0
-        extra = {"shards": info.shards, "workers": info.workers,
-                 "pilot_quanta": info.pilot_quanta}
+    t0 = time.perf_counter()
+    fast = run_config(fast_config, workload)
+    fast_wall = time.perf_counter() - t0
     return {
         "scenario": sc["name"],
         "ports": sc["ports"],
@@ -213,10 +201,12 @@ def _bench_fabric_large_scenario(sc: Dict[str, Any]) -> Dict[str, Any]:
         "baseline_wall_s": baseline_wall,
         "fast_wall_s": fast_wall,
         "speedup": baseline_wall / fast_wall if fast_wall > 0 else None,
-        "stats_match": baseline.counters() == fast.counters(),
+        "stats_match": (
+            _fabric_result_key(baseline) == _fabric_result_key(fast)
+        ),
         "gbps": fast.gbps,
         "delivered_words": fast.delivered_words,
-        "fast_path": extra,
+        "fast_path": fast.extra["fabric_fast_path"],
     }
 
 
@@ -261,6 +251,22 @@ def check_fabric_large(report: Dict[str, Any]) -> List[str]:
     return problems
 
 
+def _missing_scenarios(
+    section: str, mode: str, rows: List[Dict[str, Any]],
+    suite: Dict[str, List[Dict[str, Any]]],
+) -> List[str]:
+    """A stored mode must be one of the suite's and hold a row for each
+    of that mode's scenarios (a stale file can lack newer ones)."""
+    if mode not in suite:
+        return [f"{section}.{mode} is not a bench mode ({sorted(suite)})"]
+    have = {row.get("scenario") for row in rows}
+    return [
+        f"{section}.{mode} has no {sc['name']!r} row"
+        for sc in suite[mode]
+        if sc["name"] not in have
+    ]
+
+
 def validate_fabric_large(data: Dict[str, Any]) -> List[str]:
     """Schema check for the ``fabric_large`` section (if present)."""
     errors: List[str] = []
@@ -279,6 +285,9 @@ def validate_fabric_large(data: Dict[str, Any]) -> List[str]:
         if not isinstance(rows, list) or not rows:
             errors.append(f"fabric_large.{mode} has no scenarios")
             continue
+        errors += _missing_scenarios(
+            "fabric_large", mode, rows, FABRIC_LARGE_SCENARIOS
+        )
         for row in rows:
             for field in ("scenario", "baseline_wall_s", "fast_wall_s",
                           "speedup", "stats_match"):
@@ -326,28 +335,18 @@ SPACE_SCHEMA = "repro-space-bench/2"
 #: caches + token-window workers) once per transport backend, asserting
 #: bit-identity throughout -- the same baseline convention as the fabric
 #: fast-path suite.  ``clos_n256`` is the scale headline: a 256-port
-#: Clos (48 16-port chips) across 4 workers on every backend.
-#: ``clos_n64_fine`` runs window=1 with sparse fragments -- one tiny
-#: batch per quantum per boundary edge -- which is the regime where
-#: per-batch transport overhead dominates, so it carries the
-#: shm-beats-pipe comparison (``expect_shm_wins``, min-of-``reps``
-#: walls).  Socket rows measure the hub-relayed TCP path; on one host
-#: that doubles every boundary hop, so they are checked for identity
-#: and distribution, not speed.
+#: Clos (48 16-port chips) across 4 workers.  Socket rows measure the
+#: hub-relayed TCP path; on one host that doubles every boundary hop, so
+#: they are checked for identity and distribution, not speed.
 SPACE_SCENARIOS: Dict[str, List[Dict[str, Any]]] = {
     "full": [
         {"name": "clos_n256", "k": 16, "latency": 8, "partitions": 4,
          "quanta": 1_200, "warmup": 200,
-         "backends": ("pipe", "shm", "socket"),
+         "backends": ("pipe", "socket"),
          "source": {"kind": "permutation", "words": 256, "shift": 128}},
         {"name": "clos_n64", "k": 8, "latency": 8, "partitions": 4,
          "quanta": 3_000, "warmup": 200,
-         "backends": ("pipe", "shm"),
          "source": {"kind": "permutation", "words": 256, "shift": 32}},
-        {"name": "clos_n64_fine", "k": 8, "latency": 1, "partitions": 4,
-         "quanta": 3_000, "warmup": 200, "reps": 2,
-         "backends": ("pipe", "shm"), "expect_shm_wins": True,
-         "source": {"kind": "permutation", "words": 16, "shift": 32}},
         {"name": "clos_n16_uniform", "k": 4, "latency": 4, "partitions": 3,
          "quanta": 4_000, "warmup": 200,
          "source": {"kind": "uniform_counter", "words": 256, "seed": 42,
@@ -360,7 +359,6 @@ SPACE_SCENARIOS: Dict[str, List[Dict[str, Any]]] = {
     "quick": [
         {"name": "clos_n256", "k": 16, "latency": 8, "partitions": 4,
          "quanta": 300, "warmup": 50,
-         "backends": ("pipe", "shm"),
          "source": {"kind": "permutation", "words": 256, "shift": 128}},
         {"name": "clos_n64", "k": 8, "latency": 8, "partitions": 4,
          "quanta": 800, "warmup": 100,
@@ -391,16 +389,12 @@ def _bench_space_scenario(sc: Dict[str, Any]) -> Dict[str, Any]:
     t0 = time.perf_counter()
     baseline = run_space_serial(spec, cached=False)
     baseline_wall = time.perf_counter() - t0
-    reps = sc.get("reps", 1)
     backends: Dict[str, Dict[str, Any]] = {}
     runs: Dict[str, Any] = {}
     for tr in sc.get("backends", ("pipe",)):
-        walls = []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            fast, info = run_space(spec, transport=tr)
-            walls.append(time.perf_counter() - t0)
-        wall = min(walls)
+        t0 = time.perf_counter()
+        fast, info = run_space(spec, transport=tr)
+        wall = time.perf_counter() - t0
         runs[tr] = (fast, info, wall)
         backends[tr] = {
             "fast_wall_s": wall,
@@ -410,7 +404,6 @@ def _bench_space_scenario(sc: Dict[str, Any]) -> Dict[str, Any]:
             "stall_s": round(sum(info.pipe_stall_s), 4),
             "boundary_flits": sum(info.boundary_flits),
             "bytes_moved": sum(info.bytes_moved),
-            "coalesced_rounds": sum(info.coalesced_rounds),
             "gbps": fast.gbps,
         }
     legacy = "pipe" if "pipe" in runs else next(iter(runs))
@@ -428,7 +421,6 @@ def _bench_space_scenario(sc: Dict[str, Any]) -> Dict[str, Any]:
         "stats_match": backends[legacy]["stats_match"],
         "gbps": fast.gbps,
         "delivered_words": fast.delivered_words,
-        "expect_shm_wins": bool(sc.get("expect_shm_wins")),
         "backends": backends,
         "space": {
             "rounds": info.rounds,
@@ -436,7 +428,6 @@ def _bench_space_scenario(sc: Dict[str, Any]) -> Dict[str, Any]:
             "pipe_stall_s": [round(s, 4) for s in info.pipe_stall_s],
             "boundary_flits": info.boundary_flits,
             "bytes_moved": info.bytes_moved,
-            "coalesced_rounds": info.coalesced_rounds,
             "serial_fallback": info.serial_fallback,
         },
     }
@@ -467,11 +458,10 @@ def merge_space(data: Dict[str, Any], report: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def check_space(report: Dict[str, Any]) -> List[str]:
-    """CI invariants: every backend bit-identical and distributed, the
-    in-host backends (pipe/shm) not slower than uncached serial, and shm
-    beating pipe where the scenario was built to show it.  Socket rows
-    are exempt from the speed floor: hub relay on one host doubles every
-    boundary hop, so only identity and distribution are load-bearing."""
+    """CI invariants: every backend bit-identical and distributed, and
+    pipe not slower than uncached serial.  Socket rows are exempt from
+    the speed floor: hub relay on one host doubles every boundary hop,
+    so only identity and distribution are load-bearing."""
     problems: List[str] = []
     for row in report["scenarios"]:
         for tr, be in row.get("backends", {}).items():
@@ -492,25 +482,14 @@ def check_space(report: Dict[str, Any]) -> List[str]:
                     f"{row['scenario']}[{tr}]: speedup "
                     f"{be['speedup']} < 1.0"
                 )
-        if row.get("expect_shm_wins"):
-            be = row.get("backends", {})
-            pipe_w = be.get("pipe", {}).get("fast_wall_s")
-            shm_w = be.get("shm", {}).get("fast_wall_s")
-            if pipe_w is None or shm_w is None:
-                problems.append(
-                    f"{row['scenario']}: expect_shm_wins set but pipe/"
-                    "shm walls missing"
-                )
-            elif shm_w > pipe_w:
-                problems.append(
-                    f"{row['scenario']}: shm wall {shm_w:.3f}s slower "
-                    f"than pipe wall {pipe_w:.3f}s"
-                )
     return problems
 
 
 def validate_space(data: Dict[str, Any]) -> List[str]:
-    """Schema check for the ``space_shard`` section (if present)."""
+    """Schema check for the ``space_shard`` section (if present): every
+    row needs a non-empty per-backend table naming only live transports."""
+    from repro.parallel.transport import TRANSPORTS
+
     errors: List[str] = []
     sp = data.get("space_shard")
     if sp is None:
@@ -527,6 +506,9 @@ def validate_space(data: Dict[str, Any]) -> List[str]:
         if not isinstance(rows, list) or not rows:
             errors.append(f"space_shard.{mode} has no scenarios")
             continue
+        errors += _missing_scenarios(
+            "space_shard", mode, rows, SPACE_SCENARIOS
+        )
         for row in rows:
             for field in ("scenario", "partitions", "baseline_wall_s",
                           "fast_wall_s", "speedup", "stats_match",
@@ -540,7 +522,19 @@ def validate_space(data: Dict[str, Any]) -> List[str]:
                     f"space_shard.{mode}.{row.get('scenario')}: "
                     "stats_match is not true"
                 )
-            for tr, be in (row.get("backends") or {}).items():
+            backends = row.get("backends")
+            if not isinstance(backends, dict) or not backends:
+                errors.append(
+                    f"space_shard.{mode}.{row.get('scenario')}: "
+                    "backends table is empty"
+                )
+                continue
+            for tr, be in backends.items():
+                if tr not in TRANSPORTS:
+                    errors.append(
+                        f"space_shard.{mode}.{row.get('scenario')}: "
+                        f"backend {tr!r} is not a transport {TRANSPORTS}"
+                    )
                 if be.get("stats_match") is not True:
                     errors.append(
                         f"space_shard.{mode}.{row.get('scenario')}"
@@ -870,7 +864,7 @@ def main(
                 return 1
             print(
                 "space check ok: every backend bit-identical and "
-                "distributed, in-host speedups >= 1"
+                "distributed, pipe speedups >= 1"
             )
         if not kernel_engines and not fabric_large and not manyworlds:
             return 0

@@ -246,8 +246,8 @@ class CompiledAllocator:
     once per geometry, so evaluating a quantum touches no
     ``Path``/``Link`` construction at all.  :meth:`allocate` builds the
     same :class:`Allocation` the plain rule builds (equality-tested
-    property-style); :meth:`grants` is the stripped form the sharding
-    pilot uses when only the queue evolution matters.
+    property-style); :meth:`grants` is the stripped form, the scalar
+    reference :meth:`batch_grants` is tested against.
     """
 
     def __init__(self, ring: RingGeometry, networks: int = 1):
@@ -323,8 +323,8 @@ class CompiledAllocator:
         """The granted (src, dst, hops) triples, skipping the Allocation.
 
         Exactly the grants (and grant order is token order, like the
-        plain rule's insertion order) of :meth:`allocate` -- the pilot
-        stepper needs only which queues pop and the expansion numbers.
+        plain rule's insertion order) of :meth:`allocate`: which queues
+        pop and the expansion numbers, nothing more.
         """
         n = self.ring.n
         table = self.table

@@ -11,7 +11,7 @@ pipelines on top; for saturated inputs both models agree on throughput
 
 Fast path
 ---------
-Three cooperating layers make this engine fast at scale, each
+Two cooperating layers make this engine fast at scale, each
 bit-identical to the plain step loop and each independently toggleable:
 
 * **allocation memoization** -- hand the simulator a cached
@@ -21,11 +21,7 @@ bit-identical to the plain step loop and each independently toggleable:
   short period; once a cycle is detected the per-cycle stats delta is
   applied in closed form over the remaining quanta.  Automatically
   disabled whenever faults, telemetry recording, ``keep_history``, a
-  stochastic source, or a ``min_packets`` stopping rule are active;
-* **snapshot/restore** (:meth:`FabricSimulator.snapshot` /
-  :meth:`~FabricSimulator.restore`) -- the RNG-free simulator state
-  (queues, clock, token) as a picklable value, enabling
-  :mod:`repro.parallel.fabric_shard`'s time-sliced sharding.
+  stochastic source, or a ``min_packets`` stopping rule are active.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ import struct
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.config import CostModel
 from repro.core.allocator import Allocation, Allocator
@@ -58,9 +54,7 @@ class _HolFragment:
     packet_words: int  #: total words of the parent packet
     corrupt: bool = False  #: fault-injected; dropped by egress verification
     #: Journey key shared by every fragment of the packet; ``None`` when
-    #: telemetry is off or the fragment was restored from a snapshot
-    #: (journeys do not survive snapshot/restore -- a documented
-    #: limitation of time-sliced sharding).
+    #: telemetry is off.
     tag: Optional[int] = None
 
 
@@ -179,18 +173,6 @@ class _FabricFaultState:
             return dest
         return self.degraded.remap(dest)
 
-    def quiescent(self) -> bool:
-        """True once the plan can no longer influence the future: every
-        event consumed, every window expired, token recovery finished,
-        and no port permanently dead (dead ports remap routing forever,
-        which a queues+clock+token snapshot cannot carry)."""
-        return (
-            self._next >= len(self._events)
-            and not self._windows
-            and not self.recovery.lost
-            and not self.degraded.any_dead
-        )
-
 
 @dataclass
 class FabricStats:
@@ -239,7 +221,7 @@ class FabricStats:
         n = sum(self.grant_histogram)
         return total / n if n else 0.0
 
-    # -- fast-forward / sharding support --------------------------------
+    # -- fast-forward support -------------------------------------------
     _COUNTER_FIELDS = (
         "quanta", "idle_quanta", "cycles", "delivered_words",
         "delivered_packets", "blocked_events",
@@ -253,8 +235,8 @@ class FabricStats:
         )
 
     def add_counters(self, other: "FabricStats", times: int = 1) -> None:
-        """Accumulate ``other``'s counters ``times`` times (associative:
-        slices of a timeline merge in any grouping)."""
+        """Accumulate ``other``'s counters ``times`` times (fast-forward
+        applies one detected period's delta this way)."""
         for f in self._COUNTER_FIELDS:
             setattr(self, f, getattr(self, f) + getattr(other, f) * times)
         for f in self._VECTOR_FIELDS:
@@ -360,68 +342,6 @@ class FabricSimulator:
             metrics = ResilienceMetrics()
         self.faults = _FabricFaultState(plan, self.ring.n, metrics)
         return self.faults
-
-    # ------------------------------------------------------------------
-    # Snapshot/restore: the RNG-free simulator state as a picklable value.
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, Any]:
-        """The complete continuation state at a quantum boundary.
-
-        Queues, clock, and token -- everything the step loop reads
-        (stochastic *source* state is the caller's to pair with this;
-        see :mod:`repro.parallel.fabric_shard`).  Fault state is
-        deliberately excluded, so an armed plan only permits snapshot
-        once it is *quiescent* -- every event consumed, every window
-        expired, recovery done, no dead ports, and no corrupt fragments
-        still queued (the corrupt flag is not captured).  Mid-window
-        snapshots keep raising: the continuation would silently drop the
-        remaining fault behavior."""
-        if self.faults is not None:
-            if not self.faults.quiescent():
-                raise ValueError(
-                    "cannot snapshot a simulator with an armed fault plan "
-                    "(fault events or windows still pending)"
-                )
-            if any(f.corrupt for q in self._queues for f in q):
-                raise ValueError(
-                    "cannot snapshot while corrupt fragments are queued "
-                    "(the corrupt flag is not part of the snapshot)"
-                )
-        token = self.token
-        return {
-            "clock": self.clock,
-            "queues": [
-                [(f.dest, f.words, f.is_last, f.packet_words) for f in q]
-                for q in self._queues
-            ],
-            "token": {
-                "master": token.master,
-                "rotations": token.rotations,
-                "remaining": getattr(token, "_remaining", None),
-            },
-        }
-
-    def restore(self, snap: Dict[str, Any]) -> "FabricSimulator":
-        """Adopt a :meth:`snapshot`; returns self for chaining."""
-        queues = snap["queues"]
-        if len(queues) != self.ring.n:
-            raise ValueError(
-                f"snapshot has {len(queues)} ports, simulator has {self.ring.n}"
-            )
-        self.clock = snap["clock"]
-        for port, frags in enumerate(queues):
-            q = self._queues[port]
-            q.clear()
-            q.extend(
-                _HolFragment(dest=d, words=w, is_last=last, packet_words=pw)
-                for d, w, last, pw in frags
-            )
-        tstate = snap["token"]
-        self.token._master = tstate["master"]
-        self.token.rotations = tstate["rotations"]
-        if tstate["remaining"] is not None:
-            self.token._remaining = tstate["remaining"]
-        return self
 
     def _state_key(self):
         """Hashable steady-state fingerprint: token + full queue contents
@@ -715,11 +635,12 @@ class CounterUniformSource:
     randomness: draw ``k`` for port ``p`` hashes ``(seed, p, k)``.
 
     Unlike :func:`saturated_uniform` (which consumes a shared sequential
-    RNG), the only mutable state is one draw counter per port, so a run
-    can be snapshot at any quantum boundary and resumed bit-identically
-    in another process -- the property :mod:`repro.parallel.fabric_shard`
-    needs from a stochastic workload.  Not marked ``deterministic``:
-    the destination stream is aperiodic, so fast-forward never applies.
+    RNG), the only mutable state is one draw counter per port, so each
+    port's draw sequence is independent of which other ports are polled
+    and in what order -- the property the space-partitioned fabric
+    (:mod:`repro.parallel.space_shard`) needs from a stochastic
+    workload.  Not marked ``deterministic``: the destination stream is
+    aperiodic, so fast-forward never applies.
     """
 
     deterministic = False
@@ -749,20 +670,11 @@ class CounterUniformSource:
         self._draws[port] = k
         return (dest, self.words)
 
-    # -- shard protocol -------------------------------------------------
-    def state(self) -> Tuple[int, ...]:
-        return tuple(self._draws)
-
-    def restore(self, state) -> "CounterUniformSource":
-        if len(state) != self.n:
-            raise ValueError("source state has the wrong port count")
-        self._draws = list(state)
-        return self
-
 
 def saturated_uniform_counter(words: int, seed: int, n: int = 4,
                               exclude_self: bool = True) -> CounterUniformSource:
-    """The shardable stochastic workload (see :class:`CounterUniformSource`)."""
+    """The partition-independent stochastic workload (see
+    :class:`CounterUniformSource`)."""
     return CounterUniformSource(words, seed, n=n, exclude_self=exclude_self)
 
 

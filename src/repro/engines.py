@@ -376,8 +376,8 @@ class SpaceEngine(_BaseEngine):
         """Accept fault plans the space fabric can realize exactly:
         ``link_down`` events on channels that stay inside one partition.
         Boundary-channel faults are refused loudly -- a deferred arrival
-        there would interact with the token-window framing that the
-        stall/coalescing accounting assumes fault-free."""
+        there would interact with the token-window framing, which
+        assumes boundary channels are fault-free."""
         from repro.core.spacetopo import link_fault_windows
 
         if spec.fault_plan is None:

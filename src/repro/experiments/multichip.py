@@ -40,7 +40,7 @@ def run(
     ``k`` sets the chip size and port count (k*k ports from 3k chips);
     ``partitions``/``latency``/``transport`` drive the same Clos through
     the space-partitioned token-window engine for the distributed rows
-    (``transport``: pipe, shm, or socket -- DESIGN.md §15).
+    (``transport``: pipe or socket -- DESIGN.md §15).
     """
     if geometry != "clos":
         raise ValueError(f"unknown multichip geometry {geometry!r}")

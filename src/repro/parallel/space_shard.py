@@ -1,7 +1,6 @@
 """Space-partitioned distributed fabric: token-window worker processes.
 
-:mod:`repro.parallel.fabric_shard` shards one fabric timeline in *time*;
-this module shards the topology in *space*.  A
+This module shards one fabric's topology in *space*.  A
 :class:`~repro.core.spacetopo.SpaceTopology` (a Clos of k-port Rotating
 Crossbar chips) is cut into ``P`` partitions of whole chips; each worker
 process owns one partition and advances it locally for ``L`` quanta
@@ -30,28 +29,15 @@ Workers are *persistent*: :class:`SpaceWorkerPool` keeps the processes
 warm between runs and streams successive :class:`SpaceSpec` s to them
 over command pipes -- the seed of the long-lived simulator service the
 ROADMAP names.  Boundary batches travel over a pluggable transport
-(:mod:`repro.parallel.transport`): multiprocessing pipes (the compat
-default), shared-memory flit rings (fixed-layout numpy records, no
-pickling on the hot path), or TCP sockets (``repro serve`` workers on
-other machines).  All transports preserve the pipelining property: a
-worker that finished its window blocks only on the specific peers
-feeding it.
+(:mod:`repro.parallel.transport`): multiprocessing pipes (the default)
+or TCP sockets (``repro serve`` workers on other machines).  Both
+preserve the pipelining property: a worker that finished its window
+blocks only on the specific peers feeding it.  Every worker advances
+exactly one window per round and ships one batch per out-peer per round
+-- firesim's per-link token discipline.
 
-Two adaptive knobs sit on top, both bit-identity-preserving:
-
-* **Adaptive window coalescing** (``SpaceSpec.adaptive_window``): a
-  worker whose in-peers have already shipped their *next* window
-  batches -- provably idle boundary channels, in the conservative-
-  lookahead sense that every fragment that could arrive in the widened
-  span is in hand -- injects them early and advances several windows
-  in one stride.  Outgoing traffic is still framed one batch per round
-  (bucketed by ``send_quantum // window``), so receivers are none the
-  wiser; partitions with no incoming boundary channels (a Clos ingress
-  stage) coalesce their entire timeline.
-* **Adaptive partition counts** (:func:`auto_partitions`,
-  ``partitions=0`` in the engine/CLI layer): P defaults to
-  ``min(middle-stage chips, cpu_count)`` instead of a hard-coded
-  constant.
+``partitions=0`` in the engine/CLI layer picks P adaptively
+(:func:`auto_partitions`: ``min(middle-stage chips, cpu_count)``).
 """
 
 from __future__ import annotations
@@ -87,9 +73,13 @@ class SpaceSpec:
     ``k`` is the chip port count; a ``"clos"`` geometry yields ``k * k``
     external ports on ``3k`` chips.  ``latency`` is the uniform
     inter-chip channel latency in quanta and therefore the token window.
-    ``source`` uses the same declarative forms as
-    :class:`~repro.parallel.fabric_shard.ShardSpec`, always instantiated
-    counter-based so per-port draws are partition-independent.
+    ``source`` is a declarative workload: ``{"kind": "permutation",
+    "words": W, "shift": s}``, ``{"kind": "uniform_counter", "words": W,
+    "seed": s, "exclude_self": bool}``, or ``{"kind": "traffic", "json":
+    <TrafficSpec.to_json()>, "seed": s}`` (``"spec": <preset name or
+    trace path>`` also works; see :func:`repro.traffic.build.shard_source`),
+    always instantiated counter-based so per-port draws are
+    partition-independent.
     """
 
     k: int = 4
@@ -101,8 +91,6 @@ class SpaceSpec:
     quanta: int = 2000
     warmup_quanta: int = 200
     cache_size: int = 4096  #: per-chip allocation LRU (0 disables)
-    adaptive_window: bool = True  #: coalesce windows over idle boundaries
-    max_coalesce: int = 64  #: most windows one adaptive stride may cover
     fault_plan: Optional[FaultPlan] = None  #: intra-partition link faults
 
     def __post_init__(self):
@@ -112,8 +100,6 @@ class SpaceSpec:
             raise ValueError("partitions must be >= 1")
         if self.warmup_quanta < 0 or self.quanta < 1:
             raise ValueError("need quanta >= 1 and warmup_quanta >= 0")
-        if self.max_coalesce < 1:
-            raise ValueError("max_coalesce must be >= 1")
 
     @property
     def num_ports(self) -> int:
@@ -149,7 +135,6 @@ class SpaceRunInfo:
     fallback_reason: str = ""
     transport: str = "pipe"
     bytes_moved: List[int] = field(default_factory=list)
-    coalesced_rounds: List[int] = field(default_factory=list)
     partitions_auto: bool = False
 
     def extra_dict(self) -> Dict[str, Any]:
@@ -166,7 +151,9 @@ class SpaceRunInfo:
             "fallback_reason": self.fallback_reason,
             "transport": self.transport,
             "bytes_moved": list(self.bytes_moved),
-            "coalesced_rounds": list(self.coalesced_rounds),
+            # Workers advance one window per round, so no round is ever
+            # coalesced; the per-worker zeros keep the key for readers.
+            "coalesced_rounds": [0] * len(self.windows_per_worker),
             "partitions_auto": self.partitions_auto,
         }
 
@@ -226,7 +213,6 @@ BACKEND_COUNTER_KEYS = (
     "windows",
     "boundary_flits",
     "bytes_moved",
-    "coalesced_rounds",
 )
 
 
@@ -236,7 +222,6 @@ def backend_counters(info: SpaceRunInfo) -> Dict[str, int]:
         "windows": sum(info.windows_per_worker),
         "boundary_flits": sum(info.boundary_flits),
         "bytes_moved": sum(info.bytes_moved),
-        "coalesced_rounds": sum(info.coalesced_rounds),
     }
 
 
@@ -274,18 +259,15 @@ def _simulate_partition(
     blocks: List[List[int]],
     recv_fns: Dict[int, Any],
     send_fns: Dict[int, Any],
-    poll_fns: Optional[Dict[int, Any]] = None,
     tel_cfg: Optional[Dict[str, Any]] = None,
     snap_fn=None,
 ) -> Tuple:
     """Run one partition's token-window rounds.
 
     ``recv_fns[peer]()`` blocks until that peer's next batch arrives;
-    ``send_fns[peer](batch)`` ships one; ``poll_fns[peer]()`` (optional)
-    reports whether a batch is already waiting -- the hook adaptive
-    window coalescing needs.  Returns ``(stats payload, windows,
-    pipe-stall seconds, boundary flits sent, coalesced rounds)`` -- plus
-    the worker-local telemetry state when ``tel_cfg`` asked for
+    ``send_fns[peer](batch)`` ships one.  Returns ``(stats payload,
+    windows, pipe-stall seconds, boundary flits sent)`` -- plus the
+    worker-local telemetry state when ``tel_cfg`` asked for
     recording.  The same function drives the multiprocessing workers
     (any transport) and the in-process fallback used by tests.
 
@@ -313,8 +295,8 @@ def _simulate_partition(
         _telemetry.RECORDER = tel
     try:
         return _run_partition_rounds(
-            spec, part_id, blocks, recv_fns, send_fns, poll_fns, topo,
-            owner, tel, snap_fn,
+            spec, part_id, blocks, recv_fns, send_fns, topo, owner, tel,
+            snap_fn,
         )
     finally:
         _telemetry.RECORDER = prev_recorder
@@ -326,7 +308,6 @@ def _run_partition_rounds(
     blocks: List[List[int]],
     recv_fns: Dict[int, Any],
     send_fns: Dict[int, Any],
-    poll_fns: Optional[Dict[int, Any]],
     topo: SpaceTopology,
     owner: Dict[int, int],
     tel,
@@ -362,18 +343,10 @@ def _run_partition_rounds(
     # Stream at most ~16 live snaps per run so snap traffic stays small
     # relative to the boundary batches.
     snap_every = max(1, rounds // 16) if snap_fn is not None else 0
-    # Adaptive coalescing stays off under telemetry: snapshot cadence is
-    # keyed to the per-round advance, and determinism of the exported
-    # state matters more there than wall-clock.
-    adaptive = (
-        spec.adaptive_window and tel is None and poll_fns is not None
-    )
     stall = 0.0
     flits_sent = 0
-    coalesced = 0
     q = 0
-    r = 0
-    while r < rounds:
+    for r in range(rounds):
         if r > 0:
             # Collect every in-peer's round r-1 window in peer order; the
             # per-channel FIFOs inside inject() preserve send order, so
@@ -384,23 +357,7 @@ def _run_partition_rounds(
                 stall += time.perf_counter() - t0
                 for cid, send_q, frag in batch:
                     sim.inject(cid, send_q, frag)
-        # Widen the stride while every in-peer's *next* window batch has
-        # already arrived: holding batch r+s-1 from all feeders means
-        # every fragment that can arrive before quantum (r+s+1)*window
-        # is in hand (conservative lookahead), so rounds r..r+s can run
-        # in one advance.  Partitions with no in-peers (all([]) is True)
-        # coalesce their whole timeline.
-        span = 1
-        if adaptive:
-            limit = min(spec.max_coalesce, rounds - r)
-            while span < limit and all(
-                poll_fns[peer]() for peer in in_peers
-            ):
-                for peer in in_peers:
-                    for cid, send_q, frag in recv_fns[peer]():
-                        sim.inject(cid, send_q, frag)
-                span += 1
-        count = min(span * window, total - q)
+        count = min(window, total - q)
         sim.advance(source, q, count, spec.warmup_quanta)
         q += count
         if tel is not None:
@@ -408,38 +365,29 @@ def _run_partition_rounds(
         if snap_every and (r + 1) % snap_every == 0 and r < rounds - 1:
             snap_fn(tel.to_state(worker=part_id,
                                  meta={"partition": part_id, "round": r + 1}))
-        # Ship boundary sends framed exactly one batch per covered round
-        # per out-peer (empty batches included -- the receiver counts
-        # arrivals, not contents, to know a window is complete), so a
-        # coalescing sender is indistinguishable from a round-at-a-time
-        # one.  The final protocol round never ships.
+        # Ship this round's boundary sends as one batch per out-peer
+        # (empty batches included -- the receiver counts arrivals, not
+        # contents, to know a window is complete).  The final round
+        # drains but never ships: no round follows it.
         out = sim.drain_outgoing()
         flits_sent += len(out)
-        send_hi = min(r + span, rounds - 1)
-        if send_hi > r:
-            buckets: Dict[int, Dict[int, List[Tuple[int, int, Any]]]] = {
-                rr: {peer: [] for peer in out_peers}
-                for rr in range(r, send_hi)
+        if r < rounds - 1:
+            batches: Dict[int, List[Tuple[int, int, Any]]] = {
+                peer: [] for peer in out_peers
             }
             for cid, send_q, frag in out:
-                rr = send_q // window
-                if rr >= send_hi:
-                    continue  # final-round traffic drains but never ships
-                dst_part = owner[topo.channels[cid].dst_node]
-                buckets[rr][dst_part].append((cid, send_q, frag))
-            for rr in range(r, send_hi):
-                for peer in out_peers:
-                    send_fns[peer](buckets[rr][peer])
-        coalesced += span - 1
-        r += span
+                batches[owner[topo.channels[cid].dst_node]].append(
+                    (cid, send_q, frag)
+                )
+            for peer in out_peers:
+                send_fns[peer](batches[peer])
     if tel is None:
-        return part_payload(sim.stats), rounds, stall, flits_sent, coalesced
+        return part_payload(sim.stats), rounds, stall, flits_sent
     tel.registry.snapshot(q)
     state = tel.to_state(worker=part_id,
                          meta={"partition": part_id, "rounds": rounds,
                                "chips": len(blocks[part_id])})
-    return (part_payload(sim.stats), rounds, stall, flits_sent, coalesced,
-            state)
+    return part_payload(sim.stats), rounds, stall, flits_sent, state
 
 
 def _space_worker(part_id, cmd_conn, link):
@@ -448,56 +396,51 @@ def _space_worker(part_id, cmd_conn, link):
     ``None`` (or the coordinator hanging up).  Live telemetry snaps
     stream back over the same channel as ``("snap", part_id, state)``
     messages ahead of the terminal ``("ok", result, bytes_sent)`` /
-    ``("err", msg)``.  ``link`` is any transport worker link (pipe
-    bundle, shm ring bundle, or the socket :class:`HubEndpoint`, which
-    doubles as ``cmd_conn``)."""
+    ``("err", msg)``.  ``link`` is any transport worker link (the pipe
+    bundle, or the socket :class:`HubEndpoint`, which doubles as
+    ``cmd_conn``)."""
     # The fork start method hands children the parent's recorder; each
     # run installs its own local one (or none) via tel_cfg instead.
     _telemetry.RECORDER = None
     ports = link.open()
     # The socket hub demultiplexes commands from relayed data batches.
     recv_cmd = getattr(cmd_conn, "recv_cmd", None) or cmd_conn.recv
-    try:
-        while True:
-            try:
-                msg = recv_cmd()
-            except EOFError:
-                return
-            if msg is None:
-                return
-            _tag, spec, blocks, tel_cfg = msg
-            ports.reset_counters()
-            try:
-                result = _simulate_partition(
-                    spec, part_id, blocks,
-                    ports.recv_fns, ports.send_fns,
-                    poll_fns=ports.poll_fns,
-                    tel_cfg=tel_cfg,
-                    snap_fn=(
-                        (lambda state: cmd_conn.send(
-                            ("snap", part_id, state)))
-                        if tel_cfg is not None and tel_cfg.get("stream_snaps")
-                        else None
-                    ),
-                )
-                cmd_conn.send(("ok", result, ports.bytes_sent()))
-            except Exception as exc:  # surfaced in the parent
-                cmd_conn.send(("err", f"{type(exc).__name__}: {exc}"))
-    finally:
-        ports.close()
+    while True:
+        try:
+            msg = recv_cmd()
+        except EOFError:
+            return
+        if msg is None:
+            return
+        _tag, spec, blocks, tel_cfg = msg
+        ports.reset_counters()
+        try:
+            result = _simulate_partition(
+                spec, part_id, blocks,
+                ports.recv_fns, ports.send_fns,
+                tel_cfg=tel_cfg,
+                snap_fn=(
+                    (lambda state: cmd_conn.send(("snap", part_id, state)))
+                    if tel_cfg is not None and tel_cfg.get("stream_snaps")
+                    else None
+                ),
+            )
+            cmd_conn.send(("ok", result, ports.bytes_sent()))
+        except Exception as exc:  # surfaced in the parent
+            cmd_conn.send(("err", f"{type(exc).__name__}: {exc}"))
 
 
 class SpaceWorkerPool:
     """A warm pool of ``P`` partition workers plus their boundary links.
 
     Construction launches the workers over the chosen transport backend
-    (``"pipe"`` pickle-over-pipe, ``"shm"`` shared-memory flit rings, or
-    ``"socket"`` / ``"socket:HOST:PORT"`` TCP hub -- see
-    :mod:`repro.parallel.transport`) with one directed boundary link per
-    ordered partition pair (full mesh -- any geometry's boundary graph
-    is a subgraph).  :meth:`run` streams a :class:`SpaceSpec` to every
-    worker and gathers the merged stats; the workers survive between
-    runs, so successive workloads skip process/link setup entirely.
+    (``"pipe"`` pickle-over-pipe, or ``"socket"`` / ``"socket:HOST:PORT"``
+    TCP hub -- see :mod:`repro.parallel.transport`) with one directed
+    boundary link per ordered partition pair (full mesh -- any
+    geometry's boundary graph is a subgraph).  :meth:`run` streams a
+    :class:`SpaceSpec` to every worker and gathers the merged stats; the
+    workers survive between runs, so successive workloads skip
+    process/link setup entirely.
     Use as a context manager or call :meth:`close`.
     """
 
@@ -588,10 +531,9 @@ class SpaceWorkerPool:
         rounds_seen = [r[1] for r in ordered]
         stalls = [r[2] for r in ordered]
         flits = [r[3] for r in ordered]
-        coalesced = [r[4] for r in ordered]
         if tel_cfg is not None and _telemetry.RECORDER is not None:
             for r in ordered:
-                _telemetry.RECORDER.merge_state(r[5])
+                _telemetry.RECORDER.merge_state(r[4])
         stats = merge_part_stats(
             [payload_to_stats(p) for p in payloads], topo.num_ports, spec.costs
         )
@@ -606,7 +548,6 @@ class SpaceWorkerPool:
             boundary_flits=flits,
             transport=self.transport,
             bytes_moved=[worker_bytes[p] for p in range(self.partitions)],
-            coalesced_rounds=coalesced,
         )
         return stats, info
 
@@ -671,7 +612,6 @@ def run_space(
             fallback_reason="partitions=1",
             transport=_transport.transport_name(transport),
             bytes_moved=[0],
-            coalesced_rounds=[0],
         )
         if tel is not None:
             tel.journeys.finalize()
@@ -713,10 +653,6 @@ def _register_gauges(info: SpaceRunInfo) -> None:
     reg.set_gauge("space.partitions", info.partitions)
     reg.set_gauge("space.serial_fallback", info.serial_fallback)
     reg.set_gauge("space.bytes_moved", sum(info.bytes_moved))
-    # Coalescing depends on arrival timing (and is disabled entirely
-    # when telemetry records), so the count is volatile like stall time.
-    reg.set_gauge("space.coalesced_rounds", sum(info.coalesced_rounds),
-                  volatile=True)
 
 
 # ---------------------------------------------------------------------------
@@ -756,9 +692,6 @@ def run_space_inprocess(spec: SpaceSpec) -> Tuple[FabricStats, SpaceRunInfo]:
 
         return _recv
 
-    def poll_fn(src: int, dst: int):
-        return lambda: bool(mailboxes[(src, dst)])
-
     results = []
     # Round-robin co-execution: because each round's receives depend only
     # on the previous round's sends, running partitions to completion one
@@ -787,15 +720,9 @@ def run_space_inprocess(spec: SpaceSpec) -> Tuple[FabricStats, SpaceRunInfo]:
             for dst in range(parts)
             if (part_id, dst) in mailboxes
         }
-        poll_fns = {
-            src: poll_fn(src, part_id)
-            for src in range(parts)
-            if (src, part_id) in mailboxes
-        }
         results.append(
             (part_id,
-             _simulate_partition(spec, part_id, blocks, recv_fns, send_fns,
-                                 poll_fns=poll_fns))
+             _simulate_partition(spec, part_id, blocks, recv_fns, send_fns))
         )
     results.sort()
     payloads = [payload_to_stats(r[1][0]) for r in results]
@@ -811,7 +738,6 @@ def run_space_inprocess(spec: SpaceSpec) -> Tuple[FabricStats, SpaceRunInfo]:
         boundary_flits=[r[1][3] for r in results],
         transport="inprocess",
         bytes_moved=[0 for _ in results],
-        coalesced_rounds=[r[1][4] for r in results],
     )
     return stats, info
 

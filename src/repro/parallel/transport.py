@@ -1,31 +1,15 @@
 """Pluggable boundary-flit transports for the space-partitioned fabric.
 
 :mod:`repro.parallel.space_shard`'s token-window protocol only ever
-touches its peers through three per-peer callables -- ``recv()`` (block
-until the peer's next window batch), ``send(batch)`` (ship one), and
-``poll()`` (is a batch already waiting?) -- so *how* the batches move is
-a free choice.  This module provides that choice behind one interface:
+touches its peers through two per-peer callables -- ``recv()`` (block
+until the peer's next window batch) and ``send(batch)`` (ship one) --
+so *how* the batches move is a free choice.  This module provides that
+choice behind one interface:
 
-``pipe`` (the compatibility default)
+``pipe`` (the default)
     One simplex :func:`multiprocessing.Pipe` per ordered partition
-    pair, exactly the PR 8 wiring, now with explicit pickle framing so
-    the bytes crossing each pipe are counted.
-
-``shm``
-    A single-producer/single-consumer ring buffer in
-    :mod:`multiprocessing.shared_memory` per ordered pair.  Each window
-    batch is packed into fixed-layout int64 records -- one row
-    ``(cid, send_quantum, dest, words, flags, tag)`` per boundary flit,
-    :data:`FLIT_FIELDS` fields of :data:`FLIT_ITEMSIZE` bytes -- so the
-    hot path never pickles: senders flatten the batch and
-    ``struct.pack_into`` it straight into the mapped ring, receivers
-    ``struct.unpack_from`` it back out; both sides are one C call plus
-    one comprehension, which undercuts pickle-over-pipe for every
-    batch size the fabric actually ships (empty and small batches by
-    3-5x).  Batch framing is a second ring of batch lengths, so empty
-    windows (length 0) still frame rounds.  Writers publish the length
-    first and stream flits behind it in chunks, which makes ring
-    capacity a throughput knob rather than a correctness bound.
+    pair, with explicit pickle framing so the bytes crossing each pipe
+    are counted.
 
 ``socket``
     The same message protocol over TCP via
@@ -36,40 +20,23 @@ a free choice.  This module provides that choice behind one interface:
     through the coordinator over each worker's single command
     connection.  ``"socket"`` spawns loopback workers;
     ``"socket:HOST:PORT"`` listens there and waits for external
-    ``repro serve`` workers instead.
+    ``repro serve`` workers instead -- the only multi-machine path.
 
-Every backend counts the bytes it moves (pickled frame sizes for
-pipe/socket, exact record sizes for shm); the counters ride back with
-each worker's result and surface as ``bytes_moved`` in
-``RunResult.extra["space_shard"]`` and the telemetry summary.
-
-The SPSC rings synchronize through monotonic int64 counters in shared
-memory with sleep-escalating spin waits (``sched_yield`` first, then
-short sleeps).  Plain int64 stores are not portable memory barriers,
-but each counter has exactly one writer and CPython bytecode boundaries
-keep the store order on the strongly-ordered platforms CI runs on --
-the same pragmatic contract firesim-style token queues make.
+Both backends count the bytes they move (pickled frame sizes); the
+counters ride back with each worker's result and surface as
+``bytes_moved`` in ``RunResult.extra["space_shard"]`` and the telemetry
+summary.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-import struct
-import time
 from collections import deque
-from itertools import chain
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 #: Transport names accepted by :func:`create` (``"socket:HOST:PORT"``
 #: selects the socket backend in listen-for-external-workers mode).
-TRANSPORTS = ("pipe", "shm", "socket")
-
-#: int64 fields per boundary-flit record in the shm layout:
-#: (cid, send_quantum, dest, words, flags, tag); ``flags`` bit 0 is
-#: ``is_last``, bit 1 marks a journey tag riding in ``tag``.
-FLIT_FIELDS = 6
-FLIT_ITEMSIZE = 8 * FLIT_FIELDS
+TRANSPORTS = ("pipe", "socket")
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
 
@@ -90,21 +57,17 @@ def transport_name(transport: str) -> str:
 # ---------------------------------------------------------------------------
 class LinkPorts:
     """What a worker sees of its transport once opened: per-peer
-    ``recv``/``send``/``poll`` callables and the bytes moved so far."""
+    ``recv``/``send`` callables and the bytes moved so far."""
 
     def __init__(
         self,
         recv_fns: Dict[int, Callable[[], Any]],
         send_fns: Dict[int, Callable[[Any], None]],
-        poll_fns: Dict[int, Callable[[], bool]],
         bytes_box: List[int],
-        close_fn: Optional[Callable[[], None]] = None,
     ):
         self.recv_fns = recv_fns
         self.send_fns = send_fns
-        self.poll_fns = poll_fns
         self._bytes = bytes_box  # [sent, received]
-        self._close = close_fn
 
     def bytes_sent(self) -> int:
         return self._bytes[0]
@@ -114,10 +77,6 @@ class LinkPorts:
 
     def reset_counters(self) -> None:
         self._bytes[0] = self._bytes[1] = 0
-
-    def close(self) -> None:
-        if self._close is not None:
-            self._close()
 
 
 class PipeWorkerLink:
@@ -147,268 +106,10 @@ class PipeWorkerLink:
 
             return _recv
 
-        def make_poll(conn):
-            return lambda: conn.poll(0)
-
         return LinkPorts(
             recv_fns={p: make_recv(c) for p, c in self.recv_conns.items()},
             send_fns={p: make_send(c) for p, c in self.send_conns.items()},
-            poll_fns={p: make_poll(c) for p, c in self.recv_conns.items()},
             bytes_box=counters,
-        )
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory flit rings.
-# ---------------------------------------------------------------------------
-def _spin(predicate, yields: int = 64, nap: float = 0.0002) -> None:
-    """Wait for ``predicate()`` without holding the CPU hostage: yield
-    the scheduler first (essential when workers oversubscribe cores),
-    then escalate to short sleeps."""
-    spins = 0
-    while not predicate():
-        spins += 1
-        if spins < yields:
-            if hasattr(os, "sched_yield"):
-                os.sched_yield()
-            else:  # pragma: no cover - non-posix fallback
-                time.sleep(0)
-        else:
-            time.sleep(nap)
-
-
-# Header slot indices (int64 each, one writer per slot).
-_FLIT_WR, _FLIT_RD, _BATCH_WR, _BATCH_RD = range(4)
-_HDR_BYTES = 8 * 4
-
-
-class ShmRingHandle:
-    """A picklable descriptor of one directed shm flit ring; workers
-    (and the creating parent) attach with :meth:`attach`."""
-
-    def __init__(self, name: str, flit_capacity: int, batch_capacity: int):
-        self.name = name
-        self.flit_capacity = flit_capacity
-        self.batch_capacity = batch_capacity
-
-    @property
-    def nbytes(self) -> int:
-        return (
-            _HDR_BYTES
-            + 8 * self.batch_capacity
-            + FLIT_ITEMSIZE * self.flit_capacity
-        )
-
-    def attach(self) -> "ShmRing":
-        return ShmRing(self)
-
-
-class ShmRing:
-    """One single-producer/single-consumer boundary-batch ring.
-
-    Layout: 4 int64 header counters | ``batch_capacity`` int64 batch
-    lengths | ``flit_capacity`` x :data:`FLIT_FIELDS` int64 flit
-    records.  The producer owns ``flit_wr``/``batch_wr``, the consumer
-    ``flit_rd``/``batch_rd``; all four only ever grow.  A batch's
-    length is published before its flits, so batches larger than the
-    flit ring stream through in chunks while the consumer drains.
-    """
-
-    def __init__(self, handle: ShmRingHandle):
-        from multiprocessing import shared_memory
-
-        self.handle = handle
-        # Attaching re-registers the segment name with the resource
-        # tracker the forked children share with the creating parent;
-        # the tracker cache is a set, so that is a no-op and the
-        # parent's close()-time unlink clears the single entry.
-        self._shm = shared_memory.SharedMemory(name=handle.name)
-        # One int64 view over the whole segment: cells [0:4] are the
-        # header, [4:4+batch_capacity] the length ring; the flit ring
-        # is addressed by byte offset for struct.pack_into.
-        self._mv = self._shm.buf.cast("q")
-        self._flit_byte_base = _HDR_BYTES + 8 * handle.batch_capacity
-
-    # -- producer side --------------------------------------------------
-    def send_batch(self, batch: List[Tuple[int, int, Any]]) -> int:
-        """Pack ``batch`` into the ring; returns the bytes moved."""
-        mv = self._mv
-        bcap = self.handle.batch_capacity
-        if mv[_BATCH_WR] - mv[_BATCH_RD] >= bcap:
-            _spin(lambda: mv[_BATCH_WR] - mv[_BATCH_RD] < bcap)
-        n = len(batch)
-        mv[4 + mv[_BATCH_WR] % bcap] = n
-        mv[_BATCH_WR] += 1
-        if not n:
-            return 8
-        cap = self.handle.flit_capacity
-        buf = self._shm.buf
-        base = self._flit_byte_base
-        # Fast path: untagged 3-field fragments flatten to exactly six
-        # ints per flit (is_last lands in the flags slot as 0/1), and
-        # when the batch fits the ring without wrapping the generator
-        # streams straight into one pack_into.  A journey tag makes the
-        # flattened count ragged -- pack_into rejects the argument
-        # count before writing anything -- and routes the batch through
-        # the generic chunked path below.
-        wr = mv[_FLIT_WR]
-        pos = wr % cap
-        if cap - (wr - mv[_FLIT_RD]) >= n and cap - pos >= n:
-            try:
-                struct.pack_into(
-                    "%dq" % (FLIT_FIELDS * n),
-                    buf,
-                    base + pos * FLIT_ITEMSIZE,
-                    *chain.from_iterable(
-                        (t[0], t[1], *t[2], 0) for t in batch
-                    ),
-                )
-                mv[_FLIT_WR] = wr + n
-                return 8 + n * FLIT_ITEMSIZE
-            except struct.error:
-                pass
-        flat = list(
-            chain.from_iterable((t[0], t[1], *t[2], 0) for t in batch)
-        )
-        if len(flat) != FLIT_FIELDS * n:
-            flat = list(
-                chain.from_iterable(
-                    (
-                        cid,
-                        send_q,
-                        frag[0],
-                        frag[1],
-                        (1 if frag[2] else 0) | (2 if len(frag) > 3 else 0),
-                        frag[3] if len(frag) > 3 else 0,
-                    )
-                    for cid, send_q, frag in batch
-                )
-            )
-        written = 0
-        while written < n:
-            if mv[_FLIT_WR] - mv[_FLIT_RD] >= cap:
-                _spin(lambda: mv[_FLIT_WR] - mv[_FLIT_RD] < cap)
-            wr = mv[_FLIT_WR]
-            avail = cap - (wr - mv[_FLIT_RD])
-            chunk = min(avail, n - written)
-            pos = wr % cap
-            first = min(chunk, cap - pos)
-            lo = FLIT_FIELDS * written
-            struct.pack_into(
-                "%dq" % (FLIT_FIELDS * first),
-                buf,
-                base + pos * FLIT_ITEMSIZE,
-                *flat[lo: lo + FLIT_FIELDS * first],
-            )
-            if chunk > first:
-                struct.pack_into(
-                    "%dq" % (FLIT_FIELDS * (chunk - first)),
-                    buf,
-                    base,
-                    *flat[lo + FLIT_FIELDS * first: lo + FLIT_FIELDS * chunk],
-                )
-            mv[_FLIT_WR] = wr + chunk
-            written += chunk
-        return 8 + n * FLIT_ITEMSIZE
-
-    # -- consumer side --------------------------------------------------
-    def poll(self) -> bool:
-        mv = self._mv
-        return mv[_BATCH_WR] > mv[_BATCH_RD]
-
-    def recv_batch(self) -> List[Tuple[int, int, Any]]:
-        mv = self._mv
-        if mv[_BATCH_WR] <= mv[_BATCH_RD]:
-            _spin(self.poll)
-        bcap = self.handle.batch_capacity
-        n = mv[4 + mv[_BATCH_RD] % bcap]
-        mv[_BATCH_RD] += 1
-        if not n:
-            return []
-        cap = self.handle.flit_capacity
-        buf = self._shm.buf
-        base = self._flit_byte_base
-        vals: Tuple[int, ...] = ()
-        read = 0
-        while read < n:
-            if mv[_FLIT_WR] <= mv[_FLIT_RD]:
-                _spin(lambda: mv[_FLIT_WR] > mv[_FLIT_RD])
-            rd = mv[_FLIT_RD]
-            avail = mv[_FLIT_WR] - rd
-            chunk = min(avail, n - read)
-            pos = rd % cap
-            first = min(chunk, cap - pos)
-            part = struct.unpack_from(
-                "%dq" % (FLIT_FIELDS * first), buf, base + pos * FLIT_ITEMSIZE
-            )
-            if chunk > first:
-                part += struct.unpack_from(
-                    "%dq" % (FLIT_FIELDS * (chunk - first)), buf, base
-                )
-            vals = part if read == 0 else vals + part
-            mv[_FLIT_RD] = rd + chunk
-            read += chunk
-        rows = zip(*[iter(vals)] * FLIT_FIELDS)
-        if max(vals[4::FLIT_FIELDS]) < 2:
-            return [(c, q, (d, w, f == 1)) for c, q, d, w, f, _ in rows]
-        return [
-            (
-                c,
-                q,
-                (d, w, (f & 1) == 1, t) if f & 2 else (d, w, f == 1),
-            )
-            for c, q, d, w, f, t in rows
-        ]
-
-    def close(self) -> None:
-        # The cast view must be released before SharedMemory.close() or
-        # the exported buffer keeps the mapping alive and warns.
-        self._mv.release()
-        self._mv = None
-        self._shm.close()
-
-
-class ShmWorkerLink:
-    """Per-worker bundle of shm ring handles (picklable; attaches in
-    :meth:`open`)."""
-
-    def __init__(
-        self,
-        recv_rings: Dict[int, ShmRingHandle],
-        send_rings: Dict[int, ShmRingHandle],
-    ):
-        self.recv_rings = recv_rings
-        self.send_rings = send_rings
-
-    def open(self) -> LinkPorts:
-        counters = [0, 0]
-        recv = {p: h.attach() for p, h in self.recv_rings.items()}
-        send = {p: h.attach() for p, h in self.send_rings.items()}
-
-        def make_send(ring):
-            def _send(batch):
-                counters[0] += ring.send_batch(batch)
-
-            return _send
-
-        def make_recv(ring):
-            def _recv():
-                batch = ring.recv_batch()
-                counters[1] += 8 + len(batch) * FLIT_ITEMSIZE
-                return batch
-
-            return _recv
-
-        def _close():
-            for ring in list(recv.values()) + list(send.values()):
-                ring.close()
-
-        return LinkPorts(
-            recv_fns={p: make_recv(r) for p, r in recv.items()},
-            send_fns={p: make_send(r) for p, r in send.items()},
-            poll_fns={p: r.poll for p, r in recv.items()},
-            bytes_box=counters,
-            close_fn=_close,
         )
 
 
@@ -475,22 +176,6 @@ class HubEndpoint:
 
             return _send
 
-        def make_poll(peer):
-            def _poll():
-                box = pending.setdefault(peer, deque())
-                while not box and conn.poll(0):
-                    msg = conn.recv()
-                    if not (
-                        isinstance(msg, tuple) and msg and msg[0] == "data"
-                    ):
-                        raise RuntimeError(
-                            f"unexpected {msg!r} on the hub connection"
-                        )
-                    pending.setdefault(msg[1], deque()).append(msg[2])
-                return bool(box)
-
-            return _poll
-
         # The hub is a full mesh: any peer id may appear.
         class _PeerMap(dict):
             def __init__(self, factory):
@@ -505,7 +190,6 @@ class HubEndpoint:
         return LinkPorts(
             recv_fns=_PeerMap(make_recv),
             send_fns=_PeerMap(make_send),
-            poll_fns=_PeerMap(make_poll),
             bytes_box=counters,
         )
 
@@ -517,78 +201,43 @@ DEFAULT_AUTHKEY = b"repro-space"
 # ---------------------------------------------------------------------------
 # Coordinator-side backends.
 # ---------------------------------------------------------------------------
-class _ProcessBackend:
-    """Shared skeleton for backends that fork local worker processes
-    and talk to them over duplex command pipes."""
+def _shutdown(cmd_conns: List[Any], procs: List[Any]) -> None:
+    """Tell every worker to exit, reap (or terminate) its process, and
+    close the coordinator's command connections."""
+    for conn in cmd_conns:
+        try:
+            conn.send(None)
+        except (BrokenPipeError, OSError):
+            pass
+    for proc in procs:
+        proc.join(timeout=5)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=5)
+    for conn in cmd_conns:
+        conn.close()
 
-    name = "?"
+
+class PipeBackend:
+    """The default: local worker processes, each with one duplex command
+    pipe to the coordinator, plus one simplex data pipe per ordered
+    partition pair."""
+
+    name = "pipe"
 
     def __init__(self, partitions: int):
         self.partitions = partitions
         self._procs: List[Any] = []
         self.cmd_conns: List[Any] = []
 
-    def _make_links(self, ctx) -> List[Any]:
-        raise NotImplementedError
-
     def launch(self, worker_main) -> None:
         import multiprocessing as mp
 
         ctx = mp.get_context()
-        links = self._make_links(ctx)
-        cmd_children = []
-        for _ in range(self.partitions):
-            parent_end, child_end = ctx.Pipe(duplex=True)
-            self.cmd_conns.append(parent_end)
-            cmd_children.append(child_end)
-        for p in range(self.partitions):
-            proc = ctx.Process(
-                target=worker_main,
-                args=(p, cmd_children[p], links[p]),
-                daemon=True,
-            )
-            proc.start()
-            self._procs.append(proc)
-        for end in cmd_children:
-            end.close()
-        self._release_parent_ends()
-
-    def _release_parent_ends(self) -> None:
-        pass
-
-    def route_data(self, src: int, msg) -> None:
-        raise RuntimeError(
-            f"{self.name} transport does not relay data through the "
-            "coordinator"
-        )
-
-    def close(self) -> None:
-        for conn in self.cmd_conns:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5)
-        for conn in self.cmd_conns:
-            conn.close()
-        self.cmd_conns = []
-        self._procs = []
-
-
-class PipeBackend(_ProcessBackend):
-    """The compatibility default: one simplex pipe per ordered pair."""
-
-    name = "pipe"
-
-    def _make_links(self, ctx) -> List[PipeWorkerLink]:
         P = self.partitions
         recv_ends: List[Dict[int, Any]] = [{} for _ in range(P)]
         send_ends: List[Dict[int, Any]] = [{} for _ in range(P)]
-        self._data_ends: List[Any] = []
+        child_ends: List[Any] = []
         for src in range(P):
             for dst in range(P):
                 if src == dst:
@@ -596,67 +245,35 @@ class PipeBackend(_ProcessBackend):
                 r_end, s_end = ctx.Pipe(duplex=False)
                 recv_ends[dst][src] = r_end
                 send_ends[src][dst] = s_end
-                self._data_ends.extend((r_end, s_end))
-        return [PipeWorkerLink(recv_ends[p], send_ends[p]) for p in range(P)]
-
-    def _release_parent_ends(self) -> None:
-        # Workers inherited the pipe ends; dropping the parent's copies
+                child_ends.extend((r_end, s_end))
+        cmd_children = []
+        for _ in range(P):
+            parent_end, child_end = ctx.Pipe(duplex=True)
+            self.cmd_conns.append(parent_end)
+            cmd_children.append(child_end)
+        for p in range(P):
+            proc = ctx.Process(
+                target=worker_main,
+                args=(p, cmd_children[p],
+                      PipeWorkerLink(recv_ends[p], send_ends[p])),
+                daemon=True,
+            )
+            proc.start()
+            self._procs.append(proc)
+        # Workers inherited their pipe ends; dropping the parent's copies
         # lets worker exit close them cleanly.
-        for end in self._data_ends:
+        for end in cmd_children + child_ends:
             end.close()
-        self._data_ends = []
 
-
-class ShmBackend(_ProcessBackend):
-    """Shared-memory flit rings: no pickling, no syscalls on the hot
-    path.  The parent owns the segments and unlinks them at close."""
-
-    name = "shm"
-
-    def __init__(
-        self,
-        partitions: int,
-        flit_capacity: int = 8192,
-        batch_capacity: int = 1024,
-    ):
-        super().__init__(partitions)
-        self.flit_capacity = flit_capacity
-        self.batch_capacity = batch_capacity
-        self._segments: List[Any] = []
-
-    def _make_links(self, ctx) -> List[ShmWorkerLink]:
-        from multiprocessing import shared_memory
-
-        P = self.partitions
-        recv_rings: List[Dict[int, ShmRingHandle]] = [{} for _ in range(P)]
-        send_rings: List[Dict[int, ShmRingHandle]] = [{} for _ in range(P)]
-        for src in range(P):
-            for dst in range(P):
-                if src == dst:
-                    continue
-                handle = ShmRingHandle(
-                    name="", flit_capacity=self.flit_capacity,
-                    batch_capacity=self.batch_capacity,
-                )
-                seg = shared_memory.SharedMemory(
-                    create=True, size=handle.nbytes
-                )
-                seg.buf[:_HDR_BYTES] = b"\x00" * _HDR_BYTES
-                handle.name = seg.name
-                self._segments.append(seg)
-                recv_rings[dst][src] = handle
-                send_rings[src][dst] = handle
-        return [ShmWorkerLink(recv_rings[p], send_rings[p]) for p in range(P)]
+    def route_data(self, src: int, msg) -> None:
+        raise RuntimeError(
+            "pipe transport does not relay data through the coordinator"
+        )
 
     def close(self) -> None:
-        super().close()  # joins the workers first
-        for seg in self._segments:
-            try:
-                seg.close()
-                seg.unlink()
-            except FileNotFoundError:  # pragma: no cover
-                pass
-        self._segments = []
+        _shutdown(self.cmd_conns, self._procs)
+        self.cmd_conns = []
+        self._procs = []
 
 
 class SocketBackend:
@@ -728,18 +345,7 @@ class SocketBackend:
         self.cmd_conns[msg[1]].send(("data", src, msg[2]))
 
     def close(self) -> None:
-        for conn in self.cmd_conns:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5)
-        for conn in self.cmd_conns:
-            conn.close()
+        _shutdown(self.cmd_conns, self._procs)
         self.cmd_conns = []
         self._procs = []
         if self._listener is not None:
@@ -775,7 +381,5 @@ def create(
     base = transport_name(transport)
     if base == "pipe":
         return PipeBackend(partitions)
-    if base == "shm":
-        return ShmBackend(partitions)
     listen = transport.split(":", 1)[1] if ":" in transport else None
     return SocketBackend(partitions, listen=listen, authkey=authkey)

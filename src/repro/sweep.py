@@ -293,11 +293,7 @@ def summarize(table: Dict[str, Any]) -> str:
                     f"{sum(sp['windows_per_worker'])}w, "
                     f"stall {sum(sp['pipe_stall_s']):.2f}s, "
                     f"{sum(sp['boundary_flits'])} bflits, "
-                    f"{sum(sp.get('bytes_moved', []))/1024:.0f}KiB"
+                    f"{sum(sp.get('bytes_moved', []))/1024:.0f}KiB]"
                 )
-                coal = sum(sp.get("coalesced_rounds", []))
-                if coal:
-                    line += f", {coal} coalesced"
-                line += "]"
         lines.append(line)
     return "\n".join(lines)

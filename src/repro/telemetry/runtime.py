@@ -128,10 +128,6 @@ class Telemetry:
                 ),
                 "bytes_moved": self.registry.read_gauge("space.bytes_moved")
                 or 0,
-                "coalesced_rounds": self.registry.read_gauge(
-                    "space.coalesced_rounds"
-                )
-                or 0,
             }
         return out
 

@@ -11,9 +11,11 @@ replay -- all behind one declarative, schema-tagged
 :func:`build` (:mod:`repro.traffic.build`), that every engine and
 baseline constructs its sources through.
 
-Stochastic draws are counter-based (:mod:`repro.traffic.rng`), so every
-source composes with :mod:`repro.parallel.fabric_shard`'s time-sliced
-sharding: the mutable state is a handful of integers per port.
+Stochastic draws are counter-based (:mod:`repro.traffic.rng`), so each
+port's draw sequence is independent of every other port's: the
+space-partitioned fabric (:mod:`repro.parallel.space_shard`) and the
+many-worlds lanes (:mod:`repro.parallel.manyworlds`) reproduce the
+serial draws while polling ports in their own order.
 """
 
 from repro.traffic.arrivals import (

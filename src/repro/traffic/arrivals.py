@@ -2,17 +2,14 @@
 
 All stochastic processes here draw counter-based randomness
 (:mod:`repro.traffic.rng`): the only mutable state is a few integers
-per port, so workloads built on them snapshot/restore bit-identically
-across process boundaries -- the contract
-:mod:`repro.parallel.fabric_shard` requires.  (The historical
-:class:`Bernoulli` consumed a shared ``np.random.Generator``, which was
-silently incompatible with sharding: a resumed slice could not replay
-the generator's interleaved draw stream.)
+per port, so each port's draws replay from scratch and do not depend on
+how polls on other ports interleave.  (The historical :class:`Bernoulli`
+consumed a shared ``np.random.Generator``, whose draws did.)
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.seeds import coerce_seed as _coerce_seed
 from repro.traffic.rng import draw_float, draw_int, geometric_length, pareto_length
@@ -47,8 +44,8 @@ class Bernoulli(ArrivalProcess):
     Under the quantum-per-poll fabric driver this approximates a
     Bernoulli-per-slot arrival process, the standard load model in the
     crossbar-scheduling literature (iSLIP, HOL analyses).  Draws are
-    counter-based per port, so Bernoulli workloads shard bit-identically
-    (``state()``/``restore()`` are the shard protocol).
+    counter-based per port, so one port's decisions never depend on
+    polls at another.
     """
 
     def __init__(self, p: float, seed=0, ports: int = 64):
@@ -71,14 +68,6 @@ class Bernoulli(ArrivalProcess):
     @property
     def load(self) -> float:
         return self.p
-
-    # -- shard protocol -------------------------------------------------
-    def state(self) -> Tuple[int, ...]:
-        return tuple(self._draws)
-
-    def restore(self, state) -> "Bernoulli":
-        self._draws = list(state)
-        return self
 
 
 class OnOff(ArrivalProcess):
@@ -150,17 +139,6 @@ class OnOff(ArrivalProcess):
     def load(self) -> float:
         return self.p * self.mean_on / (self.mean_on + self.mean_off)
 
-    # -- shard protocol -------------------------------------------------
-    def state(self) -> Tuple:
-        return tuple(self._draws), tuple(self._on), tuple(self._left)
-
-    def restore(self, state) -> "OnOff":
-        draws, on, left = state
-        self._draws = list(draws)
-        self._on = list(on)
-        self._left = list(left)
-        return self
-
 
 # ---------------------------------------------------------------------------
 # Per-slot arrivals for the cell-switch baselines (repro.baselines).
@@ -188,7 +166,8 @@ class IIDSlotArrivals:
 
 
 class CounterSlotArrivals:
-    """The counter-based, shard-safe variant of :class:`IIDSlotArrivals`."""
+    """The counter-based variant of :class:`IIDSlotArrivals`: slot ``k``
+    is a pure function of ``(seed, k)``."""
 
     def __init__(self, n: int, seed: int = 0):
         self.n = n
@@ -205,10 +184,3 @@ class CounterSlotArrivals:
             else:
                 out.append(None)
         return out
-
-    def state(self) -> int:
-        return self._slots
-
-    def restore(self, state: int) -> "CounterSlotArrivals":
-        self._slots = int(state)
-        return self

@@ -9,9 +9,9 @@ bit-identical through this factory (the compat guarantee
 on-off/MMPP, bursty, hotspot drift, Bernoulli) builds the unified
 counter-based :class:`~repro.traffic.model.SpecModel` /
 :class:`~repro.traffic.replay.TraceReplay` and wraps it in the
-engine-specific adapter.  Counter-based draws are what make the new
-sources shard (`{"kind": "traffic", ...}` in
-:class:`~repro.parallel.fabric_shard.ShardSpec`).
+engine-specific adapter.  Counter-based draws are what let the space
+engine split a workload's ports across partitions (`{"kind":
+"traffic", ...}` in :class:`~repro.parallel.space_shard.SpaceSpec`).
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def _model(spec: TrafficSpec, ports: int, seed: int,
 # ---------------------------------------------------------------------------
 class FabricModelSource:
     """Adapt a TrafficModel to the fabric PortSource protocol
-    (destination + word count per poll; shard state passes through)."""
+    (destination + word count per poll)."""
 
     def __init__(self, model: TrafficModel, costs: CostModel):
         self.model = model
@@ -80,21 +80,15 @@ class FabricModelSource:
         dest, nbytes = drawn
         return dest, self.costs.bytes_to_words(nbytes)
 
-    def state(self):
-        return self.model.state()
-
-    def restore(self, state) -> "FabricModelSource":
-        self.model.restore(state)
-        return self
-
 
 def fabric_source(spec: TrafficLike, config: SimConfig,
                   force_counter: bool = False):
     """A fabric PortSource for ``spec`` under ``config``.
 
     ``force_counter`` builds the counter-based model even for legacy
-    workloads -- the shard path needs ``state()``/``restore()``, which
-    the historical shared-RNG sources cannot provide.
+    workloads -- the space engine needs per-port draws that do not
+    depend on which ports a partition polls, which the historical
+    shared-RNG sources cannot provide.
     """
     import numpy as np
 
@@ -127,8 +121,8 @@ def fabric_source(spec: TrafficLike, config: SimConfig,
 
 
 def shard_source(spec: TrafficLike, seed: int = 0) -> dict:
-    """The ``ShardSpec.source`` dict for a traffic spec (counter-based,
-    so the shard protocol's state/restore applies to every kind)."""
+    """The ``SpaceSpec.source`` dict for a traffic spec (always built
+    counter-based, see :func:`fabric_source_for_shard`)."""
     resolved = resolve_traffic(spec)
     if resolved is None:
         raise ValueError("shard_source needs a traffic spec")
@@ -137,13 +131,14 @@ def shard_source(spec: TrafficLike, seed: int = 0) -> dict:
 
 def fabric_source_for_shard(source_dict: dict, ports: int,
                             costs: CostModel) -> FabricModelSource:
-    """Build the worker-side source from a ShardSpec ``traffic`` entry."""
+    """Build a space partition's source from a ``SpaceSpec`` ``traffic``
+    entry."""
     if "json" in source_dict:
         spec = TrafficSpec.from_dict(json.loads(source_dict["json"]))
     elif "spec" in source_dict:
         spec = resolve_traffic(source_dict["spec"])
     else:
-        raise ValueError("traffic shard source needs a 'json' or 'spec' entry")
+        raise ValueError("traffic source needs a 'json' or 'spec' entry")
     seed = int(source_dict.get("seed", 0))
     config = SimConfig(ports=ports, costs=costs, seed=seed)
     src = fabric_source(spec, config, force_counter=True)
@@ -286,7 +281,7 @@ def slot_arrivals(n: int, rng=None, seed: Optional[int] = None):
 
     With ``rng`` this preserves the historical shared-generator draw
     order (the chapter-2 experiments are seeded on it); with ``seed``
-    it returns the counter-based, shard-safe variant.
+    it returns the counter-based variant.
     """
     from repro.traffic.arrivals import CounterSlotArrivals, IIDSlotArrivals
 

@@ -4,9 +4,6 @@ A *traffic model* is the one shape every engine consumes:
 
 ``next_packet(port) -> Optional[(dest, size_bytes)]``
     None means "no arrival at this poll" (engines idle the port).
-``state() -> picklable`` / ``restore(state)``
-    Snapshot/resume the model bit-identically at any poll boundary --
-    the :mod:`repro.parallel.fabric_shard` shard protocol.
 ``deterministic: bool``
     True only when the destination stream is a pure function of the
     port (licenses the fabric's steady-state fast-forward).
@@ -14,14 +11,16 @@ A *traffic model* is the one shape every engine consumes:
 :class:`SpecModel` realizes a synthetic
 :class:`~repro.traffic.spec.TrafficSpec` with counter-based draws
 (:mod:`repro.traffic.rng`): the only mutable state is a few integers
-per port, so the model shards and pickles trivially.  Trace replay is
+per port, so each port's packet stream is independent of the order in
+which other ports are polled -- what lets a space partition poll only
+its own ports and still reproduce the serial run.  Trace replay is
 :class:`repro.traffic.replay.TraceReplay`, which implements the same
 protocol.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Protocol, Tuple, runtime_checkable
+from typing import Optional, Protocol, Tuple, runtime_checkable
 
 from repro import seeds
 from repro.traffic.rng import (
@@ -49,12 +48,6 @@ class TrafficModel(Protocol):
 
     def next_packet(self, port: int) -> Optional[Tuple[int, int]]:
         """(destination port, size bytes) or None for no arrival."""
-        ...
-
-    def state(self) -> Any:
-        ...
-
-    def restore(self, state: Any) -> "TrafficModel":
         ...
 
 
@@ -195,32 +188,6 @@ class SpecModel:
         size = self._next_size(port)
         self._offered[port] += 1
         return dest, size
-
-    def state(self) -> Tuple:
-        return (
-            tuple(self._pat),
-            tuple(self._size),
-            tuple(self._arr),
-            tuple(self._dur),
-            tuple(self._offered),
-            tuple(self._cur),
-            tuple(self._on),
-            tuple(self._left),
-        )
-
-    def restore(self, state) -> "SpecModel":
-        (pat, size, arr, dur, offered, cur, on, left) = state
-        if len(pat) != self.n:
-            raise ValueError("model state has the wrong port count")
-        self._pat = list(pat)
-        self._size = list(size)
-        self._arr = list(arr)
-        self._dur = list(dur)
-        self._offered = list(offered)
-        self._cur = list(cur)
-        self._on = list(on)
-        self._left = list(left)
-        return self
 
     # -- convenience ----------------------------------------------------
     @property

@@ -15,17 +15,17 @@ A trace is a sequence of *flow records* -- ``(src, dst, bytes, count)``:
 :class:`~repro.traffic.model.TrafficModel` protocol by streaming the
 file: records are read lazily as ports consume them and buffered
 per-port, so a multi-gigabyte trace costs O(buffered records) memory,
-not O(file).  The shard state is just the per-port consumed-packet
-counts -- the stream position and buffers are a pure function of those
-counts (records are read in file order, each pulled only when some
-port's buffer runs dry), so :meth:`TraceReplay.restore` replays
-consumption from the top of the file and lands on the identical state
-regardless of which process resumes the run.
+not O(file).  The stream position and buffers are a pure function of
+the per-port consumed-packet counts (records are read in file order,
+each pulled only when some port's buffer runs dry), so every port sees
+the same packet sequence however polls on different ports interleave --
+which is what lets the space engine split a trace's ports across
+partitions.
 
 ``python -m repro replay TRACE --check`` is the CI smoke: the bundled
-trace through the fabric engine (twice, for determinism; serial vs
-sharded, for the shard protocol) and the word-level engine, writing a
-stats artifact.
+trace through the fabric engine (twice, for determinism), the space
+engine (two partitions against one, for trace ports ``k*k``), and the
+word-level engine, writing a stats artifact.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import os
 from collections import deque
 from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
-REPLAY_STATS_SCHEMA = "repro-replay-stats/1"
+REPLAY_STATS_SCHEMA = "repro-replay-stats/2"
 
 #: A parsed flow record: (src port, dst port, packet bytes, packet count).
 FlowRecord = Tuple[int, int, int, int]
@@ -80,7 +80,7 @@ def iter_flows(path: str) -> Iterator[FlowRecord]:
 
 
 class TraceReplay:
-    """Replay a recorded trace as a shardable TrafficModel.
+    """Replay a recorded trace as a TrafficModel.
 
     ``loop`` wraps to the top of the file at EOF -- required by
     saturated-only engines (word level); without it an exhausted trace
@@ -97,7 +97,6 @@ class TraceReplay:
         self.path = path
         self.n = n
         self.loop = loop
-        self._consumed = [0] * n  #: packets taken per port (the shard state)
         self._buffers: List[Deque[Tuple[int, int, int]]] = [deque() for _ in range(n)]
         self._stream: Optional[Iterator[FlowRecord]] = None
 
@@ -148,33 +147,7 @@ class TraceReplay:
             self._buffers[port].popleft()
         else:
             self._buffers[port][0] = (dst, nbytes, remaining - 1)
-        self._consumed[port] += 1
         return dst, nbytes
-
-    def state(self) -> Tuple[int, ...]:
-        return tuple(self._consumed)
-
-    def restore(self, state) -> "TraceReplay":
-        """Rebuild from consumed counts by replaying consumption.
-
-        The stream position and buffer contents depend only on *how
-        many* packets each port took, not the interleaving, so pulling
-        ``state[p]`` packets per port from a fresh stream reproduces
-        the exact mid-run state in any process.
-        """
-        if len(state) != self.n:
-            raise ValueError("replay state has the wrong port count")
-        self._consumed = [0] * self.n
-        self._buffers = [deque() for _ in range(self.n)]
-        self._stream = None
-        for port, count in enumerate(state):
-            for _ in range(count):
-                if self.next_packet(port) is None:
-                    raise ValueError(
-                        f"replay state wants {count} packets from port {port} "
-                        "but the trace ran dry"
-                    )
-        return self
 
     @property
     def num_ports(self) -> int:
@@ -249,53 +222,83 @@ def scan_trace(path: str) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 # ``python -m repro replay``: the workload-replay smoke.
 # ---------------------------------------------------------------------------
+def _space_identity(traffic, ports: int, quanta: int,
+                    seed: int) -> Dict[str, Any]:
+    """Run ``traffic`` through the space engine at two partitions and at
+    one; the two must agree field for field.  The Clos needs ``k*k``
+    external ports, so other trace widths record the check as skipped."""
+    import dataclasses
+    import math
+
+    from repro.parallel.space_shard import SpaceSpec, run_space
+    from repro.traffic.build import shard_source
+
+    k = math.isqrt(ports)
+    if k < 2 or k * k != ports:
+        return {
+            "space_match": None,
+            "skipped": f"trace spans {ports} ports; the space engine "
+            "needs k*k ports with k >= 2",
+        }
+    spec = SpaceSpec(
+        k=k,
+        partitions=2,
+        source=SpaceSpec.pack_source(shard_source(traffic, seed=seed)),
+        quanta=quanta,
+        warmup_quanta=0,
+    )
+    one, _ = run_space(dataclasses.replace(spec, partitions=1))
+    two, info = run_space(spec)
+    return {
+        "k": k,
+        "partitions": info.workers,
+        "serial_fallback": info.serial_fallback,
+        "delivered_packets": two.delivered_packets,
+        "gbps": two.gbps,
+        "space_match": one.counters() == two.counters(),
+        "skipped": None,
+    }
+
+
 def run_replay(
     trace: str,
     quanta: int = 600,
     cycles: int = 24_000,
-    shards: int = 4,
     seed: int = 0,
     check: bool = False,
 ) -> Tuple[Dict[str, Any], List[str]]:
-    """Run ``trace`` through fabric (serial + sharded) and word level.
+    """Run ``trace`` through the fabric, space and word-level engines.
 
     Returns ``(stats document, problems)``; with ``check`` the caller
-    exits nonzero on problems.  The fabric run goes through the shard
-    machinery (the serial step loop is the reference; the sharded run
-    must match bit-for-bit), the word-level run through the engine
-    layer with the trace looped (that model is saturated-only).
+    exits nonzero on problems.  The fabric run goes twice (the two must
+    match: determinism), the space engine at two partitions against one
+    (they must match field for field), and the word-level engine with
+    the trace looped (that model is saturated-only).
     """
     from repro.config import SimConfig
-    from repro.engines import WordLevelEngine, WorkloadSpec
-    from repro.parallel.fabric_shard import ShardSpec, run_serial, run_sharded
+    from repro.engines import WordLevelEngine, WorkloadSpec, run_config
     from repro.traffic.spec import TrafficSpec
 
     info = scan_trace(trace)
     ports = max(info["ports"], 2)
-    spec_json = TrafficSpec(kind="replay", trace=trace).to_json()
-    shard_spec = ShardSpec(
-        ports=ports,
-        source=ShardSpec.pack_source(
-            {"kind": "traffic", "json": spec_json, "seed": seed}
-        ),
-        quanta=quanta,
-        warmup_quanta=0,
-        shards=shards,
-    )
-    serial = run_serial(shard_spec)
-    serial2 = run_serial(shard_spec)
-    sharded, shard_info = run_sharded(shard_spec)
+    traffic = TrafficSpec(kind="replay", trace=trace)
+    fabric_cfg = SimConfig(ports=ports, seed=seed)
+    workload = WorkloadSpec(traffic=traffic, quanta=quanta, warmup_quanta=0)
+    serial = run_config(fabric_cfg, workload).to_dict()
+    serial2 = run_config(fabric_cfg, workload).to_dict()
+    space = _space_identity(traffic, ports, quanta, seed)
 
     problems: List[str] = []
-    if serial.counters() != serial2.counters():
+    if serial != serial2:
         problems.append("fabric determinism: two same-trace runs differ")
-    if serial.counters() != sharded.counters():
-        problems.append(
-            f"shard identity: sharded stats differ from serial "
-            f"({shard_info.shards} shards)"
-        )
-    if serial.delivered_packets < 1:
+    if serial["delivered_packets"] < 1:
         problems.append("fabric run delivered no packets from the trace")
+    if space["space_match"] is False:
+        problems.append(
+            "space identity: partitions=2 stats differ from partitions=1"
+        )
+    if space.get("serial_fallback"):
+        problems.append("space identity: partitions=2 fell back to serial")
 
     doc: Dict[str, Any] = {
         "schema": REPLAY_STATS_SCHEMA,
@@ -303,12 +306,11 @@ def run_replay(
         "scan": info,
         "fabric": {
             "quanta": quanta,
-            "shards": shard_info.shards,
-            "delivered_packets": serial.delivered_packets,
-            "delivered_words": serial.delivered_words,
-            "gbps": serial.gbps,
-            "sharded_match": serial.counters() == sharded.counters(),
+            "delivered_packets": serial["delivered_packets"],
+            "delivered_words": serial["delivered_words"],
+            "gbps": serial["gbps"],
         },
+        "space": space,
     }
 
     if ports == 4:
@@ -346,7 +348,6 @@ def main(args) -> int:
         args.trace,
         quanta=args.quanta,
         cycles=args.cycles,
-        shards=args.shards,
         seed=args.seed,
         check=args.check,
     )
@@ -358,9 +359,17 @@ def main(args) -> int:
     fab = doc["fabric"]
     print(
         f"fabric: {fab['delivered_packets']} pkts in {fab['quanta']} quanta, "
-        f"{fab['gbps']:.3f} Gbps, sharded({fab['shards']}) "
-        f"{'== serial' if fab['sharded_match'] else 'MISMATCH'}"
+        f"{fab['gbps']:.3f} Gbps"
     )
+    space = doc["space"]
+    if space["skipped"]:
+        print(f"space: skipped ({space['skipped']})")
+    else:
+        print(
+            f"space: k={space['k']} Clos, {space['delivered_packets']} pkts, "
+            f"{space['gbps']:.3f} Gbps, partitions=2 "
+            f"{'== partitions=1' if space['space_match'] else 'MISMATCH'}"
+        )
     if doc.get("wordlevel"):
         wl = doc["wordlevel"]
         print(
@@ -377,5 +386,8 @@ def main(args) -> int:
     if args.check:
         if problems:
             return 1
-        print("replay check ok: deterministic, sharded == serial")
+        print(
+            "replay check ok: deterministic"
+            + ("" if space["skipped"] else ", partitions=2 == partitions=1")
+        )
     return 0

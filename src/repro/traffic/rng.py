@@ -3,13 +3,13 @@
 Every stochastic draw a :class:`~repro.traffic.model.SpecModel` makes is
 a pure function ``hash(seed, stream, counter)`` -- the style of
 :class:`repro.core.fabricsim.CounterUniformSource`, generalized.  A
-shared sequential ``np.random.Generator`` makes a workload unshardable:
-resuming mid-run would need the generator's full internal state *and*
-a guarantee that ports consume draws in the same interleaving, which a
-time-sliced worker cannot reproduce.  With counter-based draws the only
-mutable state is a handful of small integers per port, so any source
-built on this module snapshots/restores bit-identically across process
-boundaries (the contract :mod:`repro.parallel.fabric_shard` needs).
+shared sequential ``np.random.Generator`` ties every port's draws to
+the global polling interleaving, which a worker owning only some ports
+(:mod:`repro.parallel.space_shard`) or a vectorized lane
+(:mod:`repro.parallel.manyworlds`) cannot reproduce.  With
+counter-based draws the only mutable state is a handful of small
+integers per port, so each port's sequence is the same whoever polls
+it and in whatever order.
 
 The hash is a splitmix64-style finalizer: cheap in pure Python (three
 multiplies and three xor-shifts on ints) and avalanche-quality, which

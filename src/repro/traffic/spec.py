@@ -6,8 +6,8 @@ pattern, packet sizes, arrival process -- or as a recorded trace to
 replay.  It is what rides inside
 :class:`~repro.engines.WorkloadSpec.traffic`, what ``repro sweep``'s
 ``traffic=`` axis fans across workers, and what
-:mod:`repro.parallel.fabric_shard` serializes into a
-:class:`~repro.parallel.fabric_shard.ShardSpec` source.
+:func:`repro.traffic.build.shard_source` serializes into a
+:class:`~repro.parallel.space_shard.SpaceSpec` source.
 
 Like :mod:`repro.faults.plan`, specs round-trip through tagged dicts
 (:meth:`TrafficSpec.to_dict` / :meth:`TrafficSpec.from_dict`) and
@@ -244,7 +244,8 @@ class TrafficSpec:
         return cls(**d)
 
     def to_json(self) -> str:
-        """Canonical JSON form (stable key order, shard-spec friendly)."""
+        """Canonical JSON form (stable key order, picklable as a
+        :class:`~repro.parallel.space_shard.SpaceSpec` source)."""
         return json.dumps(self.to_dict(), sort_keys=True)
 
 

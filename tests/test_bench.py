@@ -1,0 +1,85 @@
+"""``repro bench --check``: the results-file validators reject stale
+sections -- an empty per-backend table, a backend that is not a live
+transport, a mode missing one of its suite's scenarios -- and accept the
+committed results file."""
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+
+from repro import bench
+
+RESULTS = (
+    Path(__file__).resolve().parent.parent / "benchmarks" / "BENCH_results.json"
+)
+
+
+@pytest.fixture(scope="module")
+def committed():
+    return json.loads(RESULTS.read_text())
+
+
+@pytest.fixture()
+def results(committed):
+    return copy.deepcopy(committed)
+
+
+def _errors(data):
+    return (
+        bench.validate_results(data)
+        + bench.validate_fabric_large(data)
+        + bench.validate_manyworlds(data)
+        + bench.validate_space(data)
+    )
+
+
+def _check_exit(tmp_path, data) -> int:
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(data))
+    return bench.main(out=path, check_only=True)
+
+
+class TestValidators:
+    def test_committed_results_pass(self, results, tmp_path):
+        assert _errors(results) == []
+        assert _check_exit(tmp_path, results) == 0
+
+    def test_non_transport_backend_rejected(self, results, tmp_path):
+        row = results["space_shard"]["quick"]["scenarios"][0]
+        row["backends"]["shm"] = dict(row["backends"]["pipe"])
+        errors = bench.validate_space(results)
+        assert errors == [
+            f"space_shard.quick.{row['scenario']}: backend 'shm' is not a "
+            "transport ('pipe', 'socket')"
+        ]
+        assert _check_exit(tmp_path, results) == 1
+
+    def test_empty_backends_rejected(self, results, tmp_path):
+        row = results["space_shard"]["full"]["scenarios"][0]
+        row["backends"] = {}
+        assert bench.validate_space(results) == [
+            f"space_shard.full.{row['scenario']}: backends table is empty"
+        ]
+        assert _check_exit(tmp_path, results) == 1
+
+    def test_missing_fabric_large_scenario_rejected(self, results, tmp_path):
+        report = results["fabric_large"]["full"]
+        report["scenarios"] = [
+            r for r in report["scenarios"] if r["scenario"] != "imix_onoff_n16"
+        ]
+        assert bench.validate_fabric_large(results) == [
+            "fabric_large.full has no 'imix_onoff_n16' row"
+        ]
+        assert _check_exit(tmp_path, results) == 1
+
+    def test_missing_space_scenario_rejected(self, results, tmp_path):
+        report = results["space_shard"]["quick"]
+        report["scenarios"] = [
+            r for r in report["scenarios"] if r["scenario"] != "clos_n64"
+        ]
+        assert bench.validate_space(results) == [
+            "space_shard.quick has no 'clos_n64' row"
+        ]
+        assert _check_exit(tmp_path, results) == 1

@@ -1,5 +1,5 @@
-"""Fabric fast path: allocation cache, compiled tables, steady-state
-fast-forward, snapshot/restore, and time-sliced sharding.
+"""Fabric fast path: allocation cache, compiled tables, and steady-state
+fast-forward.
 
 The contract under test everywhere: every fast-path layer is
 *bit-identical* to the plain step loop -- same Allocation objects, same
@@ -25,7 +25,6 @@ from repro.core.ring import RingGeometry
 from repro.core.token import RotatingToken
 from repro.engines import WorkloadSpec, run_config
 from repro.faults import FaultEvent, FaultPlan
-from repro.parallel import ShardSpec, merge_stats, run_serial, run_sharded
 from repro.telemetry import runtime
 
 
@@ -170,167 +169,6 @@ class TestFastForward:
         got = ff_sim.run(source, quanta=300)
         assert ff_sim.ff_quanta == 0
         assert_stats_identical(ref, got)
-
-
-class TestSnapshotRestore:
-    def test_continuation_is_bit_identical(self):
-        source = saturated_permutation(128, shift=2, n=8)
-        whole_sim = FabricSimulator(ring=RingGeometry(8), token=RotatingToken(8))
-        whole = whole_sim.run(source, quanta=300, warmup_quanta=100)
-
-        first = FabricSimulator(ring=RingGeometry(8), token=RotatingToken(8))
-        first.run(source, quanta=100, warmup_quanta=0)  # the warmup region
-        snap = first.snapshot()
-        resumed = FabricSimulator(ring=RingGeometry(8), token=RotatingToken(8))
-        resumed.restore(snap)
-        cont = resumed.run(source, quanta=300, warmup_quanta=0)
-        assert_stats_identical(whole, cont)
-        assert resumed.clock == whole_sim.clock
-
-    def test_snapshot_refuses_armed_faults(self):
-        sim = FabricSimulator()
-        sim.install_faults(
-            FaultPlan(events=(FaultEvent(cycle=10, kind="token_loss"),))
-        )
-        with pytest.raises(ValueError):
-            sim.snapshot()
-
-    def test_snapshot_allowed_once_fault_plan_quiescent(self):
-        # A stall window early in the run: snapshot must refuse while the
-        # window is pending/open, then succeed once every event has fired
-        # and expired -- and the continuation must stay bit-identical.
-        plan = FaultPlan(
-            events=(
-                FaultEvent(
-                    cycle=500, kind="stall", target="port:1", duration=2_000
-                ),
-            )
-        )
-        source = saturated_permutation(64, shift=1)
-        whole_sim = FabricSimulator()
-        whole_sim.install_faults(plan)
-        whole = whole_sim.run(source, quanta=400, warmup_quanta=100)
-
-        first = FabricSimulator()
-        first.install_faults(plan)
-        first.run(source, quanta=100, warmup_quanta=0)
-        snap = first.snapshot()  # clock is far past the window by now
-        assert first.faults.quiescent()
-        resumed = FabricSimulator().restore(snap)
-        cont = resumed.run(source, quanta=400, warmup_quanta=0)
-        assert_stats_identical(whole, cont)
-
-    def test_snapshot_still_refuses_mid_window(self):
-        plan = FaultPlan(
-            events=(
-                FaultEvent(
-                    cycle=0, kind="stall", target="port:0", duration=10**9
-                ),
-            )
-        )
-        sim = FabricSimulator()
-        sim.install_faults(plan)
-        sim.run(saturated_permutation(64, shift=1), quanta=5, warmup_quanta=0)
-        with pytest.raises(ValueError, match="pending"):
-            sim.snapshot()
-
-    def test_snapshot_refuses_dead_port_forever(self):
-        # port_down permanently remaps routing; that is never quiescent.
-        plan = FaultPlan(
-            events=(FaultEvent(cycle=0, kind="port_down", target="port:2"),)
-        )
-        sim = FabricSimulator()
-        sim.install_faults(plan)
-        sim.run(saturated_permutation(64, shift=1), quanta=50, warmup_quanta=0)
-        with pytest.raises(ValueError):
-            sim.snapshot()
-
-    def test_restore_rejects_wrong_port_count(self):
-        snap = FabricSimulator(ring=RingGeometry(8)).snapshot()
-        with pytest.raises(ValueError):
-            FabricSimulator(ring=RingGeometry(4)).restore(snap)
-
-    def test_counter_source_state_roundtrip(self):
-        src = CounterUniformSource(64, seed=11, n=4)
-        draws = [src(p) for p in (0, 1, 2, 0, 3)]
-        state = src.state()
-        more = [src(p) for p in (0, 1, 2)]
-        replay = CounterUniformSource(64, seed=11, n=4).restore(state)
-        assert [replay(p) for p in (0, 1, 2)] == more
-        assert draws[0] != (0, 64)  # exclude_self held
-
-
-class TestSharding:
-    def test_permutation_sharded_equals_serial(self):
-        spec = ShardSpec(
-            ports=8,
-            source=ShardSpec.pack_source(
-                {"kind": "permutation", "words": 256, "shift": 3}
-            ),
-            quanta=400, warmup_quanta=50, shards=4,
-        )
-        serial = run_serial(spec)
-        merged, info = run_sharded(spec)
-        assert_stats_identical(serial, merged)
-        assert info.slice_lengths == [100, 100, 100, 100]
-
-    def test_stochastic_sharded_equals_serial_with_odd_slicing(self):
-        spec = ShardSpec(
-            ports=16,
-            source=ShardSpec.pack_source(
-                {"kind": "uniform_counter", "words": 256, "seed": 42,
-                 "exclude_self": True}
-            ),
-            quanta=331, warmup_quanta=17, shards=5,
-        )
-        serial = run_serial(spec)
-        merged, info = run_sharded(spec)
-        assert_stats_identical(serial, merged)
-        assert sum(info.slice_lengths) == 331
-
-    def test_merge_is_associative(self):
-        spec = ShardSpec(
-            ports=4,
-            source=ShardSpec.pack_source(
-                {"kind": "uniform_counter", "words": 64, "seed": 3,
-                 "exclude_self": True}
-            ),
-            quanta=120, warmup_quanta=0, shards=3,
-        )
-        merged, _ = run_sharded(spec)
-        # Re-run the slices serially to get the parts, then regroup.
-        from repro.parallel.fabric_shard import (
-            _pilot_checkpoints, _run_slice, build_sim, make_source,
-        )
-
-        checkpoints = _pilot_checkpoints(
-            build_sim(spec), make_source(spec), [0, 40, 80]
-        )
-        parts = [
-            _run_slice((spec, *checkpoints[b], 40)) for b in (0, 40, 80)
-        ]
-        left = merge_stats([merge_stats(parts[:2]), parts[2]])
-        right = merge_stats([parts[0], merge_stats(parts[1:])])
-        flat = merge_stats(parts)
-        assert left.counters() == right.counters() == flat.counters()
-        assert flat.counters() == merged.counters()
-
-    def test_telemetry_merges_worker_states(self):
-        # Sharded runs under telemetry record per-slice and fold the
-        # states back in; stats stay bit-identical to the serial run.
-        spec = ShardSpec(quanta=40, warmup_quanta=0, shards=2)
-        ref = run_serial(spec)
-        with runtime.capture() as tel:
-            merged, info = run_sharded(spec, workers=1)
-        assert merged.counters() == ref.counters()
-        assert tel.journeys.completed > 0
-        assert sorted(tel.workers) == [0, 1]
-        assert all(m["slice"] == w for w, m in tel.workers.items())
-
-    def test_unknown_source_kind(self):
-        spec = ShardSpec(source=ShardSpec.pack_source({"kind": "nope"}))
-        with pytest.raises(ValueError):
-            run_serial(spec)
 
 
 class TestSourceGuards:

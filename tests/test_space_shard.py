@@ -10,6 +10,7 @@ so any grouping of partitions folds to the same totals.
 from __future__ import annotations
 
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,16 +35,38 @@ from repro.parallel import (
     run_space_serial,
 )
 from repro.telemetry import runtime
+from repro.traffic.build import shard_source
+from repro.traffic.spec import PRESETS, TrafficSpec, spec_from_legacy
+
+#: The bundled 4-port trace; at k=4 its ports 0-3 feed one ingress chip.
+EXAMPLE_TRACE = str(
+    Path(__file__).resolve().parent.parent / "examples/traces/imix_1k.csv"
+)
 
 
 def assert_stats_identical(a: FabricStats, b: FabricStats) -> None:
     assert a.counters() == b.counters()
 
 
+#: Every counter-based source kind: the two direct source kinds, every
+#: traffic preset, the legacy uniform spec (which the ``traffic`` kind
+#: forces onto the counter model), and trace replay.  The imix preset
+#: appears twice: by name (``"spec"`` entry) and packed as JSON by
+#: ``shard_source`` (``"json"`` entry), the two ways a source is named.
 SOURCES = {
     "permutation": {"kind": "permutation", "words": 64, "shift": 3},
     "uniform": {"kind": "uniform_counter", "words": 48, "seed": 11},
     "imix": {"kind": "traffic", "spec": "imix", "seed": 5},
+    "imix_packed": shard_source(PRESETS["imix"], seed=11),
+    **{
+        name: shard_source(PRESETS[name], seed=11)
+        for name in ("imix_onoff", "imix_heavy", "bursty", "hotspot_drift",
+                     "bernoulli")
+    },
+    "legacy_uniform": shard_source(
+        spec_from_legacy(pattern="uniform", packet_bytes=512), seed=2
+    ),
+    "replay": shard_source(TrafficSpec(kind="replay", trace=EXAMPLE_TRACE)),
 }
 
 
@@ -254,7 +277,7 @@ class TestWindowProtocol:
         total = spec.quanta + spec.warmup_quanta
         rounds = -(-total // spec.latency)
         sent_to_middle = deque()
-        _, got_rounds, _, _, _ = _simulate_partition(
+        _, got_rounds, *_ = _simulate_partition(
             spec, 0, blocks, recv_fns={}, send_fns={1: sent_to_middle.append}
         )
         assert got_rounds == rounds
@@ -262,7 +285,7 @@ class TestWindowProtocol:
 
 
 # ---------------------------------------------------------------------------
-# Merge associativity (shared contract with fabric_shard's merge).
+# Merge associativity.
 # ---------------------------------------------------------------------------
 class TestMergeAssociativity:
     def _partition_payloads(self, spec: SpaceSpec):
@@ -331,9 +354,8 @@ class TestMergeAssociativity:
             assert_stats_identical(ref, merged)
 
     def test_merge_is_grouping_invariant(self):
-        # ((p0+p1), p2) == (p0, (p1+p2)) == flat -- true associativity,
-        # the same contract fabric_shard's merge_stats holds for time
-        # slices, here over space partitions.
+        # ((p0+p1), p2) == (p0, (p1+p2)) == flat -- true associativity
+        # over space partitions.
         spec = spec_for(4, 3, "permutation")
         topo, parts = self._partition_payloads(spec)
         flat = merge_part_stats(parts, topo.num_ports, spec.costs)
@@ -400,6 +422,11 @@ class TestSpaceEngine:
         assert sp["window"] == cfg.link_latency
         assert len(sp["pipe_stall_s"]) == 2
         assert len(sp["boundary_flits"]) == 2
+
+    def test_unknown_source_kind_rejected(self):
+        spec = SpaceSpec(source=SpaceSpec.pack_source({"kind": "zipf"}))
+        with pytest.raises(ValueError, match="unknown space source kind"):
+            run_space_serial(spec)
 
     def test_nonsquare_ports_rejected(self):
         cfg = SimConfig(ports=8, fidelity="space")

@@ -1,16 +1,13 @@
 """Transport-layer invariants of the space-partitioned fabric.
 
-The contract under test (ISSUE 10 / DESIGN.md §15): every transport
-backend -- pipe, shm ring, hub-relayed socket -- moves the token-window
-protocol bit-identically to the single-process reference at every
-partition count; adaptive window coalescing never changes what a
-receiver observes; the torus geometry pins its channel table; and the
-fault guard admits exactly the plans the engine can realize.
+The contract under test (DESIGN.md §15): every transport backend --
+pipe and hub-relayed socket -- moves the token-window protocol
+bit-identically to the single-process reference at every partition
+count; the torus geometry pins its channel table; and the fault guard
+admits exactly the plans the engine can realize.
 """
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +24,6 @@ from repro.parallel import (
     auto_partitions,
     merge_backend_counters,
     run_space,
-    run_space_inprocess,
     run_space_serial,
     serve_worker,
     transport_name,
@@ -72,71 +68,34 @@ class TestBackendIdentity:
             assert not info.serial_fallback
             assert sum(info.bytes_moved) > 0
 
-    def test_shm_pool_reuse_stays_identical(self):
-        spec = spec_for(4)
-        ref = run_space_serial(spec)
-        pool = SpaceWorkerPool(4, transport="shm")
-        try:
-            for _ in range(2):
-                got, info = run_space(spec, pool=pool)
-                assert got.counters() == ref.counters()
-                assert info.transport == "shm"
-        finally:
-            pool.close()
-
     def test_transport_name_parsing(self):
         assert transport_name("pipe") == "pipe"
-        assert transport_name("shm") == "shm"
         assert transport_name("socket") == "socket"
         assert transport_name("socket:127.0.0.1:9999") == "socket"
-        with pytest.raises(ValueError, match="transport"):
-            transport_name("carrier-pigeon")
+        for gone in ("carrier-pigeon", "shm"):
+            with pytest.raises(ValueError, match="transport"):
+                transport_name(gone)
 
     def test_simconfig_validates_transport(self):
         assert SimConfig(transport="socket:h:1").transport == "socket:h:1"
-        with pytest.raises(ValueError, match="transport"):
-            SimConfig(transport="bogus")
+        for gone in ("bogus", "shm"):
+            with pytest.raises(ValueError, match="transport"):
+                SimConfig(transport=gone)
+
+    def test_pool_reuse_stays_identical(self):
+        spec = spec_for(4)
+        ref = run_space_serial(spec)
+        with SpaceWorkerPool(4, transport="socket") as pool:
+            for _ in range(2):
+                got, info = run_space(spec, pool=pool)
+                assert got.counters() == ref.counters()
+                assert info.transport == "socket"
 
     def test_serve_worker_rejects_bad_address(self):
         with pytest.raises(ValueError, match="HOST:PORT"):
             serve_worker("nocolon")
         with pytest.raises(ValueError, match="HOST:PORT"):
             serve_worker("host:notaport")
-
-
-# ---------------------------------------------------------------------------
-# Adaptive window coalescing.
-# ---------------------------------------------------------------------------
-class TestAdaptiveWindow:
-    def test_inprocess_coalesces_and_matches_serial(self):
-        # Toposorted in-process execution runs producers to completion
-        # first, so consumers see every batch already waiting and the
-        # adaptive path must coalesce nearly the whole timeline.
-        spec = spec_for(2)
-        ref = run_space_serial(spec)
-        got, info = run_space_inprocess(spec)
-        assert ref.counters() == got.counters()
-        assert sum(info.coalesced_rounds) > 0
-
-    def test_disabling_adaptive_is_bit_identical(self):
-        base = spec_for(3)
-        off = spec_for(3, adaptive_window=False)
-        got_a, info_a = run_space(base)
-        got_b, info_b = run_space(off)
-        assert got_a.counters() == got_b.counters()
-        assert sum(info_b.coalesced_rounds) == 0
-
-    def test_max_coalesce_bounds_the_stride(self):
-        spec = spec_for(2, max_coalesce=2, quanta=200)
-        ref = run_space_serial(spec)
-        got, info = run_space_inprocess(spec)
-        assert ref.counters() == got.counters()
-        # A stride cap of 2 coalesces at most every other round.
-        assert max(info.coalesced_rounds) <= info.rounds // 2
-
-    def test_max_coalesce_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_coalesce"):
-            spec_for(2, max_coalesce=0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,72 +262,3 @@ class TestCounterMerge:
         assert set(counters) == set(BACKEND_COUNTER_KEYS)
         assert counters["bytes_moved"] == sum(info.bytes_moved)
         assert counters["boundary_flits"] == sum(info.boundary_flits)
-
-
-# ---------------------------------------------------------------------------
-# Shm ring unit behavior.
-# ---------------------------------------------------------------------------
-class TestShmRing:
-    def _ring(self, flit_capacity, batch_capacity=8):
-        from multiprocessing import shared_memory
-
-        from repro.parallel.transport import ShmRingHandle
-
-        handle = ShmRingHandle(
-            "repro-test-ring", flit_capacity, batch_capacity
-        )
-        seg = shared_memory.SharedMemory(
-            name=handle.name, create=True, size=handle.nbytes
-        )
-        seg.buf[:handle.nbytes] = b"\x00" * handle.nbytes
-        return seg, handle.attach()
-
-    def test_roundtrip_plain_tagged_empty(self):
-        seg, ring = self._ring(64)
-        try:
-            batches = [
-                [(1, 5, (3, 64, False)), (2, 5, (7, 32, True))],
-                [(1, 6, (3, 64, True, 99)), (4, 6, (0, 8, False))],
-                [],
-            ]
-            for batch in batches:
-                ring.send_batch(batch)
-                assert ring.recv_batch() == batch
-        finally:
-            ring.close()
-            seg.close()
-            seg.unlink()
-
-    def test_oversized_batch_streams_through_small_ring(self):
-        # A batch larger than the flit ring must stream in chunks while
-        # a concurrent consumer drains -- capacity is a throughput knob,
-        # not a correctness bound.
-        seg, ring = self._ring(16)
-        try:
-            big = [(i % 5, i, (i % 9, i * 2, i % 2 == 0))
-                   for i in range(100)]
-            sender = threading.Thread(target=ring.send_batch, args=(big,))
-            sender.start()
-            got = ring.recv_batch()
-            sender.join(timeout=10)
-            assert not sender.is_alive()
-            assert got == big
-        finally:
-            ring.close()
-            seg.close()
-            seg.unlink()
-
-    def test_bytes_accounting(self):
-        from repro.parallel.transport import FLIT_ITEMSIZE
-
-        seg, ring = self._ring(64)
-        try:
-            assert ring.send_batch([]) == 8
-            moved = ring.send_batch([(1, 2, (3, 4, True))])
-            assert moved == 8 + FLIT_ITEMSIZE
-            ring.recv_batch()
-            ring.recv_batch()
-        finally:
-            ring.close()
-            seg.close()
-            seg.unlink()
