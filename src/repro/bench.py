@@ -18,14 +18,15 @@ tables) under a ``kernel_bench`` key:
 validates the schema of an existing results file and exits.
 
 ``--engine fabric-large`` selects the *fabric fast-path* suite instead:
-large-ring (N=16/32) scaling runs timed twice through the fabric engine
--- once uncached, once with the fast path (allocation cache +
-steady-state fast-forward for deterministic traffic, the cache alone
-for stochastic traffic).  Results land under a separate
-``fabric_large`` key; every scenario records ``stats_match`` (the fast
-path must be bit-identical to the step loop).  With ``--check`` the
-suite still runs, then fails the process if any scenario mismatches or
-slows down (speedup < 1.0) -- the CI smoke configuration.
+large-ring (N=16/32) saturated permutations timed twice through the
+fabric engine -- once stepping every quantum, once with steady-state
+fast-forward.  Both sides evaluate the allocation rule through the same
+compiled tables, so the ratio is fast-forward's alone.  Results land
+under a separate ``fabric_large`` key; every scenario records
+``stats_match`` (the fast path must be bit-identical to the step loop).
+With ``--check`` the suite still runs, then fails the process if any
+scenario mismatches or slows down (speedup < 1.0) -- the CI smoke
+configuration.
 
 ``--engine manyworlds`` selects the vectorized Monte Carlo suite: a
 ``worlds``-seed batch through :mod:`repro.parallel.manyworlds` timed
@@ -131,41 +132,22 @@ def run_bench(
 #: Schema tag for the ``fabric_large`` results section.
 FABRIC_LARGE_SCHEMA = "repro-fabric-large-bench/1"
 
-#: Scenario budgets.  Each scenario runs ``workload`` through the fabric
-#: engine twice: uncached (the plain step loop) vs the fast path that
-#: ``optimized`` names.  Deterministic traffic gets cache + fast-forward;
-#: stochastic traffic gets the cache alone (fast-forward auto-disables
-#: on aperiodic sources).
+#: Scenario budgets.  Each scenario runs a saturated permutation through
+#: the fabric engine twice: the plain step loop vs ``fast_forward=True``.
+#: Stochastic traffic has no row: fast-forward never engages on an
+#: aperiodic source, so both sides would be the same configuration.
 FABRIC_LARGE_SCENARIOS: Dict[str, List[Dict[str, Any]]] = {
     "full": [
         {"name": "saturated_n16", "ports": 16, "quanta": 20_000, "warmup": 200,
-         "workload": {"pattern": "permutation", "shift": 8},
-         "optimized": "cache+fast_forward"},
-        {"name": "uniform_n16", "ports": 16, "quanta": 12_000, "warmup": 200,
-         "seed": 42, "workload": {"pattern": "uniform"},
-         "optimized": "cache"},
+         "workload": {"pattern": "permutation", "shift": 8}},
         {"name": "saturated_n32", "ports": 32, "quanta": 8_000, "warmup": 200,
-         "workload": {"pattern": "permutation", "shift": 16},
-         "optimized": "cache+fast_forward"},
-        {"name": "imix_onoff_n16", "ports": 16, "quanta": 12_000,
-         "warmup": 200, "seed": 7, "workload": {"traffic": "imix_onoff"},
-         "optimized": "cache"},
+         "workload": {"pattern": "permutation", "shift": 16}},
     ],
     "quick": [
         {"name": "saturated_n16", "ports": 16, "quanta": 2_500, "warmup": 100,
-         "workload": {"pattern": "permutation", "shift": 8},
-         "optimized": "cache+fast_forward"},
-        {"name": "uniform_n16", "ports": 16, "quanta": 1_500, "warmup": 100,
-         "seed": 42, "workload": {"pattern": "uniform"},
-         "optimized": "cache"},
-        {"name": "imix_onoff_n16", "ports": 16, "quanta": 1_500, "warmup": 100,
-         "seed": 7, "workload": {"traffic": "imix_onoff"},
-         "optimized": "cache"},
+         "workload": {"pattern": "permutation", "shift": 8}},
     ],
 }
-
-#: Allocation LRU size the fast path runs with.
-FAST_PATH_CACHE = 4096
 
 
 def _fabric_result_key(result) -> Dict[str, Any]:
@@ -179,14 +161,11 @@ def _fabric_result_key(result) -> Dict[str, Any]:
 
 def _bench_fabric_large_scenario(sc: Dict[str, Any]) -> Dict[str, Any]:
     """Time one scenario both ways; the fast path must be bit-identical."""
-    config = SimConfig(ports=sc["ports"], seed=sc.get("seed", 0))
+    config = SimConfig(ports=sc["ports"])
     workload = WorkloadSpec(
         quanta=sc["quanta"], warmup_quanta=sc["warmup"], **sc["workload"]
     )
-    fast_config = config.replace(
-        alloc_cache=FAST_PATH_CACHE,
-        fast_forward=sc["optimized"] == "cache+fast_forward",
-    )
+    fast_config = config.replace(fast_forward=True)
     t0 = time.perf_counter()
     baseline = run_config(config, workload)
     baseline_wall = time.perf_counter() - t0
@@ -197,7 +176,7 @@ def _bench_fabric_large_scenario(sc: Dict[str, Any]) -> Dict[str, Any]:
         "scenario": sc["name"],
         "ports": sc["ports"],
         "quanta": sc["quanta"],
-        "optimized": sc["optimized"],
+        "optimized": "fast_forward",
         "baseline_wall_s": baseline_wall,
         "fast_wall_s": fast_wall,
         "speedup": baseline_wall / fast_wall if fast_wall > 0 else None,
@@ -325,16 +304,17 @@ def format_fabric_large(report: Dict[str, Any]) -> str:
 # ---------------------------------------------------------------------------
 #: Schema tag for the ``space_shard`` results section.  ``/2`` adds the
 #: per-backend sub-table (``backends``): every scenario is measured once
-#: per configured transport against one shared uncached-serial baseline,
-#: with the legacy top-level fields mirroring the ``pipe`` row so ``/1``
-#: consumers keep reading the compatibility baseline.
+#: per configured transport against one shared serial baseline, with the
+#: legacy top-level fields mirroring the ``pipe`` row so ``/1`` consumers
+#: keep reading the compatibility baseline.
 SPACE_SCHEMA = "repro-space-bench/2"
 
-#: Scenario budgets.  Each scenario times the uncached single-process
-#: reference against the space-partitioned run (warm per-chip allocation
-#: caches + token-window workers) once per transport backend, asserting
-#: bit-identity throughout -- the same baseline convention as the fabric
-#: fast-path suite.  ``clos_n256`` is the scale headline: a 256-port
+#: Scenario budgets.  Each scenario times the single-process reference
+#: (:func:`~repro.parallel.space_shard.run_space_serial`) against the
+#: space-partitioned run (token-window workers) once per transport
+#: backend, asserting bit-identity throughout.  Both sides step the same
+#: chips over the same compiled allocation tables, so the ratio is the
+#: worker processes' alone.  ``clos_n256`` is the scale headline: a 256-port
 #: Clos (48 16-port chips) across 4 workers.  Socket rows measure the
 #: hub-relayed TCP path; on one host that doubles every boundary hop, so
 #: they are checked for identity and distribution, not speed.
@@ -372,7 +352,7 @@ SPACE_SCENARIOS: Dict[str, List[Dict[str, Any]]] = {
 
 
 def _bench_space_scenario(sc: Dict[str, Any]) -> Dict[str, Any]:
-    """Time one scenario per backend against one shared uncached serial
+    """Time one scenario per backend against one shared serial
     reference; every partitioned run must be bit-identical to it."""
     from repro.parallel.space_shard import (
         SpaceSpec, run_space, run_space_serial,
@@ -387,7 +367,7 @@ def _bench_space_scenario(sc: Dict[str, Any]) -> Dict[str, Any]:
         warmup_quanta=sc["warmup"],
     )
     t0 = time.perf_counter()
-    baseline = run_space_serial(spec, cached=False)
+    baseline = run_space_serial(spec)
     baseline_wall = time.perf_counter() - t0
     backends: Dict[str, Dict[str, Any]] = {}
     runs: Dict[str, Any] = {}
@@ -459,7 +439,7 @@ def merge_space(data: Dict[str, Any], report: Dict[str, Any]) -> Dict[str, Any]:
 
 def check_space(report: Dict[str, Any]) -> List[str]:
     """CI invariants: every backend bit-identical and distributed, and
-    pipe not slower than uncached serial.  Socket rows are exempt from
+    pipe not slower than serial.  Socket rows are exempt from
     the speed floor: hub relay on one host doubles every boundary hop,
     so only identity and distribution are load-bearing."""
     problems: List[str] = []
@@ -701,6 +681,9 @@ def validate_manyworlds(data: Dict[str, Any]) -> List[str]:
         if not isinstance(rows, list) or not rows:
             errors.append(f"manyworlds.{mode} has no scenarios")
             continue
+        errors += _missing_scenarios(
+            "manyworlds", mode, rows, MANYWORLDS_SCENARIOS
+        )
         for row in rows:
             for field in ("scenario", "worlds", "vector_wall_s",
                           "aggregate_speedup", "stats_match", "gbps_envelope"):

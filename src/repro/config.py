@@ -139,10 +139,8 @@ class SimConfig:
     pipelined: bool = True  #: header/body overlap (sections 5.2/6.5)
     fidelity: str = "fabric"  #: one of :data:`FIDELITIES`
     seed: int = 0
-    #: Fabric fast path (bit-identical; fabric fidelity only): LRU size
-    #: for allocation memoization (0 disables), and steady-state cycle
-    #: detection + fast-forward for deterministic saturated sources.
-    alloc_cache: int = 0
+    #: Fabric fidelity only: steady-state cycle detection + fast-forward
+    #: for deterministic saturated sources (bit-identical to stepping).
     fast_forward: bool = False
     #: Space fidelity only (DESIGN.md §13/§15): worker-process count for
     #: the token-window partitioned fabric (1 = in-process serial
@@ -158,8 +156,6 @@ class SimConfig:
     def __post_init__(self):
         if self.ports < 2:
             raise ValueError("a router needs at least 2 ports")
-        if self.alloc_cache < 0:
-            raise ValueError("alloc_cache must be >= 0 (0 disables)")
         if self.partitions < 0:
             raise ValueError("partitions must be >= 1 (or 0 for adaptive)")
         if self.link_latency < 1:

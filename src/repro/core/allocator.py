@@ -18,28 +18,26 @@ starvation bound of section 5.4; granted paths are link-disjoint by
 construction, which yields deadlock freedom (section 5.5) -- both are
 checked property-style in the tests.
 
-Fast path (thesis section 6 at runtime)
----------------------------------------
-The thesis's chapter-6 trick is collapsing the 5^4 x 4 configuration
-space into ~32 reusable switch programs computed once, offline.  The
-runtime mirror here has two tiers, both behind :meth:`Allocator.enable_cache`:
+Compiled tables (thesis chapter 6 at runtime)
+---------------------------------------------
+The thesis computes the crossbar configurations at compile time, so at
+run time the tiles only index a table.  :class:`CompiledAllocator` is
+the runtime mirror: per (src, dst) it holds the candidate paths' link
+sets as integer bitmasks plus shared frozen :class:`Grant` objects, so
+evaluating a quantum builds no :class:`~repro.core.ring.Path`/``Link``
+objects.  :func:`compiled_allocator` keeps one instance per ``(ports,
+networks)`` per process and every :class:`Allocator` evaluates through
+it: the fabric loop, the router, the word-level model, each Clos chip,
+the configuration-space enumeration and the many-worlds lanes (which
+index its numpy tensors) all share the same tables.
 
-* the **compiled tables** (:class:`CompiledAllocator`) precompute, per
-  (src, dst), the candidate paths' link sets as integer bitmasks plus
-  shared frozen :class:`Grant` objects, so evaluating the rule never
-  rebuilds :class:`~repro.core.ring.Path`/``Link`` objects;
-* an **LRU cache** on ``allocate(requests, token)`` keyed by the exact
-  ``(requests, token)`` tuple, with hit/miss counters, for workloads
-  whose request state recurs (every deterministic saturated pattern).
-
-Both tiers are bit-identical to the uncached rule (property-tested in
-``tests/test_fabric_fastpath.py``): cached :class:`Allocation` objects
-are shared and must be treated as read-only by callers.
+:func:`reference_allocate` is the rule written out over ``Path``/``Link``
+objects: the readable specification the tests hold the tables to, field
+for field.  Nothing at run time calls it.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -73,7 +71,17 @@ class Allocation:
     requests: Tuple[Request, ...]
     grants: Dict[int, Grant] = field(default_factory=dict)
     blocked: Set[int] = field(default_factory=set)  #: requested but denied
-    used_links: Set[Link] = field(default_factory=set)
+
+    @property
+    def used_links(self) -> Set[Link]:
+        """Every fabric resource the grants hold: their ring segments,
+        plus each granted input's ``in`` and output's ``out`` link."""
+        used: Set[Link] = set()
+        for g in self.grants.values():
+            used.update(g.path.links)
+            used.add(Link("out", g.dst))
+            used.add(Link("in", g.src))
+        return used
 
     @property
     def num_granted(self) -> int:
@@ -100,141 +108,48 @@ class Allocation:
         return True
 
 
-class Allocator:
-    """Deterministic per-quantum allocation over a ring geometry.
+def _check_requests(n: int, requests: Sequence[Request], token: int) -> None:
+    if len(requests) != n:
+        raise ValueError(f"expected {n} requests, got {len(requests)}")
+    if not 0 <= token < n:
+        raise ValueError(f"token {token} out of range")
 
-    Parameters
-    ----------
-    ring:
-        The crossbar ring (N ports).
-    networks:
-        1 (the router's configuration; section 5.3 shows it suffices) or
-        2 (the section-8.1 ablation enabling Raw's second static network).
+
+def reference_allocate(
+    ring: RingGeometry, networks: int, requests: Sequence[Request], token: int
+) -> Allocation:
+    """The rule over ``Path``/``Link`` objects, one candidate at a time.
+
+    The specification :class:`CompiledAllocator` must reproduce exactly
+    (same grants, blocked set and used links); the tests compare the two.
     """
-
-    def __init__(self, ring: RingGeometry, networks: int = 1,
-                 cache_size: int = 0):
-        if networks not in (1, 2):
-            raise ValueError("Raw has one or two static networks")
-        self.ring = ring
-        self.networks = networks
-        self._compiled: Optional["CompiledAllocator"] = None
-        self._cache: Optional[OrderedDict] = None
-        self._cache_size = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        if cache_size:
-            self.enable_cache(cache_size)
-
-    @classmethod
-    def from_config(cls, config) -> "Allocator":
-        """Build from a :class:`repro.config.SimConfig` (ports + networks)."""
-        return cls(
-            RingGeometry(config.ports),
-            networks=config.networks,
-            cache_size=getattr(config, "alloc_cache", 0),
-        )
-
-    # ------------------------------------------------------------------
-    # Fast path: compiled tables + LRU memoization.
-    # ------------------------------------------------------------------
-    def enable_cache(self, maxsize: int = 4096) -> "Allocator":
-        """Turn on the allocation fast path; returns self for chaining.
-
-        Bit-identical to the uncached rule.  Cached allocations are
-        shared objects: callers must not mutate them."""
-        if maxsize < 1:
-            raise ValueError("cache maxsize must be >= 1")
-        self._cache = OrderedDict()
-        self._cache_size = maxsize
-        self._compiled = self.compiled()
-        return self
-
-    def disable_cache(self) -> None:
-        self._cache = None
-        self._cache_size = 0
-
-    @property
-    def cache_enabled(self) -> bool:
-        return self._cache is not None
-
-    def cache_info(self) -> Dict[str, float]:
-        """Hit/miss counters (the telemetry registry surfaces these)."""
-        total = self.cache_hits + self.cache_misses
-        return {
-            "hits": self.cache_hits,
-            "misses": self.cache_misses,
-            "hit_rate": self.cache_hits / total if total else 0.0,
-            "size": len(self._cache) if self._cache is not None else 0,
-            "maxsize": self._cache_size,
-        }
-
-    def compiled(self) -> "CompiledAllocator":
-        """The precomputed-table evaluator (built once, then shared)."""
-        if self._compiled is None:
-            self._compiled = CompiledAllocator(self.ring, self.networks)
-        return self._compiled
-
-    def allocate(self, requests: Sequence[Request], token: int) -> Allocation:
-        """Compute the quantum's configuration.
-
-        ``requests[i]`` is input ``i``'s head-of-line destination or None.
-        Deterministic: every crossbar tile evaluating this with the same
-        inputs produces the identical allocation.
-        """
-        cache = self._cache
-        if cache is not None:
-            key = (tuple(requests), token)
-            hit = cache.get(key)
-            if hit is not None:
-                self.cache_hits += 1
-                cache.move_to_end(key)
-                return hit
-            self.cache_misses += 1
-            alloc = self._compiled.allocate(requests, token)
-            cache[key] = alloc
-            if len(cache) > self._cache_size:
-                cache.popitem(last=False)
-            return alloc
-        n = self.ring.n
-        if len(requests) != n:
-            raise ValueError(f"expected {n} requests, got {len(requests)}")
-        if not 0 <= token < n:
-            raise ValueError(f"token {token} out of range")
-        alloc = Allocation(token=token, requests=tuple(requests))
-        claimed_outputs: Set[int] = set()
-        used: Set[Link] = alloc.used_links
-        for offset in range(n):
-            src = (token + offset) % n
-            dst = requests[src]
-            if dst is None:
-                continue
-            if not 0 <= dst < n:
-                raise ValueError(f"request {dst} out of range at input {src}")
-            if dst in claimed_outputs:
-                alloc.blocked.add(src)
-                continue
-            granted_path = None
-            for path in self.ring.candidate_paths(src, dst, self.networks):
-                if not any(link in used for link in path.links):
-                    granted_path = path
-                    break
-            if granted_path is None:
-                alloc.blocked.add(src)
-                continue
-            claimed_outputs.add(dst)
-            used.update(granted_path.links)
-            used.add(Link("out", dst))
-            used.add(Link("in", src))
-            alloc.grants[src] = Grant(src=src, dst=dst, path=granted_path)
-        return alloc
-
-    # ------------------------------------------------------------------
-    def master_always_granted(self, requests: Sequence[Request], token: int) -> bool:
-        """Sanity predicate used by the fairness tests: a requesting
-        master is granted in every reachable state."""
-        alloc = self.allocate(requests, token)
-        return requests[token] is None or token in alloc.grants
+    n = ring.n
+    _check_requests(n, requests, token)
+    alloc = Allocation(token=token, requests=tuple(requests))
+    claimed_outputs: Set[int] = set()
+    used: Set[Link] = set()
+    for offset in range(n):
+        src = (token + offset) % n
+        dst = requests[src]
+        if dst is None:
+            continue
+        if not 0 <= dst < n:
+            raise ValueError(f"request {dst} out of range at input {src}")
+        if dst in claimed_outputs:
+            alloc.blocked.add(src)
+            continue
+        granted_path = None
+        for path in ring.candidate_paths(src, dst, networks):
+            if not any(link in used for link in path.links):
+                granted_path = path
+                break
+        if granted_path is None:
+            alloc.blocked.add(src)
+            continue
+        claimed_outputs.add(dst)
+        used.update(granted_path.links)
+        alloc.grants[src] = Grant(src=src, dst=dst, path=granted_path)
+    return alloc
 
 
 class CompiledAllocator:
@@ -245,9 +160,10 @@ class CompiledAllocator:
     segments), and the frozen :class:`Grant` objects are all computed
     once per geometry, so evaluating a quantum touches no
     ``Path``/``Link`` construction at all.  :meth:`allocate` builds the
-    same :class:`Allocation` the plain rule builds (equality-tested
-    property-style); :meth:`grants` is the stripped form, the scalar
-    reference :meth:`batch_grants` is tested against.
+    same :class:`Allocation` as :func:`reference_allocate`
+    (equality-tested property-style); :meth:`batch_grants` evaluates it
+    over many worlds at once.  Use :func:`compiled_allocator` for the
+    process-wide shared instance.
     """
 
     def __init__(self, ring: RingGeometry, networks: int = 1):
@@ -256,15 +172,13 @@ class CompiledAllocator:
         self.ring = ring
         self.networks = networks
         self._tensors = None  #: lazily built by :meth:`lookup_tensors`
+        self._batch = None  #: lazily built by :meth:`_batch_tables`
         n = ring.n
-        #: [src][dst] -> tuple of (link_mask, hops, Path, Grant, links);
-        #: candidates in the exact preference order of the plain rule.
-        self.table: List[List[Tuple[Tuple[int, int, Path, Grant, Tuple[Link, ...]], ...]]] = []
-        #: [src][dst] -> (Link("out", dst), Link("in", src)) shared pair.
-        self.io_links: List[List[Tuple[Link, Link]]] = []
+        #: [src][dst] -> tuple of (link_mask, Grant), candidates in the
+        #: rule's preference order.
+        self.table: List[List[Tuple[Tuple[int, Grant], ...]]] = []
         for src in range(n):
             row = []
-            io_row = []
             for dst in range(n):
                 entries = []
                 for path in ring.candidate_paths(src, dst, networks):
@@ -273,78 +187,42 @@ class CompiledAllocator:
                         base = (link.network - 1) * 2 * n
                         bit = base + (link.index if link.kind == "cw" else n + link.index)
                         mask |= 1 << bit
-                    entries.append(
-                        (mask, path.hops, path, Grant(src=src, dst=dst, path=path),
-                         path.links)
-                    )
+                    entries.append((mask, Grant(src=src, dst=dst, path=path)))
                 row.append(tuple(entries))
-                io_row.append((Link("out", dst), Link("in", src)))
             self.table.append(row)
-            self.io_links.append(io_row)
+        #: [token] -> inputs in the order that token visits them.
+        self._visit = [
+            tuple((token + offset) % n for offset in range(n))
+            for token in range(n)
+        ]
 
     def allocate(self, requests: Sequence[Request], token: int) -> Allocation:
-        """Bit-identical :class:`Allocation` via the compiled tables."""
+        """The quantum's :class:`Allocation`, via the compiled tables."""
         n = self.ring.n
-        if len(requests) != n:
-            raise ValueError(f"expected {n} requests, got {len(requests)}")
-        if not 0 <= token < n:
-            raise ValueError(f"token {token} out of range")
-        alloc = Allocation(token=token, requests=tuple(requests))
+        _check_requests(n, requests, token)
         table = self.table
-        used_links = alloc.used_links
-        used_mask = 0
+        grants: Dict[int, Grant] = {}
+        blocked: Set[int] = set()
+        used = 0  # bitmask of held ring segments
         claimed = 0  # bitmask of claimed outputs
-        for offset in range(n):
-            src = (token + offset) % n
+        for src in self._visit[token]:
             dst = requests[src]
             if dst is None:
                 continue
             if not 0 <= dst < n:
                 raise ValueError(f"request {dst} out of range at input {src}")
             if claimed >> dst & 1:
-                alloc.blocked.add(src)
+                blocked.add(src)
                 continue
-            for mask, _hops, _path, grant, links in table[src][dst]:
-                if not mask & used_mask:
+            for mask, grant in table[src][dst]:
+                if not mask & used:
+                    used |= mask
+                    claimed |= 1 << dst
+                    grants[src] = grant
                     break
             else:
-                alloc.blocked.add(src)
-                continue
-            claimed |= 1 << dst
-            used_mask |= mask
-            used_links.update(links)
-            out_link, in_link = self.io_links[src][dst]
-            used_links.add(out_link)
-            used_links.add(in_link)
-            alloc.grants[src] = grant
-        return alloc
-
-    def grants(self, requests: Sequence[Request], token: int) -> Tuple[Tuple[int, int, int], ...]:
-        """The granted (src, dst, hops) triples, skipping the Allocation.
-
-        Exactly the grants (and grant order is token order, like the
-        plain rule's insertion order) of :meth:`allocate`: which queues
-        pop and the expansion numbers, nothing more.
-        """
-        n = self.ring.n
-        table = self.table
-        used_mask = 0
-        claimed = 0
-        out = []
-        for offset in range(n):
-            src = (token + offset) % n
-            dst = requests[src]
-            if dst is None:
-                continue
-            for mask, hops, _path, _grant, _links in table[src][dst]:
-                if claimed >> dst & 1:
-                    break
-                if not mask & used_mask:
-                    claimed |= 1 << dst
-                    used_mask |= mask
-                    out.append((src, dst, hops))
-                    break
-        return tuple(out)
+                blocked.add(src)
+        return Allocation(token, tuple(requests), grants, blocked)
 
     # ------------------------------------------------------------------
     # Batch path: the many-worlds engine's vectorized allocation.
@@ -385,9 +263,9 @@ class CompiledAllocator:
             valid_t = np.zeros((n, n, cmax), dtype=bool)
             for s in range(n):
                 for d in range(n):
-                    for c, (mask, hops, _p, _g, _l) in enumerate(self.table[s][d]):
+                    for c, (mask, grant) in enumerate(self.table[s][d]):
                         mask_t[s, d, c] = mask
-                        hops_t[s, d, c] = hops
+                        hops_t[s, d, c] = grant.expansion
                         valid_t[s, d, c] = True
             self._tensors = (mask_t, hops_t, valid_t)
         return self._tensors
@@ -410,7 +288,7 @@ class CompiledAllocator:
         padding is still safe because every (src, dst) pair has at least
         one real candidate ordered before its padding (enforced here).
         """
-        if getattr(self, "_batch", None) is None:
+        if self._batch is None:
             import numpy as np
 
             mask_t, hops_t, valid_t = self.lookup_tensors()
@@ -440,7 +318,7 @@ class CompiledAllocator:
         return self._batch
 
     def batch_grants(self, dests, token: int):
-        """:meth:`grants` over a whole batch of worlds at once.
+        """:meth:`allocate`'s grants over a whole batch of worlds at once.
 
         ``dests`` is an integer array of shape ``[W, n]``: world ``w``'s
         input ``i`` requests output ``dests[w, i]``, with ``-1`` for "no
@@ -450,9 +328,9 @@ class CompiledAllocator:
         Returns ``(granted, hops)``, both ``[W, n]``: ``granted[w, i]``
         is True when input ``i`` transmits this quantum in world ``w``,
         and ``hops[w, i]`` is the granted path's ring expansion (0 where
-        not granted).  Row ``w`` equals :meth:`grants` on that world's
-        request tuple -- the bit-identity contract the many-worlds
-        engine's world-0 check rests on.
+        not granted).  Row ``w`` equals the grants :meth:`allocate`
+        makes on that world's request tuple -- the bit-identity contract
+        the many-worlds engine's world-0 check rests on.
         """
         import numpy as np
 
@@ -513,3 +391,64 @@ class CompiledAllocator:
                 hsel = sel >> hop_shift
             hops[:, src] = np.where(g, hsel, 0)
         return granted, hops
+
+
+#: The process-wide tables, one per ``(ports, networks)``.
+_SHARED: Dict[Tuple[int, int], CompiledAllocator] = {}
+
+
+def compiled_allocator(ports: int, networks: int = 1) -> CompiledAllocator:
+    """The shared :class:`CompiledAllocator` for one geometry, built on
+    first use and read-only afterwards."""
+    key = (ports, networks)
+    compiled = _SHARED.get(key)
+    if compiled is None:
+        compiled = _SHARED[key] = CompiledAllocator(RingGeometry(ports), networks)
+    return compiled
+
+
+class Allocator:
+    """Deterministic per-quantum allocation over a ring geometry.
+
+    Parameters
+    ----------
+    ring:
+        The crossbar ring (N ports).
+    networks:
+        1 (the router's configuration; section 5.3 shows it suffices) or
+        2 (the section-8.1 ablation enabling Raw's second static network).
+    """
+
+    #: Allocations are never memoized, so this stays 0.  The benchmark's
+    #: tracer (``perfbench/spans.py``) reads it around every traced call.
+    cache_hits = 0
+
+    def __init__(self, ring: RingGeometry, networks: int = 1):
+        if networks not in (1, 2):
+            raise ValueError("Raw has one or two static networks")
+        self.ring = ring
+        self.networks = networks
+        #: The shared tables every allocation is evaluated through.
+        self.compiled = compiled_allocator(ring.n, networks)
+
+    @classmethod
+    def from_config(cls, config) -> "Allocator":
+        """Build from a :class:`repro.config.SimConfig` (ports + networks)."""
+        return cls(RingGeometry(config.ports), networks=config.networks)
+
+    def allocate(self, requests: Sequence[Request], token: int) -> Allocation:
+        """Compute the quantum's configuration.
+
+        ``requests[i]`` is input ``i``'s head-of-line destination or None.
+        Deterministic: every crossbar tile evaluating this with the same
+        inputs produces the identical allocation.  Its :class:`Grant`
+        objects are shared with the compiled tables.
+        """
+        return self.compiled.allocate(requests, token)
+
+    # ------------------------------------------------------------------
+    def master_always_granted(self, requests: Sequence[Request], token: int) -> bool:
+        """Sanity predicate used by the fairness tests: a requesting
+        master is granted in every reachable state."""
+        alloc = self.allocate(requests, token)
+        return requests[token] is None or token in alloc.grants

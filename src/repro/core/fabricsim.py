@@ -11,11 +11,10 @@ pipelines on top; for saturated inputs both models agree on throughput
 
 Fast path
 ---------
-Two cooperating layers make this engine fast at scale, each
-bit-identical to the plain step loop and each independently toggleable:
+Every quantum evaluates the allocation rule through the shared compiled
+tables (:class:`~repro.core.allocator.CompiledAllocator`).  One layer on
+top is opt-in, bit-identical to the plain step loop:
 
-* **allocation memoization** -- hand the simulator a cached
-  :class:`~repro.core.allocator.Allocator` (``enable_cache()``);
 * **steady-state fast-forward** (``fast_forward=True``) -- for
   deterministic sources the (queue-contents, token) state recurs with a
   short period; once a cycle is detected the per-cycle stats delta is
@@ -464,13 +463,6 @@ class FabricSimulator:
         registry.gauge("fabric.clock", lambda: self.clock)
         for p, q in enumerate(self._queues):
             registry.gauge(f"ingress.{p}.queue_depth", lambda q=q: len(q))
-        if self.allocator.cache_enabled:
-            registry.gauge(
-                "fabric.alloc_cache.hits", lambda: self.allocator.cache_hits
-            )
-            registry.gauge(
-                "fabric.alloc_cache.misses", lambda: self.allocator.cache_misses
-            )
         if self.fast_forward:
             # Always 0 under telemetry (recording forces the step loop);
             # the gauge documents that the feature was requested.

@@ -16,7 +16,7 @@ Everything is parameterized by N so the scalability experiments
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 CW = "cw"
 CCW = "ccw"
@@ -66,6 +66,9 @@ class RingGeometry:
         if num_ports < 2:
             raise ValueError("a crossbar ring needs at least 2 ports")
         self.n = num_ports
+        #: (direction, network) -> that kind's segments by tile index,
+        #: built once so paths share their Link objects.
+        self._segments: Dict[Tuple[str, int], Tuple[Link, ...]] = {}
 
     # ------------------------------------------------------------------
     def cw_distance(self, src: int, dst: int) -> int:
@@ -88,19 +91,21 @@ class RingGeometry:
         self._check_port(dst)
         if src == dst:
             return Path(src, dst, "direct", (), network)
-        links: List[Link] = []
-        node = src
+        n = self.n
         if direction == CW:
-            while node != dst:
-                links.append(Link(CW, node, network))
-                node = (node + 1) % self.n
+            hops, step = (dst - src) % n, 1
         elif direction == CCW:
-            while node != dst:
-                links.append(Link(CCW, node, network))
-                node = (node - 1) % self.n
+            hops, step = (src - dst) % n, -1
         else:
             raise ValueError(f"unknown direction {direction!r}")
-        return Path(src, dst, direction, tuple(links), network)
+        key = (direction, network)
+        segments = self._segments.get(key)
+        if segments is None:
+            segments = self._segments[key] = tuple(
+                Link(direction, i, network) for i in range(n)
+            )
+        links = tuple(segments[(src + step * i) % n] for i in range(hops))
+        return Path(src, dst, direction, links, network)
 
     def candidate_paths(self, src: int, dst: int, networks: int = 1) -> List[Path]:
         """Paths to try, in the allocator's preference order.

@@ -353,11 +353,10 @@ class ChipNode:
 
     __slots__ = ("nid", "k", "allocator", "token", "queues")
 
-    def __init__(self, nid: int, k: int, cache_size: int = 0):
+    def __init__(self, nid: int, k: int):
         self.nid = nid
         self.k = k
-        ring = RingGeometry(k)
-        self.allocator = Allocator(ring, cache_size=cache_size)
+        self.allocator = Allocator(RingGeometry(k))
         self.token = RotatingToken(k)
         self.queues: List[Deque[Tuple[SpaceFrag, int]]] = [
             deque() for _ in range(k)
@@ -426,7 +425,6 @@ class PartitionSim:
         topo: SpaceTopology,
         node_ids: Iterable[int],
         costs: CostModel = CostModel.default(),
-        cache_size: int = 0,
         max_quantum_words: Optional[int] = None,
         fault_plan=None,
     ):
@@ -448,8 +446,7 @@ class PartitionSim:
         if self.max_quantum_words < 1:
             raise ValueError("max_quantum_words must be >= 1")
         self.nodes: Dict[int, ChipNode] = {
-            nid: ChipNode(nid, topo.k, cache_size=cache_size)
-            for nid in self.owned
+            nid: ChipNode(nid, topo.k) for nid in self.owned
         }
         #: Per-channel arrival FIFO of (arrival quantum, frag) for every
         #: channel terminating in this partition (internal or boundary).

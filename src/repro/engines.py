@@ -250,21 +250,15 @@ class FabricEngine(_BaseEngine):
         )
 
     def run(self, workload: WorkloadSpec) -> RunResult:
+        from repro.core.allocator import Allocator
         from repro.core.fabricsim import FabricSimulator
         from repro.core.ring import RingGeometry
 
         costs = self.config.cost_model()
         ring = RingGeometry(self.config.ports)
-        from repro.core.allocator import Allocator
-
-        allocator = Allocator(
-            ring,
-            networks=self.config.networks,
-            cache_size=self.config.alloc_cache,
-        )
         sim = FabricSimulator(
             ring=ring,
-            allocator=allocator,
+            allocator=Allocator(ring, networks=self.config.networks),
             pipelined=self.config.pipelined,
             costs=costs,
             fast_forward=self.config.fast_forward,
@@ -287,14 +281,8 @@ class FabricEngine(_BaseEngine):
             "blocked_events": stats.blocked_events,
             "mean_grants_per_quantum": stats.mean_grants_per_quantum,
         }
-        if allocator.cache_enabled or self.config.fast_forward:
-            info = allocator.cache_info() if allocator.cache_enabled else {}
-            extra["fabric_fast_path"] = {
-                "cache_hits": info.get("hits", 0),
-                "cache_misses": info.get("misses", 0),
-                "cache_hit_rate": info.get("hit_rate", 0.0),
-                "ff_quanta": sim.ff_quanta,
-            }
+        if self.config.fast_forward:
+            extra["fabric_fast_path"] = {"ff_quanta": sim.ff_quanta}
         if faults is not None:
             extra["resilience"] = faults.metrics.to_dict()
         return RunResult(
@@ -368,7 +356,6 @@ class SpaceEngine(_BaseEngine):
             source=SpaceSpec.pack_source(source),
             quanta=workload.quanta,
             warmup_quanta=warmup,
-            cache_size=self.config.alloc_cache,
             fault_plan=resolve_plan(workload.fault_plan),
         )
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.allocator import Allocator
 from repro.core.fabricsim import (
     FabricSimulator,
     saturated_permutation,
@@ -40,11 +39,11 @@ def run(
     space_partitions: int = 0,
     space_transport: str = "pipe",
 ) -> ExperimentResult:
-    """Large rings are affordable here because every run takes the fabric
-    fast path (bit-identical to the plain step loop, so the reported
-    numbers are unchanged): the deterministic permutations fast-forward
-    through their steady-state cycle, and the stochastic uniform runs
-    reuse allocations through the LRU cache."""
+    """Large rings are affordable here because every quantum indexes the
+    compiled allocation tables and the deterministic permutations also
+    fast-forward through their steady-state cycle (bit-identical to the
+    plain step loop, so the reported numbers are unchanged); the
+    stochastic uniform runs step every quantum."""
     result = ExperimentResult(
         name="ext_scaling",
         description=f"N-port rotating crossbar, {size_bytes}B packets",
@@ -53,8 +52,7 @@ def run(
     for n in port_counts:
         ring = RingGeometry(n)
         sim_nb = FabricSimulator(
-            ring=ring, allocator=Allocator(ring, cache_size=4096),
-            token=RotatingToken(n), fast_forward=True,
+            ring=ring, token=RotatingToken(n), fast_forward=True
         )
         neighbor = sim_nb.run(
             saturated_permutation(words, shift=1, n=n),
@@ -62,8 +60,7 @@ def run(
             warmup_quanta=200,
         )
         sim = FabricSimulator(
-            ring=ring, allocator=Allocator(ring, cache_size=4096),
-            token=RotatingToken(n), fast_forward=True,
+            ring=ring, token=RotatingToken(n), fast_forward=True
         )
         peak = sim.run(
             saturated_permutation(words, shift=max(1, n // 2), n=n),
@@ -71,10 +68,7 @@ def run(
             warmup_quanta=200,
         )
         rng = np.random.default_rng(seed)
-        sim2 = FabricSimulator(
-            ring=ring, allocator=Allocator(ring, cache_size=4096),
-            token=RotatingToken(n),
-        )
+        sim2 = FabricSimulator(ring=ring, token=RotatingToken(n))
         avg = sim2.run(
             saturated_uniform(words, rng, n=n, exclude_self=True),
             quanta=quanta,

@@ -46,7 +46,7 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.config import SimConfig
-from repro.core.allocator import CompiledAllocator
+from repro.core.allocator import Allocator, compiled_allocator
 from repro.core.fabricsim import FabricStats
 from repro.core.phases import (
     DEFAULT_TIMING,
@@ -450,17 +450,15 @@ def scalar_world_stats(
     :class:`~repro.engines.FabricEngine`, with ``force_counter=True``
     sources and the world's derived seed.
     """
-    from repro.core.allocator import Allocator
     from repro.core.fabricsim import FabricSimulator
     from repro.traffic.build import fabric_source
 
     cfg = config.replace(seed=world_seed(config.seed, world))
     costs = cfg.cost_model()
     ring = RingGeometry(cfg.ports)
-    allocator = Allocator(ring, networks=cfg.networks, cache_size=cfg.alloc_cache)
     sim = FabricSimulator(
         ring=ring,
-        allocator=allocator,
+        allocator=Allocator(ring, networks=cfg.networks),
         pipelined=cfg.pipelined,
         costs=costs,
         fast_forward=cfg.fast_forward,
@@ -495,7 +493,7 @@ class _VecWorlds:
         self.w = n_worlds
         self.seeds = [world_seed(config.seed, w) for w in range(n_worlds)]
         self.model = VecSpecModel(spec, n, self.seeds)
-        self.compiled = CompiledAllocator(RingGeometry(n), config.networks)
+        self.compiled = compiled_allocator(n, config.networks)
         self.compiled.lookup_tensors()  # build (and range-check) eagerly
         timing = (
             DEFAULT_TIMING

@@ -20,10 +20,12 @@ worker ever needs a peer's *current* quantum.
 
 Bit-identity with the serial reference is structural: both paths run the
 same :class:`~repro.core.spacetopo.PartitionSim` stepper (serial = one
-instance owning every chip) and the same associative
-:func:`~repro.core.spacetopo.merge_part_stats` fold; property tests in
-``tests/test_space_shard.py`` pin P ∈ {1, 2, 4, 5} against serial across
-chip sizes and traffic families.
+instance owning every chip, each chip allocating through the
+process-wide compiled tables of
+:func:`~repro.core.allocator.compiled_allocator`) and the same
+associative :func:`~repro.core.spacetopo.merge_part_stats` fold;
+property tests in ``tests/test_space_shard.py`` pin P ∈ {1, 2, 4, 5}
+against serial across chip sizes and traffic families.
 
 Workers are *persistent*: :class:`SpaceWorkerPool` keeps the processes
 warm between runs and streams successive :class:`SpaceSpec` s to them
@@ -90,7 +92,6 @@ class SpaceSpec:
     source: Tuple[Tuple[str, Any], ...] = (("kind", "permutation"), ("words", 256))
     quanta: int = 2000
     warmup_quanta: int = 200
-    cache_size: int = 4096  #: per-chip allocation LRU (0 disables)
     fault_plan: Optional[FaultPlan] = None  #: intra-partition link faults
 
     def __post_init__(self):
@@ -184,15 +185,9 @@ def make_space_source(spec: SpaceSpec):
     raise ValueError(f"unknown space source kind {kind!r}")
 
 
-def build_partition(
-    spec: SpaceSpec, topo: SpaceTopology, node_ids, cached: bool = True
-) -> PartitionSim:
+def build_partition(spec: SpaceSpec, topo: SpaceTopology, node_ids) -> PartitionSim:
     return PartitionSim(
-        topo,
-        node_ids,
-        costs=spec.costs,
-        cache_size=spec.cache_size if cached else 0,
-        fault_plan=spec.fault_plan,
+        topo, node_ids, costs=spec.costs, fault_plan=spec.fault_plan
     )
 
 
@@ -237,12 +232,11 @@ def merge_backend_counters(
     return out
 
 
-def run_space_serial(spec: SpaceSpec, cached: bool = False) -> FabricStats:
+def run_space_serial(spec: SpaceSpec) -> FabricStats:
     """The single-process reference: one :class:`PartitionSim` owning
-    every chip, stepped over the whole timeline (``cached=False`` is the
-    unoptimized baseline the bench suite measures against)."""
+    every chip, stepped over the whole timeline."""
     topo = spec.topology()
-    sim = build_partition(spec, topo, range(topo.num_nodes), cached=cached)
+    sim = build_partition(spec, topo, range(topo.num_nodes))
     source = make_space_source(spec)
     sim.advance(source, 0, spec.warmup_quanta + spec.quanta, spec.warmup_quanta)
     if sim.outgoing:
@@ -313,7 +307,7 @@ def _run_partition_rounds(
     tel,
     snap_fn,
 ) -> Tuple:
-    sim = build_partition(spec, topo, blocks[part_id], cached=True)
+    sim = build_partition(spec, topo, blocks[part_id])
     source = make_space_source(spec)
     if tel is not None:
         reg = tel.registry
@@ -596,7 +590,7 @@ def run_space(
     if spec.partitions == 1:
         if tel is not None:
             tel.journeys.share_keys()
-        stats = run_space_serial(spec, cached=True)
+        stats = run_space_serial(spec)
         topo = spec.topology()
         blocks = topo.partition(1)
         info = SpaceRunInfo(

@@ -275,10 +275,7 @@ def summarize(table: Dict[str, Any]) -> str:
             "telemetry", {}
         ).get("fabric_fast_path")
         if fp:
-            line += (
-                f"  [cache {fp['cache_hit_rate'] * 100:.0f}% hit, "
-                f"ff {fp['ff_quanta']}q]"
-            )
+            line += f"  [ff {fp['ff_quanta']}q]"
         sp = res.get("extra", {}).get("space_shard") or row.get(
             "telemetry", {}
         ).get("space_shard")

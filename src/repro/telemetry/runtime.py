@@ -94,20 +94,11 @@ class Telemetry:
     def summary(self) -> Dict[str, Any]:
         """JSON-safe rollup attached to sweep/chaos artifacts."""
         out = self._base_summary()
-        hits = self.registry.read_gauge("fabric.alloc_cache.hits")
-        misses = self.registry.read_gauge("fabric.alloc_cache.misses")
         ff = self.registry.read_gauge("fabric.fast_forward.quanta")
-        if hits is not None or ff is not None:
-            # The fabric fast path reported through its gauges (telemetry
-            # forces the step loop, so ff_quanta is 0 here by design; the
-            # allocation cache stays live and its hit rate is real).
-            total = (hits or 0) + (misses or 0)
-            out["fabric_fast_path"] = {
-                "cache_hits": hits or 0,
-                "cache_misses": misses or 0,
-                "cache_hit_rate": (hits or 0) / total if total else 0.0,
-                "ff_quanta": ff or 0,
-            }
+        if ff is not None:
+            # Fast-forward was requested (telemetry forces the step
+            # loop, so ff_quanta is 0 here by design).
+            out["fabric_fast_path"] = {"ff_quanta": ff}
         windows = self.registry.read_gauge("space.windows")
         if windows is not None:
             # The space-partitioned engine's per-run counters; distributed

@@ -383,12 +383,7 @@ def main(args) -> int:
         print()
         fp = tel.summary().get("fabric_fast_path")
         if fp:
-            print(
-                f"fabric fast path: cache {fp['cache_hits']} hits / "
-                f"{fp['cache_misses']} misses "
-                f"({fp['cache_hit_rate'] * 100:.1f}% hit rate), "
-                f"{fp['ff_quanta']} quanta fast-forwarded"
-            )
+            print(f"fabric fast path: {fp['ff_quanta']} quanta fast-forwarded")
         print("event counts:")
         for kind, n in sorted(tel.events.counts_by_name().items()):
             print(f"  {kind:<16}{n:>10}")

@@ -1,7 +1,7 @@
 """``repro bench --check``: the results-file validators reject stale
 sections -- an empty per-backend table, a backend that is not a live
-transport, a mode missing one of its suite's scenarios -- and accept the
-committed results file."""
+transport, a mode missing one of its suite's scenarios, a mode the suite
+does not have -- and accept the committed results file."""
 
 import copy
 import json
@@ -67,10 +67,29 @@ class TestValidators:
     def test_missing_fabric_large_scenario_rejected(self, results, tmp_path):
         report = results["fabric_large"]["full"]
         report["scenarios"] = [
-            r for r in report["scenarios"] if r["scenario"] != "imix_onoff_n16"
+            r for r in report["scenarios"] if r["scenario"] != "saturated_n32"
         ]
         assert bench.validate_fabric_large(results) == [
-            "fabric_large.full has no 'imix_onoff_n16' row"
+            "fabric_large.full has no 'saturated_n32' row"
+        ]
+        assert _check_exit(tmp_path, results) == 1
+
+    def test_missing_manyworlds_scenario_rejected(self, results, tmp_path):
+        report = results["manyworlds"]["quick"]
+        report["scenarios"] = [
+            r for r in report["scenarios"] if r["scenario"] != "imix_n8_32w"
+        ]
+        assert bench.validate_manyworlds(results) == [
+            "manyworlds.quick has no 'imix_n8_32w' row"
+        ]
+        assert _check_exit(tmp_path, results) == 1
+
+    def test_unknown_manyworlds_mode_rejected(self, results, tmp_path):
+        results["manyworlds"]["turbo"] = copy.deepcopy(
+            results["manyworlds"]["quick"]
+        )
+        assert bench.validate_manyworlds(results) == [
+            "manyworlds.turbo is not a bench mode (['full', 'quick'])"
         ]
         assert _check_exit(tmp_path, results) == 1
 

@@ -1,9 +1,9 @@
-"""Fabric fast path: allocation cache, compiled tables, and steady-state
+"""Fabric fast path: the compiled allocation tables and steady-state
 fast-forward.
 
 The contract under test everywhere: every fast-path layer is
-*bit-identical* to the plain step loop -- same Allocation objects, same
-FabricStats fields, same clock and token state.
+*bit-identical* to the plain rule and step loop -- same Allocation
+objects, same FabricStats fields, same clock and token state.
 """
 
 import numpy as np
@@ -12,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SimConfig
-from repro.core.allocator import Allocator, CompiledAllocator
+from repro.core.allocator import (
+    Allocator,
+    CompiledAllocator,
+    compiled_allocator,
+    reference_allocate,
+)
 from repro.core.fabricsim import (
     CounterUniformSource,
     FabricSimulator,
@@ -21,7 +26,7 @@ from repro.core.fabricsim import (
     saturated_uniform,
     saturated_uniform_counter,
 )
-from repro.core.ring import RingGeometry
+from repro.core.ring import Link, RingGeometry
 from repro.core.token import RotatingToken
 from repro.engines import WorkloadSpec, run_config
 from repro.faults import FaultEvent, FaultPlan
@@ -30,8 +35,8 @@ from repro.telemetry import runtime
 
 @st.composite
 def alloc_cases(draw):
-    """(n, networks, requests, token) over ring sizes 4/8/16."""
-    n = draw(st.sampled_from((4, 8, 16)))
+    """(n, networks, requests, token) over ring sizes 2/3/4/5/8/16."""
+    n = draw(st.sampled_from((2, 3, 4, 5, 8, 16)))
     networks = draw(st.sampled_from((1, 2)))
     requests = tuple(
         draw(st.one_of(st.none(), st.integers(0, n - 1))) for _ in range(n)
@@ -51,20 +56,21 @@ def assert_stats_identical(a: FabricStats, b: FabricStats) -> None:
 
 
 class TestAllocationCache:
+    """The compiled tables: the precomputed configurations every
+    :class:`Allocator` evaluates through, held to the reference rule."""
+
     @given(alloc_cases())
-    @settings(max_examples=200, deadline=None)
-    def test_cached_allocator_bit_identical(self, case):
+    @settings(max_examples=300, deadline=None)
+    def test_compiled_allocate_matches_reference(self, case):
         n, networks, requests, token = case
         ring = RingGeometry(n)
-        plain = Allocator(ring, networks=networks)
-        fast = Allocator(ring, networks=networks, cache_size=64)
-        ref = plain.allocate(requests, token)
-        miss = fast.allocate(requests, token)
-        hit = fast.allocate(requests, token)
-        assert miss == ref
-        assert hit == ref
-        assert hit is miss  # the cached object is shared
-        assert fast.cache_hits == 1 and fast.cache_misses == 1
+        ref = reference_allocate(ring, networks, requests, token)
+        got = Allocator(ring, networks=networks).allocate(requests, token)
+        assert got.grants == ref.grants
+        assert list(got.grants) == list(ref.grants)  # token order
+        assert got.blocked == ref.blocked
+        assert got.used_links == ref.used_links
+        assert got == ref
 
     @given(alloc_cases())
     @settings(max_examples=200, deadline=None)
@@ -72,44 +78,79 @@ class TestAllocationCache:
         n, networks, requests, token = case
         ring = RingGeometry(n)
         comp = CompiledAllocator(ring, networks)
-        alloc = Allocator(ring, networks=networks).allocate(requests, token)
+        ref = reference_allocate(ring, networks, requests, token)
         expected = tuple(
-            (g.src, g.dst, g.expansion) for g in alloc.grants.values()
+            (g.src, g.dst, g.expansion) for g in ref.grants.values()
         )
-        assert comp.grants(requests, token) == expected
+        got = comp.allocate(requests, token)
+        assert tuple(
+            (g.src, g.dst, g.expansion) for g in got.grants.values()
+        ) == expected
 
-    def test_lru_eviction_bound(self):
-        ring = RingGeometry(4)
-        alloc = Allocator(ring, cache_size=4)
-        for token in range(4):
-            for dst in range(4):
-                alloc.allocate((dst, None, None, None), token)
-        info = alloc.cache_info()
-        assert info["size"] <= 4
-        assert info["maxsize"] == 4
-        assert info["misses"] == 16
+    def test_used_links_derived_from_grants(self):
+        """Fig 5-1: 0->2 and 2->0 ride clockwise, 1->3 and 3->1
+        counterclockwise, so every ring segment plus each in/out link
+        is held."""
+        alloc = Allocator(RingGeometry(4)).allocate((2, 3, 0, 1), 0)
+        assert alloc.used_links == (
+            {Link(kind, i) for kind in ("cw", "ccw", "in", "out") for i in range(4)}
+        )
+        partial = Allocator(RingGeometry(4)).allocate((2, None, None, None), 0)
+        assert partial.used_links == {
+            Link("cw", 0), Link("cw", 1), Link("in", 0), Link("out", 2)
+        }
 
-    def test_hit_rate_on_recurring_workload(self):
-        sim = FabricSimulator(allocator=Allocator(RingGeometry(4), cache_size=64))
-        sim.run(saturated_permutation(64, shift=1), quanta=100)
-        info = sim.allocator.cache_info()
-        # One distinct (requests, token) key per token position.
-        assert info["hits"] + info["misses"] == 100
-        assert info["hit_rate"] > 0.9
+    def test_one_shared_table_per_geometry(self):
+        from repro.parallel.manyworlds import _VecWorlds
 
-    def test_enable_disable(self):
-        alloc = Allocator(RingGeometry(4))
-        assert not alloc.cache_enabled
-        alloc.enable_cache(16)
-        assert alloc.cache_enabled
-        alloc.disable_cache()
-        assert not alloc.cache_enabled
-        with pytest.raises(ValueError):
-            alloc.enable_cache(0)
+        a = Allocator(RingGeometry(16))
+        b = Allocator(RingGeometry(16))
+        assert a.compiled is b.compiled
+        assert a.compiled is compiled_allocator(16, 1)
+        assert Allocator(RingGeometry(16), networks=2).compiled is not a.compiled
+        assert Allocator(RingGeometry(8)).compiled is not a.compiled
+        lanes = _VecWorlds(
+            SimConfig(ports=16), WorkloadSpec(traffic="imix", quanta=10), 4
+        )
+        assert lanes.compiled is a.compiled
+        assert a.cache_hits == 0  # allocations are never memoized
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SimConfig(alloc_cache=-1)
+    def test_alloc_cache_option_removed(self):
+        with pytest.raises(TypeError):
+            SimConfig(alloc_cache=4096)
+        with pytest.raises(TypeError):
+            Allocator(RingGeometry(4), cache_size=64)
+
+
+class TestReferenceIdentity:
+    """Whole runs on the compiled tables equal the same runs on the
+    reference rule, every reported field."""
+
+    @pytest.mark.parametrize(
+        "seed,workload",
+        [
+            (42, {"pattern": "uniform"}),
+            (7, {"traffic": "imix_onoff"}),
+        ],
+        ids=["uniform", "imix_onoff"],
+    )
+    def test_fabric_run_matches_reference(self, reference_rule, seed, workload):
+        config = SimConfig(ports=16, seed=seed)
+        spec = WorkloadSpec(quanta=1500, warmup_quanta=100, **workload)
+        compiled = run_config(config, spec)
+        with reference_rule() as ref_cls:
+            reference = run_config(config, spec)
+        assert ref_cls.calls > 1500
+        assert reference.to_dict() == compiled.to_dict()
+
+    def test_router_imix_run_matches_reference(self, reference_rule):
+        config = SimConfig(ports=4, fidelity="router", seed=3)
+        spec = WorkloadSpec(traffic="imix", packets=600)
+        compiled = run_config(config, spec)
+        with reference_rule() as ref_cls:
+            reference = run_config(config, spec)
+        assert ref_cls.calls > 0
+        assert reference.to_dict() == compiled.to_dict()
 
 
 class TestFastForward:
@@ -192,9 +233,7 @@ class TestGaugeRegistration:
         """Regression: run() used to re-register fabric.clock and the
         ingress queue-depth gauges on every invocation."""
         with runtime.capture() as tel:
-            sim = FabricSimulator(
-                allocator=Allocator(RingGeometry(4), cache_size=16)
-            )
+            sim = FabricSimulator()
             source = saturated_permutation(64, shift=1)
             sim.run(source, quanta=20)
             registered = []
@@ -211,9 +250,6 @@ class TestGaugeRegistration:
                 tel.registry.gauge = orig
             assert registered == []
             assert tel.registry.read_gauge("fabric.clock") == sim.clock
-            assert tel.registry.read_gauge("fabric.alloc_cache.hits") == (
-                sim.allocator.cache_hits
-            )
 
     def test_new_registry_gets_fresh_gauges(self):
         sim = FabricSimulator(fast_forward=True)
@@ -232,13 +268,11 @@ class TestWiring:
         workload = WorkloadSpec(pattern="permutation", quanta=250)
         plain = run_config(SimConfig(fidelity="fabric"), workload)
         fast = run_config(
-            SimConfig(fidelity="fabric", alloc_cache=1024, fast_forward=True),
-            workload,
+            SimConfig(fidelity="fabric", fast_forward=True), workload
         )
         assert "fabric_fast_path" not in plain.extra
         fp = fast.extra["fabric_fast_path"]
         assert fp["ff_quanta"] > 0
-        assert 0.0 <= fp["cache_hit_rate"] <= 1.0
         assert fast.cycles == plain.cycles
         assert fast.delivered_packets == plain.delivered_packets
         assert fast.gbps == plain.gbps
@@ -246,15 +280,14 @@ class TestWiring:
 
     def test_telemetry_summary_carries_fast_path(self):
         with runtime.capture() as tel:
-            sim = FabricSimulator(
-                allocator=Allocator(RingGeometry(4), cache_size=64)
-            )
+            sim = FabricSimulator(fast_forward=True)
             sim.run(saturated_permutation(64, shift=1), quanta=50)
             summary = tel.summary()
         fp = summary["fabric_fast_path"]
-        assert fp["cache_hits"] == sim.allocator.cache_hits
-        assert fp["cache_misses"] == sim.allocator.cache_misses
         assert fp["ff_quanta"] == 0  # telemetry forces the step loop
+        with runtime.capture() as tel:
+            FabricSimulator().run(saturated_permutation(64, shift=1), quanta=50)
+            assert "fabric_fast_path" not in tel.summary()
 
     def test_sweep_summary_line_shows_fast_path(self):
         from repro.sweep import summarize
@@ -266,13 +299,9 @@ class TestWiring:
                 "result": {
                     "gbps": 1.0, "mpps": 0.5, "delivered_packets": 10,
                     "cycles": 100,
-                    "extra": {"fabric_fast_path": {
-                        "cache_hits": 9, "cache_misses": 1,
-                        "cache_hit_rate": 0.9, "ff_quanta": 40,
-                    }},
+                    "extra": {"fabric_fast_path": {"ff_quanta": 40}},
                 },
             }],
         }
         text = summarize(table)
-        assert "cache 90% hit" in text
         assert "ff 40q" in text

@@ -5,7 +5,7 @@ The vectorized engine (`repro.parallel.manyworlds`) promises that world
 sources, for every supported configuration -- not approximately equal,
 identical in every counter.  These tests pin that contract across ring
 sizes, traffic families and quantum lengths, pin the batch allocation
-rule to the scalar `CompiledAllocator.grants`, pin `VecCounterUniform`
+rule to the reference allocation rule, pin `VecCounterUniform`
 to the `zlib.crc32`-hashed scalar source, and check the reduction
 (envelope) statistics against plain numpy over independent scalar runs.
 """
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SimConfig
-from repro.core.allocator import CompiledAllocator
+from repro.core.allocator import CompiledAllocator, reference_allocate
 from repro.core.fabricsim import CounterUniformSource
 from repro.core.ring import RingGeometry
 from repro.engines import RunResult, WorkloadSpec
@@ -120,12 +120,13 @@ def test_networks2_unpacked_table_world0_identity():
 )
 @settings(max_examples=40, deadline=None)
 def test_batch_grants_matches_scalar_grants(geometry, token, data):
-    """batch_grants over random request vectors == grants() per world,
-    covering both the hop-packed (bits <= 55) and unpacked (64-bit)
-    table layouts."""
+    """batch_grants over random request vectors == the reference rule's
+    grants per world, covering both the hop-packed (bits <= 55) and
+    unpacked (64-bit) table layouts."""
     n, networks = geometry
     token %= n
-    compiled = CompiledAllocator(RingGeometry(n), networks=networks)
+    ring = RingGeometry(n)
+    compiled = CompiledAllocator(ring, networks=networks)
     dests = np.array(
         [
             data.draw(
@@ -141,13 +142,15 @@ def test_batch_grants_matches_scalar_grants(geometry, token, data):
     granted, hops = compiled.batch_grants(dests, token)
     for w in range(dests.shape[0]):
         requests = [None if d < 0 else int(d) for d in dests[w]]
-        ref = compiled.grants(requests, token)
+        ref = reference_allocate(ring, networks, requests, token)
         got = {
             (src, requests[src], int(hops[w, src]))
             for src in range(n)
             if granted[w, src]
         }
-        assert got == set(ref)
+        assert got == {
+            (g.src, g.dst, g.expansion) for g in ref.grants.values()
+        }
 
 
 def test_batch_grants_rejects_bad_inputs():
