@@ -145,6 +145,31 @@ REGISTRY: Dict[str, Tuple[str, Callable, Callable]] = {
 }
 
 
+class _UsageError(Exception):
+    """A bad subcommand argument: ``main`` prints it and returns 2."""
+
+
+class _Subparser(argparse.ArgumentParser):
+    def error(self, message):  # one line, not argparse's usage block
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    if text.isdecimal() and int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
+def _readable(path: str) -> str:
+    """argparse type: a file this process can open for reading."""
+    try:
+        with open(path):
+            return path
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path!r}: {exc.strerror}")
+
+
 def _cmd_list() -> int:
     width = max(len(name) for name in REGISTRY)
     for name, (desc, _, _) in REGISTRY.items():
@@ -209,6 +234,7 @@ def _cmd_sweep(args) -> int:
     from repro.config import SimConfig
     from repro.engines import WorkloadSpec
     from repro.sweep import parse_grid, run_sweep, summarize, write_results
+    from repro.traffic.spec import resolve_traffic
 
     base_config = SimConfig(
         fidelity=args.fidelity,
@@ -224,8 +250,14 @@ def _cmd_sweep(args) -> int:
         traffic=args.traffic,
     )
     try:
+        grid = parse_grid(args.grid)
+        # A trace that cannot be read fails here, before any cell runs.
+        for value in filter(None, [args.traffic, *grid.get("traffic", ())]):
+            spec = resolve_traffic(value)
+            if spec.kind == "replay":
+                _readable(spec.trace)
         table = run_sweep(
-            parse_grid(args.grid),
+            grid,
             workers=args.workers,
             base_config=base_config,
             base_workload=base_workload,
@@ -233,7 +265,7 @@ def _cmd_sweep(args) -> int:
             telemetry=args.telemetry,
             worlds=args.worlds,
         )
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"bad --grid: {exc}", file=sys.stderr)
         return 2
     write_results(table, args.out)
@@ -266,7 +298,7 @@ def main(argv=None) -> int:
         prog="python -m repro",
         description="Regenerate tables/figures from the Raw router paper.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subparser)
     sub.add_parser("list", help="list available experiments")
     run = sub.add_parser("run", help="run one or more experiments")
     run.add_argument("names", nargs="+", help="experiment names (see `list`)")
@@ -415,8 +447,8 @@ def main(argv=None) -> int:
         "fabric (twice), the space engine (partitions=2 vs 1, for k*k-port "
         "traces) and (4-port traces) word-level",
     )
-    replay.add_argument("trace", help="flow-record trace: .csv or .jsonl")
-    replay.add_argument("--quanta", type=int, default=600, help="fabric budget")
+    replay.add_argument("trace", type=_readable, help="flow-record trace: .csv or .jsonl")
+    replay.add_argument("--quanta", type=_positive_int, default=600, help="fabric budget")
     replay.add_argument(
         "--cycles", type=int, default=24_000, help="word-level cycle budget"
     )
@@ -445,10 +477,10 @@ def main(argv=None) -> int:
         help="grid axes over SimConfig / WorkloadSpec / CostModel fields "
         "(aliases: quantum, clock, fifo, engine, bytes)",
     )
-    sweep.add_argument("--workers", type=int, default=1, help="pool size")
+    sweep.add_argument("--workers", type=_positive_int, default=1, help="pool size")
     sweep.add_argument(
         "--worlds",
-        type=int,
+        type=_positive_int,
         default=1,
         metavar="K",
         help="run every cell as a K-seed Monte Carlo batch through the "
@@ -498,7 +530,9 @@ def main(argv=None) -> int:
         help="default traffic pattern",
     )
     sweep.add_argument("--bytes", type=int, default=1024, help="packet size")
-    sweep.add_argument("--quanta", type=int, default=2000, help="routing quanta budget")
+    sweep.add_argument(
+        "--quanta", type=_positive_int, default=2000, help="routing quanta budget"
+    )
     sweep.add_argument(
         "--traffic",
         default=None,
@@ -574,7 +608,11 @@ def main(argv=None) -> int:
         help="run scenarios with telemetry on; the results JSON gains "
         "per-scenario event/journey summaries",
     )
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
     if args.command == "list":
         return _cmd_list()

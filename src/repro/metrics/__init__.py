@@ -1,10 +1,10 @@
-"""Measurement: throughput meters, latency stats, tile utilization,
-and resilience (MTTR / goodput under faults / drop taxonomy)."""
+"""Measurement: throughput meters, latency stats, tile utilization and
+resilience (MTTR / goodput under faults / drop taxonomy).  Confidence
+intervals have one model: :func:`repro.parallel.manyworlds.envelope`."""
 
 from repro.metrics.throughput import ThroughputMeter
 from repro.metrics.latency import LatencyStats
 from repro.metrics.utilization import UtilizationSummary, summarize_trace
-from repro.metrics.stats import mean_ci, batch_means
 from repro.metrics.resilience import RecoveryRecord, ResilienceMetrics
 
 __all__ = [
@@ -12,8 +12,6 @@ __all__ = [
     "LatencyStats",
     "UtilizationSummary",
     "summarize_trace",
-    "mean_ci",
-    "batch_means",
     "RecoveryRecord",
     "ResilienceMetrics",
 ]

@@ -1,8 +1,15 @@
 """Command-line interface."""
 
+import pathlib
+
 import pytest
 
 from repro.cli import REGISTRY, main
+
+TRACE = str(
+    pathlib.Path(__file__).resolve().parent.parent
+    / "examples" / "traces" / "imix_1k.csv"
+)
 
 
 class TestList:
@@ -60,3 +67,40 @@ class TestTrace:
 
         assert main(["trace", "fig7_1_peak", "--quick"]) == 0
         assert runtime.get() is None
+
+
+class TestBadInput:
+    """Bad outside input ends in one line naming it and exit status 2,
+    before any run starts."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            pytest.param(["replay", "/nonexistent.csv"], "/nonexistent.csv",
+                         id="replay-missing-trace"),
+            pytest.param(["replay", TRACE, "--quanta", "0"], "--quanta",
+                         id="replay-quanta-0"),
+            pytest.param(["sweep", "--grid", "traffic=/nonexistent.csv"],
+                         "/nonexistent.csv", id="sweep-grid-missing-trace"),
+            pytest.param(["sweep", "--grid", "ports=4", "--traffic",
+                          "/nonexistent.csv"], "/nonexistent.csv",
+                         id="sweep-traffic-missing-trace"),
+            pytest.param(["sweep", "--grid", "ports=4", "--quanta", "0"],
+                         "--quanta", id="sweep-quanta-0"),
+            pytest.param(["sweep", "--grid", "ports=4", "--worlds", "0"],
+                         "--worlds", id="sweep-worlds-0"),
+            pytest.param(["sweep", "--grid", "ports=4", "--workers", "0"],
+                         "--workers", id="sweep-workers-0"),
+            pytest.param(["sweep", "--grid", "ports=4", "--workers", "-2"],
+                         "--workers", id="sweep-workers-negative"),
+        ],
+    )
+    def test_exits_2_naming_the_input(self, argv, named, capsys, tmp_path):
+        out = tmp_path / "sweep.json"
+        if argv[0] == "sweep":
+            argv = argv + ["--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()

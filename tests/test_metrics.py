@@ -1,10 +1,9 @@
-"""Measurement plumbing: meters, latency, utilization, statistics."""
+"""Measurement plumbing: meters, latency, utilization."""
 
 import numpy as np
 import pytest
 
 from repro.metrics.latency import LatencyStats
-from repro.metrics.stats import batch_means, mean_ci
 from repro.metrics.throughput import ThroughputMeter
 from repro.metrics.utilization import (
     BLOCKED_CODE,
@@ -108,30 +107,3 @@ class TestUtilization:
         assert mat[0, 0] == BUSY_CODE
         assert mat[0, 99] == BLOCKED_CODE
         assert mat[1, 50] == IDLE_CODE
-
-
-class TestStats:
-    def test_mean_ci_shrinks_with_n(self):
-        rng = np.random.default_rng(0)
-        small = mean_ci(rng.normal(0, 1, 10))
-        large = mean_ci(rng.normal(0, 1, 1000))
-        assert large[1] < small[1]
-
-    def test_single_sample(self):
-        assert mean_ci([5.0]) == (5.0, 0.0)
-
-    def test_no_samples(self):
-        with pytest.raises(ValueError):
-            mean_ci([])
-
-    def test_batch_means(self):
-        data = list(range(100))
-        batches = batch_means(data, 10)
-        assert len(batches) == 10
-        assert batches[0] == pytest.approx(4.5)
-
-    def test_batch_means_validation(self):
-        with pytest.raises(ValueError):
-            batch_means([1, 2, 3], 10)
-        with pytest.raises(ValueError):
-            batch_means([1, 2, 3], 1)

@@ -1,0 +1,107 @@
+"""Start-up import contract: a first engine call loads only the standard
+library, numpy and ``repro``.
+
+Every paper artifact comes from a fresh process (``repro run``,
+``repro sweep``, a CI smoke step), so whatever the first engine call
+imports is paid on every one of them.  Each case runs in a new
+interpreter, snapshots ``sys.modules`` before ``import repro``, makes one
+small call and lists what got loaded after the snapshot.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+from collections import Counter
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+_PROLOGUE = """\
+import json, sys
+before = set(sys.modules)
+"""
+
+_EPILOGUE = """
+loaded = sorted(set(sys.modules) - before)
+print(json.dumps(
+    {name: getattr(sys.modules[name], "__file__", None) for name in loaded}
+))
+"""
+
+_RUN = "from repro import SimConfig, WorkloadSpec, run_config\n"
+
+#: case -> the code the fresh interpreter runs between snapshot and listing
+CASES = {
+    "fabric": _RUN + (
+        "run_config(SimConfig(fidelity='fabric', ports=16),\n"
+        "           WorkloadSpec(pattern='uniform', quanta=20))\n"
+    ),
+    "router": _RUN + (
+        "run_config(SimConfig(fidelity='router', ports=4),\n"
+        "           WorkloadSpec(traffic='imix', packets=20))\n"
+    ),
+    "wordlevel": _RUN + (
+        "run_config(SimConfig(fidelity='wordlevel', ports=4),\n"
+        "           WorkloadSpec(cycles=3000, warmup_cycles=500))\n"
+    ),
+    "space_p1": _RUN + (
+        "run_config(SimConfig(fidelity='space', ports=16, partitions=1),\n"
+        "           WorkloadSpec(pattern='uniform', quanta=20))\n"
+    ),
+    "space_p2": _RUN + (
+        "run_config(SimConfig(fidelity='space', ports=16, partitions=2),\n"
+        "           WorkloadSpec(pattern='uniform', quanta=20))\n"
+    ),
+    "manyworlds": _RUN + (
+        "from repro.parallel.manyworlds import run_worlds\n"
+        "r = run_worlds(SimConfig(fidelity='fabric', ports=16),\n"
+        "               WorkloadSpec(traffic='imix', quanta=20), 8)\n"
+        "assert r.vectorized, r.fallback_reason\n"
+    ),
+    "import_cli": "import repro.cli\n",
+}
+
+#: ``multiprocessing``'s alias of ``__main__``, registered when a space
+#: run starts its workers.
+_ALLOWED_NAMES = {"__mp_main__"}
+
+
+def _outside(loaded):
+    """Modules neither stdlib, numpy, repro, file-less nor allowed by name."""
+    return sorted(
+        name
+        for name, path in loaded.items()
+        if path is not None
+        and name not in _ALLOWED_NAMES
+        and name.partition(".")[0] not in sys.stdlib_module_names
+        and name.partition(".")[0] not in ("numpy", "repro")
+    )
+
+
+def _loaded_modules(body):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROLOGUE + body + _EPILOGUE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_first_call_loads_only_stdlib_numpy_repro(case):
+    outside = _outside(_loaded_modules(CASES[case]))
+    by_package = Counter(name.partition(".")[0] for name in outside)
+    assert not outside, (
+        f"{case}: loaded modules outside the standard library, numpy and "
+        f"repro, by top-level package: {dict(by_package)}; every fresh "
+        "`repro` process pays for them, so keep packages such as scipy "
+        "off the start-up path"
+    )
+
