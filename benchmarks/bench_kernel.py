@@ -57,7 +57,7 @@ def test_recorded_results_schema_valid():
     (the same check CI runs via ``python -m repro bench --check``)."""
     data = bench.load_results(bench.DEFAULT_RESULTS_PATH)
     assert bench.validate_results(data) == []
-    speedups = data["kernel_bench"]["speedup_vs_baseline"]
+    speedups = data["kernel_bench"]["speedup_vs_baseline"]["full"]
     # The recorded full-budget trajectory: the optimized kernel must
     # hold at least a 3x wordlevel speedup over the seed baseline.
     assert speedups.get("wordlevel", 0.0) >= 3.0

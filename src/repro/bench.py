@@ -8,11 +8,15 @@ trajectory.  ``python -m repro bench`` runs the suite and merges the
 numbers into ``benchmarks/BENCH_results.json`` (next to the paper
 tables) under a ``kernel_bench`` key:
 
-* the first ever run for a budget mode is stored as the ``baseline``
-  (the pre-optimization kernel; re-pin explicitly with
+* the first ever run for a budget mode is stored as that mode's
+  ``baseline`` (the pre-optimization kernel; re-pin explicitly with
   ``--set-baseline``),
-* every run updates ``current`` and recomputes per-engine
-  ``speedup_vs_baseline`` as the wall-clock ratio baseline/current.
+* every run replaces its mode's ``current`` report and recomputes that
+  mode's per-engine ``speedup_vs_baseline`` as the wall-clock ratio
+  baseline/current.
+
+All three are keyed by budget mode, so a ``--quick`` smoke run never
+touches the full-budget trajectory.
 
 ``--quick`` shrinks the budgets for CI smoke runs; ``--check``
 validates the schema of an existing results file and exits.
@@ -49,7 +53,7 @@ from repro.config import SimConfig
 from repro.engines import WorkloadSpec, run_config
 
 #: Schema tag stored in the results file; bump on incompatible changes.
-BENCH_SCHEMA = "repro-kernel-bench/1"
+BENCH_SCHEMA = "repro-kernel-bench/2"
 
 #: Default output path: next to the paper-table benchmark results.
 DEFAULT_RESULTS_PATH = (
@@ -737,16 +741,22 @@ def merge_results(
     """Fold a bench report into the results dict (pure; returns it).
 
     The first report seen for a budget mode becomes that mode's
-    baseline; later reports update ``current`` and the per-engine
-    speedups.  Paper tables under other keys are left untouched."""
+    baseline; every report replaces its own mode's ``current`` slot and
+    per-engine speedups, leaving the other mode's alone.  Paper tables
+    under other keys are left untouched."""
     kb = data.setdefault("kernel_bench", {"schema": BENCH_SCHEMA})
+    if kb.get("schema") != BENCH_SCHEMA:
+        raise ValueError(
+            f"kernel_bench schema is {kb.get('schema')!r}, expected "
+            f"{BENCH_SCHEMA!r}"
+        )
     baselines = kb.setdefault("baseline", {})
     mode = report["mode"]
     if set_baseline or mode not in baselines:
         baselines[mode] = report
-    kb["current"] = report
+    kb.setdefault("current", {})[mode] = report
     base_walls = {r["engine"]: r["wall_s"] for r in baselines[mode]["runs"]}
-    kb["speedup_vs_baseline"] = {
+    kb.setdefault("speedup_vs_baseline", {})[mode] = {
         r["engine"]: base_walls[r["engine"]] / r["wall_s"]
         for r in report["runs"]
         if r["engine"] in base_walls and r["wall_s"] > 0
@@ -762,30 +772,35 @@ def validate_results(data: Dict[str, Any]) -> List[str]:
         return ["missing kernel_bench section"]
     if kb.get("schema") != BENCH_SCHEMA:
         errors.append(f"schema is {kb.get('schema')!r}, expected {BENCH_SCHEMA!r}")
-    for section in ("baseline", "current"):
-        if section not in kb:
-            errors.append(f"missing kernel_bench.{section}")
-    reports = [kb.get("current")] + list(kb.get("baseline", {}).values())
-    for report in reports:
-        if not isinstance(report, dict):
-            errors.append("report is not an object")
+    for section in ("baseline", "current", "speedup_vs_baseline"):
+        if not isinstance(kb.get(section), dict):
+            errors.append(f"kernel_bench.{section} is missing or not an object")
             continue
-        if report.get("mode") not in BUDGETS:
-            errors.append(f"bad mode {report.get('mode')!r}")
-        runs = report.get("runs")
-        if not isinstance(runs, list) or not runs:
-            errors.append("report has no runs")
-            continue
-        for run in runs:
-            for field in ("engine", "wall_s", "sim_cycles", "cycles_per_sec"):
-                if field not in run:
-                    errors.append(f"run missing {field!r}")
-            if not isinstance(run.get("wall_s"), (int, float)):
-                errors.append("wall_s is not a number")
-    if "speedup_vs_baseline" in kb and not isinstance(
-        kb["speedup_vs_baseline"], dict
-    ):
-        errors.append("speedup_vs_baseline is not an object")
+        for mode, entry in kb[section].items():
+            where = f"kernel_bench.{section}.{mode}"
+            if mode not in BUDGETS:
+                errors.append(f"{where} is not a bench mode ({sorted(BUDGETS)})")
+            if not isinstance(entry, dict):
+                errors.append(f"{where} is not an object")
+            elif section != "speedup_vs_baseline":
+                errors += _report_errors(where, mode, entry)
+    return errors
+
+
+def _report_errors(where: str, mode: str, report: Dict[str, Any]) -> List[str]:
+    """Problems with one stored kernel-bench report, filed under ``mode``."""
+    errors: List[str] = []
+    if report.get("mode") != mode:
+        errors.append(f"{where} holds a {report.get('mode')!r} report")
+    runs = report.get("runs")
+    if not isinstance(runs, list) or not runs:
+        return errors + [f"{where} has no runs"]
+    for run in runs:
+        for field in ("engine", "wall_s", "sim_cycles", "cycles_per_sec"):
+            if field not in run:
+                errors.append(f"{where} run missing {field!r}")
+        if not isinstance(run.get("wall_s"), (int, float)):
+            errors.append(f"{where} wall_s is not a number")
     return errors
 
 
@@ -898,14 +913,18 @@ def main(
             for err in errors:
                 print(f"schema error: {err}", file=sys.stderr)
             return 1
-        speedups = data["kernel_bench"].get("speedup_vs_baseline", {})
-        print(f"{path} kernel_bench schema ok; speedups: "
-              + (", ".join(f"{k}={v:.2f}x" for k, v in speedups.items()) or "n/a"))
+        speedups = data["kernel_bench"]["speedup_vs_baseline"]
+        print(f"{path} kernel_bench schema ok; speedups: " + (
+            "; ".join(
+                f"{mode} " + ", ".join(f"{k}={v:.2f}x" for k, v in row.items())
+                for mode, row in speedups.items()
+            ) or "n/a"
+        ))
         return 0
     report = run_bench(mode=mode, engines=kernel_engines, repeats=repeats)
     data = merge_results(load_results(path), report, set_baseline=set_baseline)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(data, indent=2) + "\n")
-    print(format_report(report, data["kernel_bench"]["speedup_vs_baseline"]))
+    print(format_report(report, data["kernel_bench"]["speedup_vs_baseline"][mode]))
     print(f"wrote {path}")
     return 0

@@ -273,20 +273,27 @@ class CompiledAllocator:
     def _batch_tables(self):
         """Hot-path variants of :meth:`lookup_tensors`, cached.
 
-        Returns ``(maskp, hopsp, bit_table, sentinel, link_mask)``:
-        ``maskp`` is the candidate-mask tensor flattened to
-        ``[n * n, C]`` with padding slots set to all-ones, and
-        ``sentinel`` is a spare link bit kept permanently set in the
-        ``used`` mask so all-ones padding slots are never free.  When
-        the link layout leaves bits 56..63 free and hop counts fit a
-        byte, each candidate's hop count is *packed into its mask's top
-        byte* (one gather serves both) -- then ``hopsp`` is None and
-        ``link_mask`` strips the hop byte before masks enter ``used``.
-        Otherwise ``hopsp`` is the ``[n * n, C]`` hop tensor and
-        ``link_mask`` is all-ones.  ``bit_table[d] == 1 << d``.  When
-        the link layout uses all 64 bits there is no spare sentinel bit;
-        padding is still safe because every (src, dst) pair has at least
-        one real candidate ordered before its padding (enforced here).
+        Returns ``(cand, hopsp, sentinel)``.  ``cand`` is the candidate
+        tensor flattened to ``[n * n, C]``, row ``src * n + dst``, with
+        padding slots set to all-ones; ``sentinel`` is a spare bit kept
+        permanently set in the ``used`` mask, so all-ones slots are
+        never free.  Two layouts, picked by geometry:
+
+        * **merged** (``networks * 2 * n + n + 1 <= 56``: n <= 18 on one
+          network, n <= 11 on two) -- each candidate also holds its
+          destination's ``out`` link at bit ``networks * 2 * n + dst``
+          and its hop count in the top byte (bits 56..63; hops <= n fit).
+          One extra all-ones row ``n * n`` stands for "no request", and
+          ``hopsp`` is None.  The sentinel sits just above the ``out``
+          bits.
+        * **split** (every other geometry up to 64 link bits) -- ``cand``
+          holds link bits only, ``hopsp`` is the matching ``[n * n, C]``
+          hop tensor, and :meth:`batch_grants` tracks claimed outputs
+          and requests in masks of their own.  When the links use all 64
+          bits there is no spare sentinel bit (``sentinel`` is 0);
+          padding is still safe because every (src, dst) pair has at
+          least one real candidate ordered before its padding (enforced
+          here).
         """
         if self._batch is None:
             import numpy as np
@@ -294,27 +301,34 @@ class CompiledAllocator:
             mask_t, hops_t, valid_t = self.lookup_tensors()
             n = self.ring.n
             bits = self.networks * 2 * n
-            if bits >= 64 and not valid_t.any(axis=2).all():
-                raise ValueError(
-                    "batch path needs a spare link bit or at least one "
-                    "candidate per (src, dst) pair"
-                )
-            sentinel = np.uint64(1 << bits) if bits < 64 else np.uint64(0)
             all_ones = np.uint64(0xFFFFFFFFFFFFFFFF)
-            maskp = np.where(valid_t, mask_t, all_ones).reshape(n * n, -1)
-            bit_table = np.uint64(1) << np.arange(n, dtype=np.uint64)
-            if bits <= 55 and int(hops_t.max(initial=0)) < 256:
-                maskp = maskp | (
-                    hops_t.astype(np.uint64).reshape(n * n, -1)
-                    << np.uint64(56)
+            if bits + n + 1 <= 56:
+                out_bit = np.uint64(1) << np.arange(
+                    bits, bits + n, dtype=np.uint64
                 )
+                cand = (
+                    mask_t
+                    | out_bit[None, :, None]
+                    | hops_t.astype(np.uint64) << np.uint64(56)
+                )
+                cand = np.where(valid_t, cand, all_ones).reshape(n * n, -1)
+                no_request = np.full((1, cand.shape[1]), all_ones)
                 self._batch = (
-                    maskp, None, bit_table, sentinel,
-                    np.uint64((1 << 56) - 1),
+                    np.concatenate([cand, no_request]),
+                    None,
+                    np.uint64(1 << (bits + n)),
                 )
             else:
-                hopsp = hops_t.reshape(n * n, -1)
-                self._batch = (maskp, hopsp, bit_table, sentinel, all_ones)
+                if bits >= 64 and not valid_t.any(axis=2).all():
+                    raise ValueError(
+                        "batch path needs a spare link bit or at least one "
+                        "candidate per (src, dst) pair"
+                    )
+                self._batch = (
+                    np.where(valid_t, mask_t, all_ones).reshape(n * n, -1),
+                    hops_t.reshape(n * n, -1),
+                    np.uint64(1 << bits) if bits < 64 else np.uint64(0),
+                )
         return self._batch
 
     def batch_grants(self, dests, token: int):
@@ -341,54 +355,82 @@ class CompiledAllocator:
             raise ValueError(f"token {token} out of range")
         if dests.max(initial=-1) >= n:
             raise ValueError("request destination out of range")
-        nworlds = dests.shape[0]
+        cand, hopsp, sentinel = self._batch_tables()
+        # ``used`` starts with the sentinel bit set, so all-ones slots
+        # are never free -- no valid_t in the hot loops.
+        used = np.full(dests.shape[0], sentinel, dtype=np.uint64)
+        if hopsp is None:
+            return self._merged_grants(dests, token, cand, used)
+        return self._split_grants(dests, token, cand, hopsp, used)
+
+    def _merged_grants(self, dests, token, cand, used):
+        """:meth:`batch_grants` on the merged layout: ``used`` holds the
+        claimed ``out`` links beside the ring segments, so one free test
+        per candidate covers "requested", "output free" and "path free"."""
+        import numpy as np
+
+        n = self.ring.n
+        zero = np.uint64(0)
+        # Gather every lane's candidates once up front ([W, n, C]); a
+        # lane with no request reads the all-ones row ``n * n``.
+        cand_all = cand[np.where(dests >= 0, np.arange(n) * n + dests, n * n)]
+        link_mask = np.uint64((1 << 56) - 1)  # strips the hop byte
+        chosen = np.zeros(dests.shape, dtype=np.uint64)
+        for offset in range(n):
+            src = (token + offset) % n
+            # First-free candidate scan: last candidate first, so the
+            # lowest-index free one (the scalar rule's order) is kept.
+            # ``cc & used`` is nonzero exactly when ``cc`` collides.
+            pick = zero
+            for c in range(cand_all.shape[2] - 1, -1, -1):
+                cc = cand_all[:, src, c]
+                pick = np.where(cc & used, pick, cc)
+            chosen[:, src] = pick
+            used |= pick & link_mask
+        # A granted candidate always holds its ``out`` bit, so 0 is
+        # exactly "not granted" (and 0 hops).
+        return chosen != zero, (chosen >> np.uint64(56)).astype(np.int64)
+
+    def _split_grants(self, dests, token, cand, hopsp, used):
+        """:meth:`batch_grants` on the split layout: claimed outputs and
+        requests in masks of their own, hop counts gathered beside the
+        link masks."""
+        import numpy as np
+
+        n = self.ring.n
         zero = np.uint64(0)
         req_all = dests >= 0
         d_all = np.where(req_all, dests, 0)
-        maskp, hopsp, bit_table, sentinel, link_mask = self._batch_tables()
-        packed = hopsp is None
-        # Gather every lane's candidate masks (hop counts packed in the
-        # top byte when the layout allows) once up front ([W, n, C])
-        # through a flat index; the offset loop below then only slices
-        # views out of them, so its per-iteration cost is a handful of
-        # [W]-sized ufunc calls.
+        # Gather every lane's candidate masks and hops once up front
+        # ([W, n, C]) through a flat index; the offset loop below then
+        # only slices views out of them.
         flat = np.arange(n)[None, :] * n + d_all
-        cand_all = maskp[flat]
-        hops_all = None if packed else hopsp[flat]
-        bit_all = bit_table[d_all]
-        cmax = cand_all.shape[2]
-        hop_shift = np.uint64(56)
-        claimed = np.zeros(nworlds, dtype=np.uint64)  # output bitmask
-        # ``used`` starts with the sentinel bit set, so padding slots
-        # (mask all-ones) are never free -- no valid_t in the hot loop.
-        # Candidate hop bytes never reach ``used`` (link_mask strips
-        # them), so the free test below sees link bits only.
-        used = np.full(nworlds, sentinel, dtype=np.uint64)  # link bitmask
-        granted = np.zeros((nworlds, n), dtype=bool)
-        hops = np.zeros((nworlds, n), dtype=np.int64)
+        cand_all = cand[flat]
+        hops_all = hopsp[flat]
+        bit_all = np.uint64(1) << d_all.astype(np.uint64)
+        claimed = np.zeros(dests.shape[0], dtype=np.uint64)  # output bitmask
+        granted = np.zeros(dests.shape, dtype=bool)
+        hops = np.zeros(dests.shape, dtype=np.int64)
         for offset in range(n):
             src = (token + offset) % n
             # First-free candidate scan, lowest index first (the scalar
             # rule's candidate order) -- plain ufuncs beat argmax + fancy
             # indexing at these widths.
             sel = cand_all[:, src, 0]
-            hsel = None if packed else hops_all[:, src, 0]
+            hsel = hops_all[:, src, 0]
             any_free = (sel & used) == zero
-            for c in range(1, cmax):
+            for c in range(1, cand_all.shape[2]):
                 cc = cand_all[:, src, c]
                 fc = (cc & used) == zero
                 take = ~any_free & fc
                 sel = np.where(take, cc, sel)
-                if not packed:
-                    hsel = np.where(take, hops_all[:, src, c], hsel)
+                hsel = np.where(take, hops_all[:, src, c], hsel)
                 any_free |= fc
             bit = bit_all[:, src]
             g = req_all[:, src] & ((claimed & bit) == zero) & any_free
-            used |= np.where(g, sel, zero) & link_mask
+            used |= np.where(g, sel, zero)
             claimed |= np.where(g, bit, zero)
             granted[:, src] = g
-            if packed:
-                hsel = sel >> hop_shift
             hops[:, src] = np.where(g, hsel, 0)
         return granted, hops
 

@@ -5,7 +5,9 @@ is word-oriented: a 5-word IPv4 header (no options on the fast path)
 followed by payload words.  ``to_words``/``from_words`` round-trip, the
 checksum helpers implement verification and the incremental TTL patch,
 and ``synthesize`` builds deterministic test/benchmark packets of any
-size.
+size.  A synthesized packet's payload word ``i`` is
+``(ident * 2654435761 + i * 0x9E3779B9) mod 2**32``, with the unmasked
+``ident`` (the header keeps only its low 16 bits).
 """
 
 from __future__ import annotations
@@ -14,12 +16,19 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from repro.ip.checksum import incremental_update, internet_checksum, verify_checksum
 
 #: IPv4 header without options, in 32-bit words.
 HEADER_WORDS_IPV4 = 5
 HEADER_BYTES_IPV4 = HEADER_WORDS_IPV4 * 4
 MAX_TOTAL_LENGTH = 0xFFFF
+
+#: ``i * 0x9E3779B9 mod 2**32`` for every payload word index up to IPv4's
+#: largest payload; ``synthesize`` adds the ident term to a prefix of it.
+_PAYLOAD_STEP = np.arange(MAX_TOTAL_LENGTH // 4 - HEADER_WORDS_IPV4, dtype=np.uint32)
+_PAYLOAD_STEP *= np.uint32(0x9E3779B9)  # uint32 arithmetic wraps mod 2**32
 
 
 class PacketField(IntEnum):
@@ -153,7 +162,8 @@ class IPv4Packet:
 
         Payload words carry a deterministic pattern derived from
         ``ident`` so that egress reassembly and in-fabric computation can
-        be verified end to end.
+        be verified end to end: word ``i`` is
+        ``(ident * 2654435761 + i * 0x9E3779B9) mod 2**32``.
         """
         if size_bytes < HEADER_BYTES_IPV4:
             raise ValueError(f"packet must be >= {HEADER_BYTES_IPV4} bytes")
@@ -162,7 +172,9 @@ class IPv4Packet:
         if size_bytes > MAX_TOTAL_LENGTH:
             raise ValueError("packet exceeds IPv4 maximum length")
         n_payload = size_bytes // 4 - HEADER_WORDS_IPV4
-        payload = tuple(((ident * 2654435761) + i * 0x9E3779B9) & 0xFFFFFFFF for i in range(n_payload))
+        # uint32 addition wraps mod 2**32; tolist() gives Python ints.
+        base = np.uint32(ident * 2654435761 & 0xFFFFFFFF)
+        payload = tuple((_PAYLOAD_STEP[:n_payload] + base).tolist())
         pkt = cls(src=src, dst=dst, ttl=ttl, ident=ident & 0xFFFF, payload=payload)
         return pkt.fill_checksum()
 

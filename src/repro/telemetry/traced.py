@@ -176,8 +176,8 @@ def _check_overhead(bench_results: Optional[Path]) -> Tuple[bool, str]:
     """Disabled-mode overhead gate against the stored bench results.
 
     CI runs ``repro bench --quick`` earlier in the same job, so the
-    stored ``kernel_bench.current`` quick-mode router timing is fresh
-    and same-machine.  Re-time the router quick budget now (telemetry
+    stored ``kernel_bench.current.quick`` router timing is fresh and
+    same-machine.  Re-time the router quick budget now (telemetry
     disabled) and require it within 5% plus an absolute noise floor.
     Skips (passes with a note) when no comparable reference exists.
     """
@@ -187,7 +187,9 @@ def _check_overhead(bench_results: Optional[Path]) -> Tuple[bool, str]:
     data = bench.load_results(Path(path))
     kb = data.get("kernel_bench", {})
     ref = None
-    for report in (kb.get("current"), kb.get("baseline", {}).get("quick")):
+    for report in (
+        kb.get("current", {}).get("quick"), kb.get("baseline", {}).get("quick")
+    ):
         if isinstance(report, dict) and report.get("mode") == "quick":
             for row in report.get("runs", []):
                 if row.get("engine") == "router" and row.get("wall_s"):

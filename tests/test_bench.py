@@ -1,7 +1,9 @@
 """``repro bench --check``: the results-file validators reject stale
 sections -- an empty per-backend table, a backend that is not a live
 transport, a mode missing one of its suite's scenarios, a mode the suite
-does not have -- and accept the committed results file."""
+does not have, a kernel report filed under the wrong mode -- and accept
+the committed results file.  Merging a kernel report touches only its
+own budget mode's slots."""
 
 import copy
 import json
@@ -39,6 +41,21 @@ def _check_exit(tmp_path, data) -> int:
     path = tmp_path / "bench.json"
     path.write_text(json.dumps(data))
     return bench.main(out=path, check_only=True)
+
+
+def _kernel_report(mode, wall_s):
+    """A minimal kernel-bench report: every engine took ``wall_s``."""
+    return {
+        "schema": bench.BENCH_SCHEMA,
+        "mode": mode,
+        "python": "3",
+        "platform": "test",
+        "runs": [
+            {"engine": engine, "wall_s": wall_s, "sim_cycles": 1000,
+             "cycles_per_sec": 1000 / wall_s}
+            for engine in ("fabric", "router", "wordlevel")
+        ],
+    }
 
 
 class TestValidators:
@@ -102,3 +119,34 @@ class TestValidators:
             "space_shard.quick has no 'clos_n64' row"
         ]
         assert _check_exit(tmp_path, results) == 1
+
+    def test_kernel_report_under_wrong_mode_rejected(self, results, tmp_path):
+        kb = results["kernel_bench"]
+        kb["current"]["full"] = copy.deepcopy(kb["current"]["quick"])
+        assert bench.validate_results(results) == [
+            "kernel_bench.current.full holds a 'quick' report"
+        ]
+        assert _check_exit(tmp_path, results) == 1
+
+
+class TestMergeResults:
+    def test_quick_run_leaves_full_slot_alone(self):
+        """A --quick smoke run after a full-budget one must not replace
+        the full-budget current report or its speedups."""
+        data = {}
+        bench.merge_results(data, _kernel_report("full", 3.0))  # baseline
+        bench.merge_results(data, _kernel_report("full", 1.0))
+        full = copy.deepcopy(data["kernel_bench"])
+        bench.merge_results(data, _kernel_report("quick", 0.5))
+        kb = data["kernel_bench"]
+        assert kb["current"].get("full") == full["current"]["full"]
+        assert kb["speedup_vs_baseline"].get("full") == {
+            "fabric": 3.0, "router": 3.0, "wordlevel": 3.0
+        }
+        assert kb["current"]["quick"]["mode"] == "quick"
+        assert bench.validate_results(data) == []
+
+    def test_stale_schema_not_merged_into(self):
+        data = {"kernel_bench": {"schema": "repro-kernel-bench/1"}}
+        with pytest.raises(ValueError, match="schema"):
+            bench.merge_results(data, _kernel_report("quick", 1.0))

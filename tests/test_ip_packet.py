@@ -42,6 +42,19 @@ class TestSynthesize:
         assert a.payload == b.payload
         assert a.payload != c.payload
 
+    @pytest.mark.parametrize("size", [20, 24, 64, 576, 1500, 65532])
+    @pytest.mark.parametrize("ident", [0, 1, 0xFFFF, 0x10000, 2**32 + 7])
+    def test_payload_words_closed_form(self, size, ident):
+        """Word i is (ident * 2654435761 + i * 0x9E3779B9) mod 2**32 from
+        the unmasked ident, as plain Python ints."""
+        pkt = IPv4Packet.synthesize(1, 2, size, ident=ident)
+        assert pkt.payload == tuple(
+            (ident * 2654435761 + i * 0x9E3779B9) % 2**32
+            for i in range(size // 4 - HEADER_WORDS_IPV4)
+        )
+        assert all(type(word) is int for word in pkt.payload)
+        assert pkt.ident == ident & 0xFFFF
+
 
 class TestRoundtrip:
     def test_words_roundtrip(self):

@@ -101,7 +101,8 @@ def test_every_world_matches_its_scalar_run():
 
 
 def test_networks2_unpacked_table_world0_identity():
-    """networks=2 at n=16 needs all 64 mask bits (no hop packing)."""
+    """networks=2 at n=16 needs all 64 mask bits (the split batch
+    layout, with no spare sentinel bit)."""
     config = SimConfig(seed=9, ports=16, networks=2)
     workload = WorkloadSpec(pattern="uniform", quanta=60)
     assert supports(config, workload) is None
@@ -113,44 +114,50 @@ def test_networks2_unpacked_table_world0_identity():
 # ---------------------------------------------------------------------------
 # The batch allocation rule vs the scalar one.
 # ---------------------------------------------------------------------------
-@given(
-    geometry=st.sampled_from([(4, 1), (8, 1), (16, 1), (8, 2), (16, 2)]),
-    token=st.integers(min_value=0, max_value=15),
-    data=st.data(),
-)
-@settings(max_examples=40, deadline=None)
-def test_batch_grants_matches_scalar_grants(geometry, token, data):
+#: (ports, networks) for the batch rule: the merged table layout holds up
+#: to n = 18 on one network and n = 11 on two, the split layout the rest
+#: (n = 32 on one network and n = 16 on two use all 64 link bits).
+BATCH_GEOMETRIES = [
+    (4, 1), (8, 1), (16, 1), (18, 1), (19, 1), (32, 1),
+    (8, 2), (11, 2), (12, 2), (16, 2),
+]
+
+
+@given(data=st.data())
+@settings(max_examples=16, deadline=None)
+def test_batch_grants_matches_scalar_grants(data):
     """batch_grants over random request vectors == the reference rule's
-    grants per world, covering both the hop-packed (bits <= 55) and
-    unpacked (64-bit) table layouts."""
-    n, networks = geometry
-    token %= n
-    ring = RingGeometry(n)
-    compiled = CompiledAllocator(ring, networks=networks)
-    dests = np.array(
-        [
-            data.draw(
-                st.lists(
-                    st.integers(min_value=-1, max_value=n - 1),
-                    min_size=n, max_size=n,
+    grants per world.  Every example runs every geometry of
+    ``BATCH_GEOMETRIES``, so both table layouts and the boundary between
+    them each get ``max_examples`` examples."""
+    for n, networks in BATCH_GEOMETRIES:
+        token = data.draw(st.integers(min_value=0, max_value=n - 1))
+        ring = RingGeometry(n)
+        compiled = CompiledAllocator(ring, networks=networks)
+        dests = np.array(
+            [
+                data.draw(
+                    st.lists(
+                        st.integers(min_value=-1, max_value=n - 1),
+                        min_size=n, max_size=n,
+                    )
                 )
-            )
-            for _ in range(4)
-        ],
-        dtype=np.int64,
-    )
-    granted, hops = compiled.batch_grants(dests, token)
-    for w in range(dests.shape[0]):
-        requests = [None if d < 0 else int(d) for d in dests[w]]
-        ref = reference_allocate(ring, networks, requests, token)
-        got = {
-            (src, requests[src], int(hops[w, src]))
-            for src in range(n)
-            if granted[w, src]
-        }
-        assert got == {
-            (g.src, g.dst, g.expansion) for g in ref.grants.values()
-        }
+                for _ in range(4)
+            ],
+            dtype=np.int64,
+        )
+        granted, hops = compiled.batch_grants(dests, token)
+        for w in range(dests.shape[0]):
+            requests = [None if d < 0 else int(d) for d in dests[w]]
+            ref = reference_allocate(ring, networks, requests, token)
+            got = {
+                (src, requests[src], int(hops[w, src]))
+                for src in range(n)
+                if granted[w, src]
+            }
+            assert got == {
+                (g.src, g.dst, g.expansion) for g in ref.grants.values()
+            }, (n, networks, token, w)
 
 
 def test_batch_grants_rejects_bad_inputs():
