@@ -30,9 +30,9 @@ the serial reference runs one instance owning every node, the
 distributed run gives each worker an instance owning its partition plus
 :meth:`~PartitionSim.inject` / :meth:`~PartitionSim.drain_outgoing` for
 the boundary traffic.  Bit-identity between the two is therefore
-structural -- same chip code, same per-channel FIFO order, same quantum
-arithmetic -- and is property-tested across partition counts in
-``tests/test_space_shard.py``.
+structural -- same chip code, same per-leg arrival order (each leg is
+fed by one channel, in send order), same quantum arithmetic -- and is
+property-tested across partition counts in ``tests/test_space_shard.py``.
 
 Fragments are plain tuples ``(dest, words, is_last)`` so boundary
 batches pickle cheaply over multiprocessing pipes.  Under an active
@@ -49,7 +49,7 @@ change simulation behavior, and with telemetry off fragments stay
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
@@ -299,7 +299,7 @@ def link_fault_windows(
     *quanta*.  A downed channel holds traffic: any fragment whose
     arrival quantum lands inside ``[cycle, cycle + duration)`` is
     deferred to the window's end.  Deferral is monotone (earlier
-    arrivals never land after later ones), so per-channel FIFO order --
+    arrivals never land after later ones), so per-channel send order --
     the property bit-identity rests on -- survives.  Returns
     ``{cid: [(start, end), ...]}`` with overlaps merged; raises
     ``ValueError`` on any event the space fabric cannot realize.
@@ -348,7 +348,9 @@ class ChipNode:
 
     Queue entries are ``(frag, out_leg)`` -- the forwarding decision is
     made once at enqueue time, exactly like
-    :class:`repro.core.compose._Crossbar`.
+    :class:`repro.core.compose._Crossbar`.  The chip's quantum (requests
+    from the queue heads, one allocation, pop the granted heads, rotate
+    the token) runs inline in :meth:`PartitionSim.advance`.
     """
 
     __slots__ = ("nid", "k", "allocator", "token", "queues")
@@ -361,28 +363,6 @@ class ChipNode:
         self.queues: List[Deque[Tuple[SpaceFrag, int]]] = [
             deque() for _ in range(k)
         ]
-
-    def step(self) -> Tuple[List[Tuple[int, SpaceFrag]], int, int]:
-        """One quantum: ([(out leg, frag)], body cycles, blocked count)."""
-        queues = self.queues
-        requests = tuple(
-            queues[leg][0][1] if queues[leg] else None
-            for leg in range(self.k)
-        )
-        if all(r is None for r in requests):
-            self.token.advance()
-            return [], 0, 0
-        alloc = self.allocator.allocate(requests, self.token.master)
-        moved: List[Tuple[int, SpaceFrag]] = []
-        body = 0
-        for grant in alloc.grants.values():
-            frag, leg = queues[grant.src].popleft()
-            b = frag[1] + grant.expansion
-            if b > body:
-                body = b
-            moved.append((leg, frag))
-        self.token.advance()
-        return moved, body, len(alloc.blocked)
 
 
 @dataclass
@@ -418,6 +398,12 @@ class PartitionSim:
     (fragments this partition sent over boundary channels).  A serial
     run is simply a :class:`PartitionSim` owning every node -- no
     boundary traffic exists and the same code path executes.
+
+    A quantum touches only due work.  Channel traffic waits in buckets
+    keyed by arrival quantum, so delivery is one dict pop, not a scan of
+    every in-channel; an idle chip only rotates its token; and every
+    routing decision a fragment meets -- its output leg at a chip, and
+    where a granted leg leads -- is a lookup in tables built here once.
     """
 
     def __init__(
@@ -448,25 +434,58 @@ class PartitionSim:
         self.nodes: Dict[int, ChipNode] = {
             nid: ChipNode(nid, topo.k) for nid in self.owned
         }
-        #: Per-channel arrival FIFO of (arrival quantum, frag) for every
-        #: channel terminating in this partition (internal or boundary).
-        self.arrivals: Dict[int, Deque[Tuple[int, SpaceFrag]]] = {
-            ch.cid: deque() for ch in topo.channels if ch.dst_node in own
+        # Owned node -> its route row: ``row[dest]`` is the output leg
+        # ``topo.route(node, dest)``.
+        routes = {
+            nid: [topo.route(nid, d) for d in range(topo.num_ports)]
+            for nid in self.owned
         }
-        self._in_cids = sorted(self.arrivals)
-        #: Owned source legs: leg -> channel, split by whether the far
-        #: end is also owned (internal) or not (boundary).
-        self._channel_of: Dict[Tuple[int, int], Channel] = {}
-        self._is_boundary: Dict[int, bool] = {}
-        for ch in topo.channels:
-            if ch.src_node in own:
-                self._channel_of[(ch.src_node, ch.src_leg)] = ch
-                self._is_boundary[ch.cid] = ch.dst_node not in own
-        #: External inputs this partition drives, in global-port order.
-        self._ext_in = sorted(
-            (g, nid, leg) for g, (nid, leg) in topo.ext_in.items()
-            if nid in own
+        #: cid -> (destination leg queue, destination route row) for every
+        #: channel ending in this partition (internal or boundary).
+        self._feeds: Dict[int, Tuple[Deque, List[int]]] = {
+            ch.cid: (self.nodes[ch.dst_node].queues[ch.dst_leg],
+                     routes[ch.dst_node])
+            for ch in topo.channels if ch.dst_node in own
+        }
+        #: Per owned chip in node order: (leg queues, token, allocator,
+        #: sinks).  ``sinks[leg]`` is where a fragment granted onto that
+        #: leg goes: a global output port (an ``int``), or ``(channel,
+        #: is_boundary, destination leg queue, destination route row)``,
+        #: the last two None when the far end belongs to another partition.
+        self._chips = []
+        for nid in self.owned:
+            sinks: List[Any] = []
+            for leg in range(topo.k):
+                port = topo.ext_out.get((nid, leg))
+                if port is not None:
+                    sinks.append(port)
+                    continue
+                ch = topo.out_channel[(nid, leg)]
+                if ch.dst_node in own:
+                    sinks.append((ch, False) + self._feeds[ch.cid])
+                else:
+                    sinks.append((ch, True, None, None))
+            node = self.nodes[nid]
+            self._chips.append(
+                (node.queues, node.token, node.allocator, sinks)
+            )
+        #: Arrival quantum -> [(leg queue, route row, frag)]: channel
+        #: traffic not yet delivered.  Each input leg has exactly one
+        #: feeding channel and sends are appended in send order, so every
+        #: leg sees its channel's send order (fault deferral only moves an
+        #: arrival later, never ahead of a later send).
+        self._due: Dict[int, List[Tuple[Deque, List[int], SpaceFrag]]] = (
+            defaultdict(list)
         )
+        #: The first quantum the next :meth:`advance` simulates.
+        self._next_q = 0
+        #: External inputs this partition drives, in global-port order:
+        #: (port, leg queue, route row).
+        self._ext_in = [
+            (g, self.nodes[nid].queues[leg], routes[nid])
+            for g, (nid, leg) in sorted(topo.ext_in.items())
+            if nid in own
+        ]
         self.outgoing: List[Tuple[int, int, SpaceFrag]] = []
         self.stats = PartStats(num_ports=topo.num_ports)
         #: Captured at construction like the other engines; shared-key
@@ -484,7 +503,7 @@ class PartitionSim:
     def _arrival(self, ch: Channel, send_quantum: int) -> int:
         """When a fragment sent at ``send_quantum`` becomes visible:
         ``latency`` quanta later, pushed to the end of any down-window
-        it lands in (monotone, so per-channel FIFO order holds)."""
+        it lands in (monotone, so per-channel send order holds)."""
         arrival = send_quantum + ch.latency
         windows = self._fault_windows.get(ch.cid)
         if windows:
@@ -497,9 +516,21 @@ class PartitionSim:
 
     def inject(self, cid: int, send_quantum: int, frag: SpaceFrag) -> None:
         """Deliver a boundary fragment: visible ``latency`` quanta after
-        its send quantum (the receiver-side half of the token window)."""
-        ch = self.topo.channels[cid]
-        self.arrivals[cid].append((self._arrival(ch, send_quantum), frag))
+        its send quantum (the receiver-side half of the token window).
+
+        Raises ``RuntimeError`` when that quantum has already been
+        simulated: the window protocol was broken, and delivering the
+        fragment late would silently diverge from the serial run.
+        """
+        arrival = self._arrival(self.topo.channels[cid], send_quantum)
+        if arrival < self._next_q:
+            raise RuntimeError(
+                f"fragment on channel {cid} sent at quantum {send_quantum} "
+                f"arrives at quantum {arrival}, but quanta up to "
+                f"{self._next_q - 1} are already simulated"
+            )
+        queue, row = self._feeds[cid]
+        self._due[arrival].append((queue, row, frag))
 
     def drain_outgoing(self) -> List[Tuple[int, int, SpaceFrag]]:
         """(cid, send quantum, frag) sends since the last drain."""
@@ -516,46 +547,47 @@ class PartitionSim:
         make per-port-independent draws (counter-based models): each
         partition polls only its own external ports, and the draws must
         match what a single process polling all ports would have seen.
+
+        Calls must be contiguous: ``q_start`` is the quantum after the
+        last one simulated, else ``RuntimeError`` (a skipped quantum's
+        due bucket would never be delivered).
         """
-        topo = self.topo
-        route = topo.route
-        ext_out = topo.ext_out
+        if q_start != self._next_q:
+            raise RuntimeError(
+                f"advance from quantum {q_start}, but the next unsimulated "
+                f"quantum is {self._next_q}"
+            )
+        num_ports = self.topo.num_ports
         mqw = self.max_quantum_words
         stats = self.stats
         tel = self._tel
-        for q in range(q_start, q_start + count):
+        due = self._due
+        outgoing = self.outgoing
+        end = q_start + count
+        for q in range(q_start, end):
             measuring = q >= warmup
-            # 1. Channel deliveries due this quantum, in channel order
-            #    (each leg has one feeding channel, so per-leg FIFO
-            #    order is the channel's send order).
-            for cid in self._in_cids:
-                fifo = self.arrivals[cid]
-                if not fifo or fifo[0][0] > q:
-                    continue
-                ch = topo.channels[cid]
-                node = self.nodes[ch.dst_node]
-                queue = node.queues[ch.dst_leg]
-                while fifo and fifo[0][0] <= q:
-                    _, frag = fifo.popleft()
-                    queue.append((frag, route(ch.dst_node, frag[0])))
+            # 1. Channel deliveries due this quantum.
+            arrived = due.pop(q, None)
+            if arrived is not None:
+                for queue, row, frag in arrived:
+                    queue.append((frag, row[frag[0]]))
             # 2. External admissions (one packet when the leg idles).
-            for g, nid, leg in self._ext_in:
-                queue = self.nodes[nid].queues[leg]
+            for g, queue, row in self._ext_in:
                 if queue:
                     continue
                 pkt = source(g)
                 if pkt is None:
                     continue
                 dest, words = pkt
-                if not 0 <= dest < topo.num_ports:
+                if not 0 <= dest < num_ports:
                     raise ValueError(f"destination {dest} out of range")
                 if words < 1:
                     raise ValueError("packet must have at least one word")
-                out_leg = route(nid, dest)
+                out_leg = row[dest]
                 if tel is not None:
                     seq = self._adm_seq.get(g, 0)
                     self._adm_seq[g] = seq + 1
-                    tag = seq * topo.num_ports + g
+                    tag = seq * num_ports + g
                     jt = tel.journeys
                     jt.arrive(tag, g, q)
                     jt.lookup(
@@ -573,39 +605,47 @@ class PartitionSim:
                     w = min(remaining, mqw)
                     remaining -= w
                     queue.append(((dest, w, remaining == 0), out_leg))
-            # 3. Step every owned chip; grants fan out to channels,
-            #    boundary batches, or external delivery.
+            # 3. Each busy chip allocates from its queue heads; grants fan
+            #    out to external ports, internal channels or the boundary.
             body = 0
             blocked = 0
-            for nid in self.owned:
-                moved, chip_body, chip_blocked = self.nodes[nid].step()
-                if chip_body > body:
-                    body = chip_body
-                blocked += chip_blocked
-                for leg, frag in moved:
+            for queues, token, allocator, sinks in self._chips:
+                if not any(queues):
+                    token.advance()
+                    continue
+                alloc = allocator.allocate(
+                    [fifo[0][1] if fifo else None for fifo in queues],
+                    token.master,
+                )
+                for grant in alloc.grants.values():
+                    frag, leg = queues[grant.src].popleft()
+                    b = frag[1] + grant.expansion
+                    if b > body:
+                        body = b
                     if tel is not None and len(frag) > 3:
                         tel.journeys.hop(frag[3], q)
-                    port = ext_out.get((nid, leg))
-                    if port is not None:
+                    sink = sinks[leg]
+                    if sink.__class__ is int:
                         if measuring:
                             stats.delivered_words += frag[1]
-                            stats.per_port_words[port] += frag[1]
+                            stats.per_port_words[sink] += frag[1]
                             if frag[2]:
                                 stats.delivered_packets += 1
-                                stats.per_port_packets[port] += 1
+                                stats.per_port_packets[sink] += 1
                         if tel is not None and len(frag) > 3 and frag[2]:
                             tel.journeys.depart(frag[3], q)
                         continue
-                    ch = self._channel_of[(nid, leg)]
-                    if self._is_boundary[ch.cid]:
-                        self.outgoing.append((ch.cid, q, frag))
+                    ch, boundary, queue, row = sink
+                    if boundary:
+                        outgoing.append((ch.cid, q, frag))
                     else:
-                        self.arrivals[ch.cid].append(
-                            (self._arrival(ch, q), frag)
-                        )
+                        due[self._arrival(ch, q)].append((queue, row, frag))
+                blocked += len(alloc.blocked)
+                token.advance()
             if measuring:
                 stats.body_max.append(body)
                 stats.blocked_events += blocked
+        self._next_q = end
 
 
 def merge_part_stats(

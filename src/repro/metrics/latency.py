@@ -2,11 +2,39 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+import math
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.raw import costs
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """``np.percentile(samples, q)`` with the default linear method, bit
+    for bit, without loading ``numpy.ma``: the first ``np.percentile``
+    call in a process imports it, 10-20 ms once per process, which a
+    single router run pays in full.
+
+    ``samples`` must be non-empty and hold no NaN.  The interpolation is
+    numpy's own ``_lerp``, whose two forms differ in the last bit, so
+    the branch on ``t`` is part of the contract.
+    """
+    return _percentile_sorted(np.sort(np.asarray(samples)), q)
+
+
+def _percentile_sorted(xs: np.ndarray, q: float) -> float:
+    """:func:`percentile` of ``xs``, a sorted 1-D array."""
+    if not 0 <= q <= 100:
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    vi = (len(xs) - 1) * (q / 100)
+    lo = math.floor(vi)
+    t = vi - lo
+    a = xs[lo]
+    b = xs[lo + 1] if lo + 1 < len(xs) else a
+    if t >= 0.5:
+        return float(b - (b - a) * (1 - t))
+    return float(a + (b - a) * t)
 
 
 class LatencyStats:
@@ -36,18 +64,19 @@ class LatencyStats:
     def percentile(self, q: float) -> float:
         if not self._samples:
             return float("nan")
-        return float(np.percentile(self._samples, q))
+        return percentile(self._samples, q)
 
     def summary(self, clock_hz: float = costs.CLOCK_HZ) -> Dict[str, float]:
         """Mean/median/p99 in cycles and microseconds."""
         if not self._samples:
             return {}
         arr = self.cycles()
+        xs = np.sort(arr)
         out = {
             "count": float(arr.size),
             "mean_cycles": float(arr.mean()),
-            "p50_cycles": float(np.percentile(arr, 50)),
-            "p99_cycles": float(np.percentile(arr, 99)),
+            "p50_cycles": _percentile_sorted(xs, 50),
+            "p99_cycles": _percentile_sorted(xs, 99),
             "max_cycles": float(arr.max()),
         }
         out["mean_us"] = out["mean_cycles"] / clock_hz * 1e6

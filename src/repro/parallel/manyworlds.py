@@ -56,6 +56,7 @@ from repro.core.phases import (
 )
 from repro.core.ring import RingGeometry
 from repro.engines import FabricEngine, RunResult, WorkloadSpec
+from repro.metrics.latency import _percentile_sorted
 from repro.seeds import counter_seed, spec_seed, world_seed
 from repro.traffic.model import (
     _S_ARRIVAL,
@@ -587,13 +588,14 @@ def envelope(values: Sequence[float]) -> Dict[str, float]:
     arr = np.asarray(values, dtype=np.float64)
     k = len(arr)
     std = float(arr.std(ddof=1)) if k > 1 else 0.0
+    xs = np.sort(arr)
     return {
         "n": k,
         "mean": float(arr.mean()),
         "std": std,
         "ci95": 1.96 * std / math.sqrt(k) if k > 1 else 0.0,
-        "p50": float(np.percentile(arr, 50)),
-        "p99": float(np.percentile(arr, 99)),
+        "p50": _percentile_sorted(xs, 50),
+        "p99": _percentile_sorted(xs, 99),
         "min": float(arr.min()),
         "max": float(arr.max()),
     }

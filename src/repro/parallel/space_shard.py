@@ -342,9 +342,10 @@ def _run_partition_rounds(
     q = 0
     for r in range(rounds):
         if r > 0:
-            # Collect every in-peer's round r-1 window in peer order; the
-            # per-channel FIFOs inside inject() preserve send order, so
-            # arrival order at each input leg matches the serial run.
+            # Collect every in-peer's round r-1 window in peer order;
+            # inject() files each fragment in send order under its
+            # arrival quantum, so arrival order at each input leg
+            # matches the serial run.
             for peer in in_peers:
                 t0 = time.perf_counter()
                 batch = recv_fns[peer]()
@@ -390,9 +391,9 @@ def _space_worker(part_id, cmd_conn, link):
     ``None`` (or the coordinator hanging up).  Live telemetry snaps
     stream back over the same channel as ``("snap", part_id, state)``
     messages ahead of the terminal ``("ok", result, bytes_sent)`` /
-    ``("err", msg)``.  ``link`` is any transport worker link (the pipe
-    bundle, or the socket :class:`HubEndpoint`, which doubles as
-    ``cmd_conn``)."""
+    ``("err", msg, traceback)``.  ``link`` is any transport worker link
+    (the pipe bundle, or the socket :class:`HubEndpoint`, which doubles
+    as ``cmd_conn``)."""
     # The fork start method hands children the parent's recorder; each
     # run installs its own local one (or none) via tel_cfg instead.
     _telemetry.RECORDER = None
@@ -421,7 +422,10 @@ def _space_worker(part_id, cmd_conn, link):
             )
             cmd_conn.send(("ok", result, ports.bytes_sent()))
         except Exception as exc:  # surfaced in the parent
-            cmd_conn.send(("err", f"{type(exc).__name__}: {exc}"))
+            import traceback
+
+            cmd_conn.send(("err", f"{type(exc).__name__}: {exc}",
+                           traceback.format_exc()))
 
 
 class SpaceWorkerPool:
@@ -491,6 +495,7 @@ class SpaceWorkerPool:
         results: Dict[int, Tuple] = {}
         worker_bytes: Dict[int, int] = {}
         errors = []
+        tracebacks = []
         part_of = {id(conn): p for p, conn in enumerate(cmd_conns)}
         pending = list(cmd_conns)
         while pending:
@@ -514,11 +519,15 @@ class SpaceWorkerPool:
                 pending.remove(conn)
                 if msg[0] != "ok":
                     errors.append(f"partition {p}: {msg[1]}")
+                    tracebacks.append(f"partition {p}:\n{msg[2]}")
                 else:
                     results[p] = msg[1]
                     worker_bytes[p] = msg[2] if len(msg) > 2 else 0
         if errors:
-            raise RuntimeError("space workers failed: " + "; ".join(errors))
+            raise RuntimeError(
+                "space workers failed: " + "; ".join(errors) + "\n\n"
+                + "\n".join(tracebacks)
+            )
         self.runs += 1
         ordered = [results[p] for p in range(self.partitions)]
         payloads = [r[0] for r in ordered]

@@ -72,13 +72,16 @@ class FabricModelSource:
         self.model = model
         self.costs = costs
         self.deterministic = bool(getattr(model, "deterministic", False))
+        # Bound once: every admission of every engine polls through here.
+        self._next_packet = model.next_packet
+        self._bytes_to_words = costs.bytes_to_words
 
     def __call__(self, port: int) -> Optional[Tuple[int, int]]:
-        drawn = self.model.next_packet(port)
+        drawn = self._next_packet(port)
         if drawn is None:
             return None
         dest, nbytes = drawn
-        return dest, self.costs.bytes_to_words(nbytes)
+        return dest, self._bytes_to_words(nbytes)
 
 
 def fabric_source(spec: TrafficLike, config: SimConfig,

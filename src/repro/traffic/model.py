@@ -26,6 +26,7 @@ from repro import seeds
 from repro.traffic.rng import (
     draw_float,
     draw_int,
+    draw_u64,
     geometric_length,
     pareto_length,
 )
@@ -109,9 +110,8 @@ class SpecModel:
 
     # -- arrival process ------------------------------------------------
     def _offers(self, port: int) -> bool:
+        """Whether a gated arrival process offers a packet at this poll."""
         a = self.spec.arrivals
-        if not self.gate:
-            return True
         if a.kind == "bernoulli":
             return self._f(port, _S_ARRIVAL, self._arr) < a.p
         # onoff: advance the two-state machine by one poll.
@@ -133,9 +133,14 @@ class SpecModel:
 
     # -- destination pattern --------------------------------------------
     def _uniform_dest(self, port: int, sub: int, counters, exclude_self: bool) -> int:
+        # The admission hot path: one counter bump and one draw_u64 (the
+        # same value _i's draw_int would give; n >= 2 keeps n - 1 >= 1).
+        k = counters[port]
+        counters[port] = k + 1
+        u = draw_u64(self.seed, port * _STRIDE + sub, k)
         if not exclude_self:
-            return self._i(port, sub, counters, self.n)
-        d = self._i(port, sub, counters, self.n - 1)
+            return u % self.n
+        d = u % (self.n - 1)
         return d if d < port else d + 1
 
     def _next_dest(self, port: int) -> int:
@@ -182,7 +187,7 @@ class SpecModel:
 
     # -- the TrafficModel protocol --------------------------------------
     def next_packet(self, port: int) -> Optional[Tuple[int, int]]:
-        if not self._offers(port):
+        if self.gate and not self._offers(port):
             return None
         dest = self._next_dest(port)
         size = self._next_size(port)

@@ -1,9 +1,13 @@
 """Measurement plumbing: meters, latency, utilization."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.metrics.latency import LatencyStats
+from repro.metrics.latency import LatencyStats, percentile
 from repro.metrics.throughput import ThroughputMeter
 from repro.metrics.utilization import (
     BLOCKED_CODE,
@@ -74,6 +78,45 @@ class TestLatencyStats:
         assert ls.empty
         assert ls.summary() == {}
         assert np.isnan(ls.mean())
+
+    def test_summary_percentiles_are_numpys(self):
+        ls = LatencyStats()
+        for d in (7, 3, 3, 19, 250, 4, 4, 4, 12):
+            ls.record(100, 100 + d)
+        s = ls.summary()
+        assert s["p50_cycles"] == float(np.percentile(ls.cycles(), 50))
+        assert s["p99_cycles"] == float(np.percentile(ls.cycles(), 99))
+
+
+class TestPercentile:
+    """:func:`percentile` is ``np.percentile`` (linear method) bit for
+    bit, so swapping it in moved no reported number."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["int", "float"]),
+        spread=st.sampled_from([1, 5, 1000, 10**9]),
+        q=st.sampled_from([1, 50, 95, 99, 99.9]),
+    )
+    def test_matches_numpy_bit_for_bit(self, n, seed, kind, spread, q):
+        rng = random.Random(seed)
+        if kind == "int":
+            samples = [rng.randrange(spread) for _ in range(n)]
+        else:
+            samples = [rng.uniform(-spread, spread) for _ in range(n)]
+        got = percentile(samples, q)
+        want = float(np.percentile(samples, q))
+        assert type(got) is float
+        assert got.hex() == want.hex()
+
+    def test_edges(self):
+        assert percentile([5], 99.9) == 5.0
+        assert percentile([3, 1, 2], 0) == 1.0
+        assert percentile([3, 1, 2], 100) == 3.0
+        with pytest.raises(ValueError):
+            percentile([1, 2], 101)
 
 
 class TestUtilization:

@@ -27,6 +27,7 @@ from repro.core.spacetopo import (
     payload_to_stats,
 )
 from repro.engines import WorkloadSpec, run_config
+from repro.faults import FaultEvent, FaultPlan
 from repro.parallel import (
     SpaceSpec,
     SpaceWorkerPool,
@@ -284,6 +285,34 @@ class TestWindowProtocol:
         assert got_rounds == rounds
         assert len(sent_to_middle) == rounds - 1
 
+    def test_late_boundary_fragment_fails_loudly(self):
+        # A boundary fragment due at a quantum this partition already
+        # simulated cannot be delivered on time; delivering it late
+        # would silently diverge from the serial run.
+        spec = spec_for(4, 2, "permutation", latency=2)
+        topo = spec.topology()
+        blocks = topo.partition(2)
+        sim = PartitionSim(topo, blocks[1], costs=spec.costs)
+        ch = topo.boundary_channels(blocks)[0]
+        sim.advance(None, 0, 10, 0)  # no external inputs: never polled
+        with pytest.raises(RuntimeError, match="already simulated"):
+            sim.inject(ch.cid, 10 - ch.latency - 1, (5, 8, True))
+        # Due exactly at the next quantum is on time.
+        sim.inject(ch.cid, 10 - ch.latency, (5, 8, True))
+        sim.advance(None, 10, 1, 0)
+
+    def test_non_contiguous_advance_fails_loudly(self):
+        # Skipping or repeating a quantum would drop or re-run its due
+        # deliveries, so advance() only steps on from where it stopped.
+        spec = spec_for(4, 2, "permutation", latency=2)
+        topo = spec.topology()
+        sim = PartitionSim(topo, topo.partition(2)[1], costs=spec.costs)
+        sim.advance(None, 0, 4, 0)
+        for q_start in (5, 3):
+            with pytest.raises(RuntimeError, match="next unsimulated"):
+                sim.advance(None, q_start, 1, 0)
+        sim.advance(None, 4, 1, 0)
+
 
 # ---------------------------------------------------------------------------
 # Merge associativity.
@@ -429,6 +458,18 @@ class TestSpaceEngine:
         with pytest.raises(ValueError, match="unknown space source kind"):
             run_space_serial(spec)
 
+    def test_worker_error_carries_traceback(self):
+        # Every worker raises building its source, so none waits on a
+        # peer; the coordinator's error must say where they failed.
+        spec = SpaceSpec(partitions=2, quanta=20, warmup_quanta=0,
+                         source=SpaceSpec.pack_source({"kind": "zipf"}))
+        with pytest.raises(RuntimeError) as err:
+            run_space(spec)
+        msg = str(err.value)
+        assert "unknown space source kind 'zipf'" in msg
+        assert "Traceback" in msg
+        assert "make_space_source" in msg
+
     def test_nonsquare_ports_rejected(self):
         cfg = SimConfig(ports=8, fidelity="space")
         with pytest.raises(ValueError, match="square"):
@@ -491,3 +532,127 @@ class TestSpaceEngine:
         assert info.serial_fallback and info.fallback_reason == "partitions=1"
         assert not caught  # asking for 1 worker and getting 1 is not a lie
         assert_stats_identical(run_space_serial(spec), got)
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs: the engine against fixed numbers, not against itself.
+# ---------------------------------------------------------------------------
+#: Workload kwargs per traffic name in :data:`PINNED`.
+PIN_TRAFFIC = {
+    "uniform1024": {"pattern": "uniform", "packet_bytes": 1024},
+    "imix": {"traffic": "imix"},
+    "hotspot": {"pattern": "hotspot"},
+    "imix_onoff": {"traffic": "imix_onoff"},
+    "bernoulli": {"traffic": "bernoulli"},
+}
+
+#: Two outages on the 16-port Clos: ingress 1 -> middle 1 (channel 5)
+#: and middle 1 -> egress 0 (channel 20).
+PIN_LINK_DOWN = FaultPlan(events=(
+    FaultEvent(cycle=30, kind="link_down", target="link:5", duration=40),
+    FaultEvent(cycle=60, kind="link_down", target="link:20", duration=25),
+))
+
+#: case -> (cycles, delivered_words, delivered_packets, blocked_events,
+#: idle_quanta, per_port_packets) at seed 1 over 120 measured quanta.
+#: ``n<ports>-<traffic>-lat<link latency>`` is a serial ``run_config``
+#: with the default warm-up (``-link_down`` adds :data:`PIN_LINK_DOWN`);
+#: ``torus5-imix-lat2`` is a k=5 torus ``SpaceSpec`` with 20 warm-up
+#: quanta.  Computed by the stepper that kept one arrival FIFO per
+#: channel; only a deliberate change to the model may re-pin them.
+PINNED = {
+    "n16-uniform1024-lat1": (36719, 311296, 1216, 1224, 0, [
+        80, 68, 68, 73, 72, 76, 85, 72, 81, 89, 66, 83, 81, 69, 83, 70
+    ]),
+    "n16-uniform1024-lat4": (36720, 314368, 1228, 1173, 0, [
+        79, 67, 68, 73, 79, 76, 82, 75, 81, 91, 65, 88, 81, 69, 80, 74
+    ]),
+    "n16-imix-lat1": (35627, 95280, 1216, 1224, 0, [
+        80, 68, 68, 73, 72, 76, 85, 72, 81, 89, 66, 83, 81, 69, 83, 70
+    ]),
+    "n16-imix-lat4": (35858, 96640, 1228, 1173, 0, [
+        79, 67, 68, 73, 79, 76, 82, 75, 81, 91, 65, 88, 81, 69, 80, 74
+    ]),
+    "n16-hotspot-lat1": (36662, 67584, 264, 1661, 0, [
+        120, 9, 12, 14, 5, 9, 11, 9, 1, 12, 9, 9, 3, 10, 18, 13
+    ]),
+    "n16-hotspot-lat4": (36664, 69376, 271, 1660, 0, [
+        120, 9, 13, 14, 5, 10, 12, 9, 2, 12, 9, 10, 3, 10, 19, 14
+    ]),
+    "n64-uniform1024-lat1": (37263, 994048, 3883, 6565, 0, [
+        59, 44, 50, 66, 54, 71, 68, 63, 64, 63, 75, 65, 62, 60, 61, 64,
+        61, 53, 45, 60, 67, 65, 48, 48, 49, 80, 60, 44, 53, 58, 59, 65,
+        57, 66, 66, 65, 50, 64, 64, 56, 57, 62, 57, 49, 58, 67, 77, 56,
+        55, 68, 80, 65, 58, 71, 72, 52, 61, 68, 49, 61, 64, 60, 55, 69
+    ]),
+    "n64-uniform1024-lat4": (37268, 996864, 3894, 6588, 0, [
+        60, 44, 56, 65, 55, 68, 71, 64, 63, 63, 77, 62, 65, 55, 63, 61,
+        61, 54, 48, 60, 66, 64, 47, 47, 49, 80, 60, 50, 51, 54, 57, 66,
+        56, 71, 68, 64, 52, 56, 62, 58, 55, 62, 62, 52, 57, 62, 72, 58,
+        55, 69, 84, 67, 59, 70, 74, 56, 62, 71, 49, 65, 63, 53, 53, 71
+    ]),
+    "n64-imix-lat1": (36978, 307936, 3883, 6565, 0, [
+        59, 44, 50, 66, 54, 71, 68, 63, 64, 63, 75, 65, 62, 60, 61, 64,
+        61, 53, 45, 60, 67, 65, 48, 48, 49, 80, 60, 44, 53, 58, 59, 65,
+        57, 66, 66, 65, 50, 64, 64, 56, 57, 62, 57, 49, 58, 67, 77, 56,
+        55, 68, 80, 65, 58, 71, 72, 52, 61, 68, 49, 61, 64, 60, 55, 69
+    ]),
+    "n64-imix-lat4": (36977, 308096, 3894, 6588, 0, [
+        60, 44, 56, 65, 55, 68, 71, 64, 63, 63, 77, 62, 65, 55, 63, 61,
+        61, 54, 48, 60, 66, 64, 47, 47, 49, 80, 60, 50, 51, 54, 57, 66,
+        56, 71, 68, 64, 52, 56, 62, 58, 55, 62, 62, 52, 57, 62, 72, 58,
+        55, 69, 84, 67, 59, 70, 74, 56, 62, 71, 49, 65, 63, 53, 53, 71
+    ]),
+    "n64-hotspot-lat1": (37003, 128256, 501, 7192, 0, [
+        120, 4, 6, 8, 3, 13, 10, 6, 0, 9, 6, 10, 8, 1, 3, 9, 2, 7, 13,
+        10, 7, 6, 7, 6, 2, 5, 4, 4, 3, 6, 11, 8, 0, 5, 1, 9, 1, 6, 6, 3,
+        2, 10, 6, 6, 3, 9, 8, 7, 0, 10, 3, 10, 10, 2, 6, 5, 1, 5, 9, 9,
+        6, 8, 10, 8
+    ]),
+    "n64-hotspot-lat4": (37016, 128768, 503, 7192, 0, [
+        120, 5, 6, 9, 4, 14, 10, 7, 0, 8, 7, 9, 8, 1, 3, 9, 2, 7, 12,
+        11, 8, 5, 7, 6, 1, 6, 4, 5, 4, 6, 11, 5, 0, 5, 1, 9, 3, 5, 5, 4,
+        2, 10, 7, 6, 3, 9, 8, 6, 0, 10, 3, 8, 10, 2, 6, 4, 1, 5, 10, 9,
+        7, 8, 10, 7
+    ]),
+    "torus5-imix-lat2": (33364, 50944, 649, 1292, 0, [
+        40, 43, 41, 35, 31, 46, 44, 52, 43, 49, 46, 38, 41, 48, 52
+    ]),
+    "n16-uniform1024-lat2-link_down": (36720, 313600, 1225, 1183, 0, [
+        79, 68, 69, 74, 73, 78, 83, 78, 76, 88, 67, 88, 84, 68, 79, 73
+    ]),
+    "n16-imix_onoff-lat2": (34730, 78544, 983, 614, 0, [
+        56, 59, 56, 60, 59, 54, 67, 58, 69, 71, 56, 66, 67, 57, 67, 61
+    ]),
+    "n16-bernoulli-lat2": (36718, 251392, 982, 670, 0, [
+        59, 58, 52, 59, 57, 53, 65, 63, 64, 68, 55, 71, 64, 60, 72, 62
+    ]),
+}
+
+
+def _pinned_counters(case):
+    if case.startswith("torus"):
+        spec = SpaceSpec(
+            k=5, geometry="torus", latency=2, partitions=1,
+            source=SpaceSpec.pack_source(shard_source("imix", seed=1)),
+            quanta=120, warmup_quanta=20,
+        )
+        s = run_space_serial(spec)
+        return (s.cycles, s.delivered_words, s.delivered_packets,
+                s.blocked_events, s.idle_quanta, list(s.per_port_packets))
+    ports, traffic, latency, *fault = case.split("-")
+    config = SimConfig(fidelity="space", ports=int(ports[1:]),
+                       link_latency=int(latency[3:]), seed=1)
+    workload = WorkloadSpec(quanta=120,
+                            fault_plan=PIN_LINK_DOWN if fault else None,
+                            **PIN_TRAFFIC[traffic])
+    r = run_config(config, workload)
+    return (r.cycles, r.delivered_words, r.delivered_packets,
+            r.extra["blocked_events"], r.extra["idle_quanta"],
+            list(r.per_port_packets))
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_matches_pinned_values(self, case):
+        assert _pinned_counters(case) == PINNED[case]

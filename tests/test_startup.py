@@ -8,6 +8,7 @@ interpreter, snapshots ``sys.modules`` before ``import repro``, makes one
 small call and lists what got loaded after the snapshot.
 """
 
+import functools
 import json
 import os
 import pathlib
@@ -81,10 +82,13 @@ def _outside(loaded):
     )
 
 
-def _loaded_modules(body):
+@functools.lru_cache(maxsize=None)
+def _loaded_modules(case):
+    """``{module: __file__}`` loaded by ``case``'s fresh interpreter (run
+    once per case and shared by the tests below)."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROLOGUE + body + _EPILOGUE],
+        [sys.executable, "-c", _PROLOGUE + CASES[case] + _EPILOGUE],
         env=env,
         capture_output=True,
         text=True,
@@ -96,7 +100,7 @@ def _loaded_modules(body):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_first_call_loads_only_stdlib_numpy_repro(case):
-    outside = _outside(_loaded_modules(CASES[case]))
+    outside = _outside(_loaded_modules(case))
     by_package = Counter(name.partition(".")[0] for name in outside)
     assert not outside, (
         f"{case}: loaded modules outside the standard library, numpy and "
@@ -105,3 +109,13 @@ def test_first_call_loads_only_stdlib_numpy_repro(case):
         "off the start-up path"
     )
 
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_first_call_loads_no_numpy_ma(case):
+    # np.percentile's first call imports numpy.ma (about 10 ms); the
+    # latency summaries use repro.metrics.latency.percentile instead.
+    masked = [
+        name for name in _loaded_modules(case)
+        if name == "numpy.ma" or name.startswith("numpy.ma.")
+    ]
+    assert not masked, f"{case}: loaded {masked}"
