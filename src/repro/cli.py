@@ -240,7 +240,6 @@ def _cmd_sweep(args) -> int:
         fidelity=args.fidelity,
         partitions=args.partitions,
         link_latency=args.link_latency,
-        transport=args.transport,
     )
     base_workload = WorkloadSpec(
         pattern=args.pattern,
@@ -272,25 +271,6 @@ def _cmd_sweep(args) -> int:
     print(summarize(table))
     print(f"wrote {args.out}")
     return 0
-
-
-def _cmd_serve(args) -> int:
-    from repro.parallel.space_shard import serve_worker
-    from repro.parallel.transport import DEFAULT_AUTHKEY
-
-    authkey = args.authkey.encode() if args.authkey else DEFAULT_AUTHKEY
-    print(f"space worker: connecting to {args.address}", flush=True)
-    try:
-        rc = serve_worker(args.address, authkey=authkey)
-    except ConnectionRefusedError:
-        print(
-            f"no coordinator listening on {args.address}; start a run "
-            "with --transport socket:HOST:PORT first",
-            file=sys.stderr,
-        )
-        return 1
-    print("space worker: coordinator hung up, exiting", flush=True)
-    return rc
 
 
 def main(argv=None) -> int:
@@ -515,15 +495,6 @@ def main(argv=None) -> int:
         "(= the token-window length)",
     )
     sweep.add_argument(
-        "--transport",
-        default="pipe",
-        metavar="T",
-        help="space-engine boundary transport: pipe (default), socket "
-        "(localhost TCP hub), or socket:HOST:PORT to wait for external "
-        "`repro serve` workers (cells can also sweep `transport=pipe,socket` "
-        "as an axis)",
-    )
-    sweep.add_argument(
         "--pattern",
         default="permutation",
         choices=("permutation", "uniform", "hotspot"),
@@ -554,24 +525,6 @@ def main(argv=None) -> int:
         action="store_true",
         help="enable telemetry in every worker; each cell's result "
         "carries a telemetry summary",
-    )
-    serve = sub.add_parser(
-        "serve",
-        help="run one space-fabric worker that serves partitions to a "
-        "remote coordinator (a run started with "
-        "--transport socket:HOST:PORT)",
-    )
-    serve.add_argument(
-        "address",
-        metavar="HOST:PORT",
-        help="the coordinator's listen address",
-    )
-    serve.add_argument(
-        "--authkey",
-        default=None,
-        metavar="KEY",
-        help="shared secret for the connection (must match the "
-        "coordinator; default: a well-known development key)",
     )
     chaos = sub.add_parser(
         "chaos", help="fault-injection scenarios: MTTR / goodput / drops"
@@ -636,6 +589,4 @@ def main(argv=None) -> int:
         return _cmd_chaos(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
     return 2  # pragma: no cover

@@ -144,13 +144,11 @@ class SimConfig:
     fast_forward: bool = False
     #: Space fidelity only (DESIGN.md §13/§15): worker-process count for
     #: the token-window partitioned fabric (1 = in-process serial
-    #: reference, 0 = adaptive ``min(topology cut width, cpu_count)``),
-    #: the uniform inter-chip channel latency in quanta (= the token
-    #: window length), and the boundary transport ("pipe", "socket", or
-    #: "socket:HOST:PORT" for external ``repro serve`` workers).
+    #: reference, 0 = adaptive ``min(topology cut width, cpu_count)``)
+    #: and the uniform inter-chip channel latency in quanta (= the token
+    #: window length).
     partitions: int = 1
     link_latency: int = 4
-    transport: str = "pipe"
     costs: CostModel = field(default=_DEFAULT)
 
     def __post_init__(self):
@@ -160,11 +158,6 @@ class SimConfig:
             raise ValueError("partitions must be >= 1 (or 0 for adaptive)")
         if self.link_latency < 1:
             raise ValueError("link_latency must be >= 1 quantum")
-        if self.transport.split(":", 1)[0] not in ("pipe", "socket"):
-            raise ValueError(
-                f"unknown transport {self.transport!r}; expected pipe, "
-                "socket, or socket:HOST:PORT"
-            )
         if self.networks not in (1, 2):
             raise ValueError("Raw has one or two static networks")
         if self.fidelity not in FIDELITIES:

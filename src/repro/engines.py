@@ -306,16 +306,13 @@ class SpaceEngine(_BaseEngine):
 
     ``config.ports`` must be a perfect square ``k*k`` (the Clos wants
     ``3k`` chips of ``k`` ports); ``config.partitions`` workers advance
-    ``config.link_latency``-quantum token windows.  A reusable warm
-    :class:`~repro.parallel.space_shard.SpaceWorkerPool` can be bound
-    via :attr:`pool` to amortize process setup across runs.
+    ``config.link_latency``-quantum token windows.
     """
 
     fidelity = "space"
 
     def __init__(self, config: Optional[SimConfig] = None):
         super().__init__(config)
-        self.pool = None  #: optional warm SpaceWorkerPool
         #: Optional ``(part_id, state)`` callback receiving live worker
         #: telemetry snaps during distributed runs (``repro top`` wires
         #: its collector here).
@@ -390,9 +387,7 @@ class SpaceEngine(_BaseEngine):
         spec = self._spec(workload)
         self._check_fault_plan(spec)
         _install_port_classes(workload, self.config.ports)
-        stats, info = run_space(spec, pool=self.pool,
-                                on_snapshot=self.on_snapshot,
-                                transport=self.config.transport)
+        stats, info = run_space(spec, on_snapshot=self.on_snapshot)
         info.partitions_auto = self.config.partitions == 0
         return RunResult(
             fidelity=self.fidelity,

@@ -33,14 +33,13 @@ def run(
     geometry: str = "clos",
     partitions: int = 3,
     latency: int = 4,
-    transport: str = "pipe",
 ) -> ExperimentResult:
     """Compare one big ring against composed crossbars at ``k*k`` ports.
 
     ``k`` sets the chip size and port count (k*k ports from 3k chips);
-    ``partitions``/``latency``/``transport`` drive the same Clos through
-    the space-partitioned token-window engine for the distributed rows
-    (``transport``: pipe or socket -- DESIGN.md §15).
+    ``partitions``/``latency`` drive the same Clos through the
+    space-partitioned token-window engine for the distributed rows
+    (DESIGN.md §13).
     """
     if geometry != "clos":
         raise ValueError(f"unknown multichip geometry {geometry!r}")
@@ -95,7 +94,7 @@ def run(
         warmup_quanta=quanta // 10,
     )
     serial = run_space_serial(spec)
-    dist, info = run_space(spec, transport=transport)
+    dist, info = run_space(spec)
     if dist.counters() != serial.counters():
         raise AssertionError(
             "space-partitioned Clos diverged from the serial reference"

@@ -37,7 +37,6 @@ def run(
     seed: int = 0,
     space_port_counts=(16, 64, 256),
     space_partitions: int = 0,
-    space_transport: str = "pipe",
 ) -> ExperimentResult:
     """Large rings are affordable here because every quantum indexes the
     compiled allocation tables and the deterministic permutations also
@@ -83,8 +82,7 @@ def run(
     # space-partitioned Clos (DESIGN.md §13/§15) carries the curve to
     # N=256 by distributing 3*sqrt(N) crossbar chips across worker
     # processes (``space_partitions=0`` picks the adaptive
-    # min(middle-stage chips, cpu_count); ``space_transport`` selects
-    # the boundary transport).
+    # min(middle-stage chips, cpu_count)).
     import math
 
     from repro.core.spacetopo import build_topology
@@ -115,7 +113,7 @@ def run(
             quanta=q,
             warmup_quanta=200,
         )
-        stats, info = run_space(spec, transport=space_transport)
+        stats, info = run_space(spec)
         result.add(f"space_clos_antipodal_gbps_N{n}", stats.gbps)
         result.add(f"space_clos_workers_N{n}", float(info.workers))
     result.notes = (
@@ -125,6 +123,6 @@ def run(
         "behind the thesis's multi-crossbar future-work proposal.  The "
         "space-partitioned Clos rows show the composed topology carrying "
         "antipodal traffic out to N=256 across distributed chip "
-        "partitions (adaptive worker counts, pluggable transports)."
+        "partitions (adaptive worker counts)."
     )
     return result

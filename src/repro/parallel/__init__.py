@@ -9,17 +9,8 @@ from repro.parallel.space_shard import (  # noqa: F401
     SpaceSpec,
     SpaceWorkerPool,
     auto_partitions,
-    backend_counters,
-    merge_backend_counters,
     run_space,
-    run_space_inprocess,
     run_space_serial,
-    serve_worker,
-)
-from repro.parallel.transport import (  # noqa: F401
-    DEFAULT_AUTHKEY,
-    TRANSPORTS,
-    transport_name,
 )
 
 __all__ = [
@@ -27,13 +18,6 @@ __all__ = [
     "SpaceRunInfo",
     "SpaceWorkerPool",
     "auto_partitions",
-    "backend_counters",
-    "merge_backend_counters",
     "run_space",
-    "run_space_inprocess",
     "run_space_serial",
-    "serve_worker",
-    "DEFAULT_AUTHKEY",
-    "TRANSPORTS",
-    "transport_name",
 ]

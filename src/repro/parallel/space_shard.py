@@ -29,14 +29,14 @@ against serial across chip sizes and traffic families.
 
 Workers are *persistent*: :class:`SpaceWorkerPool` keeps the processes
 warm between runs and streams successive :class:`SpaceSpec` s to them
-over command pipes -- the seed of the long-lived simulator service the
-ROADMAP names.  Boundary batches travel over a pluggable transport
-(:mod:`repro.parallel.transport`): multiprocessing pipes (the default)
-or TCP sockets (``repro serve`` workers on other machines).  Both
-preserve the pipelining property: a worker that finished its window
-blocks only on the specific peers feeding it.  Every worker advances
-exactly one window per round and ships one batch per out-peer per round
--- firesim's per-link token discipline.
+over one duplex command pipe per worker.  Boundary batches travel over
+one simplex pipe per ordered partition pair, pickled explicitly so the
+bytes moved are counted.  A worker that finished its window blocks only
+on the specific peers feeding it.  Every worker advances exactly one
+window per round and ships one batch per out-peer per round --
+firesim's per-link token discipline.  Each worker holds only its own
+pipe ends, so a dead worker's pipes close everywhere and its peers and
+the coordinator fail with an error instead of waiting on it.
 
 ``partitions=0`` in the engine/CLI layer picks P adaptively
 (:func:`auto_partitions`: ``min(middle-stage chips, cpu_count)``).
@@ -44,6 +44,7 @@ exactly one window per round and ships one batch per out-peer per round
 
 from __future__ import annotations
 
+import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -64,7 +65,6 @@ from repro.core.spacetopo import (
     payload_to_stats,
 )
 from repro.faults.plan import FaultPlan
-from repro.parallel import transport as _transport
 from repro.telemetry import runtime as _telemetry
 
 
@@ -134,7 +134,6 @@ class SpaceRunInfo:
     boundary_flits: List[int]
     serial_fallback: bool = False
     fallback_reason: str = ""
-    transport: str = "pipe"
     bytes_moved: List[int] = field(default_factory=list)
     partitions_auto: bool = False
 
@@ -150,7 +149,6 @@ class SpaceRunInfo:
             "boundary_flits": list(self.boundary_flits),
             "serial_fallback": self.serial_fallback,
             "fallback_reason": self.fallback_reason,
-            "transport": self.transport,
             "bytes_moved": list(self.bytes_moved),
             # Workers advance one window per round, so no round is ever
             # coalesced; the per-worker zeros keep the key for readers.
@@ -202,36 +200,6 @@ def auto_partitions(topo: SpaceTopology) -> int:
     return max(1, min(topo.preferred_partitions, cpus))
 
 
-#: Associative/commutative per-backend counter keys folded through the
-#: telemetry merge path (sum-merge; see :func:`merge_backend_counters`).
-BACKEND_COUNTER_KEYS = (
-    "windows",
-    "boundary_flits",
-    "bytes_moved",
-)
-
-
-def backend_counters(info: SpaceRunInfo) -> Dict[str, int]:
-    """One worker-set's transport counters in sum-mergeable form."""
-    return {
-        "windows": sum(info.windows_per_worker),
-        "boundary_flits": sum(info.boundary_flits),
-        "bytes_moved": sum(info.bytes_moved),
-    }
-
-
-def merge_backend_counters(
-    a: Dict[str, int], b: Dict[str, int]
-) -> Dict[str, int]:
-    """Sum-merge two per-backend counter dicts (associative and
-    commutative over integer counters, so partial merges fold in any
-    order -- the same algebra the telemetry merge path relies on)."""
-    out = dict(a)
-    for key, val in b.items():
-        out[key] = out.get(key, 0) + val
-    return out
-
-
 def run_space_serial(spec: SpaceSpec) -> FabricStats:
     """The single-process reference: one :class:`PartitionSim` owning
     every chip, stepped over the whole timeline."""
@@ -262,8 +230,8 @@ def _simulate_partition(
     ``send_fns[peer](batch)`` ships one.  Returns ``(stats payload,
     windows, pipe-stall seconds, boundary flits sent)`` -- plus the
     worker-local telemetry state when ``tel_cfg`` asked for
-    recording.  The same function drives the multiprocessing workers
-    (any transport) and the in-process fallback used by tests.
+    recording.  The same function drives the pipe workers and the
+    in-process harness the tests use, which fakes both callables.
 
     ``tel_cfg`` (from :meth:`Telemetry.config` plus ``port_classes``)
     installs a fresh *worker-local* recorder for the duration: journeys
@@ -385,34 +353,52 @@ def _run_partition_rounds(
     return part_payload(sim.stats), rounds, stall, flits_sent, state
 
 
-def _space_worker(part_id, cmd_conn, link):
-    """Persistent worker loop: block on the command channel, run one
+def _space_worker(part_id, cmd_conn, recv_conns, send_conns, pool_ends):
+    """Persistent worker loop: block on the command pipe, run one
     partition per ``("run", spec, blocks, tel_cfg)`` message, exit on
     ``None`` (or the coordinator hanging up).  Live telemetry snaps
-    stream back over the same channel as ``("snap", part_id, state)``
+    stream back over the same pipe as ``("snap", part_id, state)``
     messages ahead of the terminal ``("ok", result, bytes_sent)`` /
-    ``("err", msg, traceback)``.  ``link`` is any transport worker link
-    (the pipe bundle, or the socket :class:`HubEndpoint`, which doubles
-    as ``cmd_conn``)."""
+    ``("err", msg, traceback)``; a worker exits after an ``err``.
+    ``recv_conns`` / ``send_conns`` map each peer to this worker's end
+    of the data pipe from / to it."""
+    # A forked worker inherits every pipe end the pool made.  Holding a
+    # peer's ends would keep them open after that peer died, so nobody
+    # would ever see its EOF or EPIPE: keep only this worker's own.
+    own = [cmd_conn, *recv_conns.values(), *send_conns.values()]
+    for end in pool_ends:
+        if end not in own:
+            end.close()
     # The fork start method hands children the parent's recorder; each
     # run installs its own local one (or none) via tel_cfg instead.
     _telemetry.RECORDER = None
-    ports = link.open()
-    # The socket hub demultiplexes commands from relayed data batches.
-    recv_cmd = getattr(cmd_conn, "recv_cmd", None) or cmd_conn.recv
+    sent = [0]
+
+    def make_send(conn):
+        def _send(batch):
+            payload = pickle.dumps(batch, pickle.HIGHEST_PROTOCOL)
+            sent[0] += len(payload)
+            conn.send_bytes(payload)
+
+        return _send
+
+    def make_recv(conn):
+        return lambda: pickle.loads(conn.recv_bytes())
+
+    recv_fns = {p: make_recv(c) for p, c in recv_conns.items()}
+    send_fns = {p: make_send(c) for p, c in send_conns.items()}
     while True:
         try:
-            msg = recv_cmd()
+            msg = cmd_conn.recv()
         except EOFError:
             return
         if msg is None:
             return
         _tag, spec, blocks, tel_cfg = msg
-        ports.reset_counters()
+        sent[0] = 0
         try:
             result = _simulate_partition(
-                spec, part_id, blocks,
-                ports.recv_fns, ports.send_fns,
+                spec, part_id, blocks, recv_fns, send_fns,
                 tel_cfg=tel_cfg,
                 snap_fn=(
                     (lambda state: cmd_conn.send(("snap", part_id, state)))
@@ -420,42 +406,68 @@ def _space_worker(part_id, cmd_conn, link):
                     else None
                 ),
             )
-            cmd_conn.send(("ok", result, ports.bytes_sent()))
+            cmd_conn.send(("ok", result, sent[0]))
         except Exception as exc:  # surfaced in the parent
             import traceback
 
             cmd_conn.send(("err", f"{type(exc).__name__}: {exc}",
                            traceback.format_exc()))
+            # Exit, so this worker's pipes close and a peer still waiting
+            # on its batches fails too instead of blocking for ever.
+            return
 
 
 class SpaceWorkerPool:
-    """A warm pool of ``P`` partition workers plus their boundary links.
+    """A warm pool of ``P`` partition workers and the pipes between them.
 
-    Construction launches the workers over the chosen transport backend
-    (``"pipe"`` pickle-over-pipe, or ``"socket"`` / ``"socket:HOST:PORT"``
-    TCP hub -- see :mod:`repro.parallel.transport`) with one directed
-    boundary link per ordered partition pair (full mesh -- any
+    Construction forks the workers (``multiprocessing``'s default start
+    method) and wires one duplex command pipe per worker plus one
+    simplex data pipe per ordered partition pair (full mesh -- any
     geometry's boundary graph is a subgraph).  :meth:`run` streams a
     :class:`SpaceSpec` to every worker and gathers the merged stats; the
     workers survive between runs, so successive workloads skip
-    process/link setup entirely.
+    process/pipe setup entirely.  A worker that raises or dies fails the
+    run with a ``RuntimeError`` naming its partition; the pool then has
+    a dead worker, so every later run fails the same way.
     Use as a context manager or call :meth:`close`.
     """
 
-    def __init__(
-        self,
-        partitions: int,
-        transport: str = "pipe",
-        authkey: bytes = _transport.DEFAULT_AUTHKEY,
-    ):
+    def __init__(self, partitions: int):
         if partitions < 2:
             raise ValueError("a worker pool needs at least 2 partitions")
+        import multiprocessing as mp
+
+        ctx = mp.get_context()
         self.partitions = partitions
-        self.transport = _transport.transport_name(transport)
-        self._backend = _transport.create(transport, partitions,
-                                          authkey=authkey)
-        self._backend.launch(_space_worker)
         self.runs = 0
+        self._procs: List[Any] = []
+        parts = range(partitions)
+        # data[src, dst] = (dst's receiving end, src's sending end)
+        data = {
+            (src, dst): ctx.Pipe(duplex=False)
+            for src in parts for dst in parts if src != dst
+        }
+        cmd = [ctx.Pipe(duplex=True) for _ in parts]
+        self._cmd_conns = [coord_end for coord_end, _ in cmd]
+        pool_ends = [end for pair in (*data.values(), *cmd) for end in pair]
+        for p in parts:
+            proc = ctx.Process(
+                target=_space_worker,
+                args=(
+                    p, cmd[p][1],
+                    {src: data[src, p][0] for src in parts if src != p},
+                    {dst: data[p, dst][1] for dst in parts if dst != p},
+                    pool_ends,
+                ),
+                daemon=True,
+            )
+            proc.start()
+            self._procs.append(proc)
+        # The workers hold their own ends now; keeping only the command
+        # ends here lets a worker's exit close its pipes everywhere.
+        for end in pool_ends:
+            if end not in self._cmd_conns:
+                end.close()
 
     # ------------------------------------------------------------------
     def run(
@@ -489,40 +501,41 @@ class SpaceWorkerPool:
             )
         if tel_cfg is not None and on_snapshot is not None:
             tel_cfg = dict(tel_cfg, stream_snaps=True)
-        cmd_conns = self._backend.cmd_conns
-        for conn in cmd_conns:
-            conn.send(("run", spec, blocks, tel_cfg))
-        results: Dict[int, Tuple] = {}
-        worker_bytes: Dict[int, int] = {}
+        if not self._cmd_conns:
+            raise RuntimeError("the worker pool is closed")
         errors = []
         tracebacks = []
-        part_of = {id(conn): p for p, conn in enumerate(cmd_conns)}
-        pending = list(cmd_conns)
+        pending = {}  # command pipe -> partition, until its result arrives
+        for p, conn in enumerate(self._cmd_conns):
+            try:
+                conn.send(("run", spec, blocks, tel_cfg))
+            except ConnectionError:  # the worker is gone: EPIPE
+                errors.append(f"partition {p}: worker died")
+            else:
+                pending[conn] = p
+        results: Dict[int, Tuple] = {}
+        worker_bytes: Dict[int, int] = {}
         while pending:
-            for conn in _conn_wait(pending):
-                p = part_of[id(conn)]
+            for conn in _conn_wait(list(pending)):
+                p = pending[conn]
                 try:
                     msg = conn.recv()
-                except EOFError:
+                except (EOFError, ConnectionError):
+                    # EOF, or a reset when it died with a command unread.
                     errors.append(f"partition {p}: worker died")
-                    pending.remove(conn)
-                    continue
-                if msg[0] == "data":
-                    # Socket hub: boundary batches relay through the
-                    # coordinator; the payload stays pickled end to end.
-                    self._backend.route_data(p, msg)
+                    del pending[conn]
                     continue
                 if msg[0] == "snap":
                     if on_snapshot is not None:
                         on_snapshot(msg[1], msg[2])
                     continue
-                pending.remove(conn)
+                del pending[conn]
                 if msg[0] != "ok":
                     errors.append(f"partition {p}: {msg[1]}")
                     tracebacks.append(f"partition {p}:\n{msg[2]}")
                 else:
                     results[p] = msg[1]
-                    worker_bytes[p] = msg[2] if len(msg) > 2 else 0
+                    worker_bytes[p] = msg[2]
         if errors:
             raise RuntimeError(
                 "space workers failed: " + "; ".join(errors) + "\n\n"
@@ -549,16 +562,28 @@ class SpaceWorkerPool:
             windows_per_worker=rounds_seen,
             pipe_stall_s=stalls,
             boundary_flits=flits,
-            transport=self.transport,
             bytes_moved=[worker_bytes[p] for p in range(self.partitions)],
         )
         return stats, info
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        if getattr(self, "_backend", None) is not None:
-            self._backend.close()
-            self._backend = None
+        """Tell every worker to exit, reap (or terminate) its process,
+        and close the command pipes."""
+        for conn in self._cmd_conns:
+            try:
+                conn.send(None)
+            except OSError:
+                pass
+        for proc in self._procs:
+            proc.join(timeout=5)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=5)
+        for conn in self._cmd_conns:
+            conn.close()
+        self._cmd_conns = []
+        self._procs = []
 
     def __enter__(self) -> "SpaceWorkerPool":
         return self
@@ -567,7 +592,7 @@ class SpaceWorkerPool:
         self.close()
 
     def __del__(self):
-        if getattr(self, "_backend", None) is not None:
+        if getattr(self, "_procs", None):
             self.close()
 
 
@@ -578,7 +603,6 @@ def run_space(
     spec: SpaceSpec,
     pool: Optional[SpaceWorkerPool] = None,
     on_snapshot=None,
-    transport: str = "pipe",
 ) -> Tuple[FabricStats, SpaceRunInfo]:
     """Run ``spec`` space-partitioned; bit-identical to
     :func:`run_space_serial`.
@@ -591,9 +615,8 @@ def run_space(
     stitch back together).  Only ``partitions == 1`` stays in-process --
     silently, because one partition *is* a single-process run.
     ``on_snapshot(part_id, state)`` streams live mid-run worker states
-    (distributed runs only).  A supplied warm ``pool`` is used as-is
-    (its transport wins); otherwise a throwaway pool on ``transport``
-    is created and torn down around the run.
+    (distributed runs only).  A supplied warm ``pool`` is used as-is;
+    otherwise a throwaway pool is created and torn down around the run.
     """
     tel = _telemetry.RECORDER
     if spec.partitions == 1:
@@ -613,7 +636,6 @@ def run_space(
             boundary_flits=[0],
             serial_fallback=True,
             fallback_reason="partitions=1",
-            transport=_transport.transport_name(transport),
             bytes_moved=[0],
         )
         if tel is not None:
@@ -627,7 +649,7 @@ def run_space(
             tel_cfg["port_classes"] = list(tel.journeys.port_classes)
     owned_pool = pool is None
     if owned_pool:
-        pool = SpaceWorkerPool(spec.partitions, transport=transport)
+        pool = SpaceWorkerPool(spec.partitions)
     try:
         stats, info = pool.run(spec, tel_cfg=tel_cfg, on_snapshot=on_snapshot)
     finally:
@@ -656,137 +678,3 @@ def _register_gauges(info: SpaceRunInfo) -> None:
     reg.set_gauge("space.partitions", info.partitions)
     reg.set_gauge("space.serial_fallback", info.serial_fallback)
     reg.set_gauge("space.bytes_moved", sum(info.bytes_moved))
-
-
-# ---------------------------------------------------------------------------
-# In-process round loop (no processes): used by tests to exercise the
-# exact window protocol deterministically under unequal partitions.
-# ---------------------------------------------------------------------------
-def run_space_inprocess(spec: SpaceSpec) -> Tuple[FabricStats, SpaceRunInfo]:
-    """Execute the token-window protocol with all partitions in one
-    process, interleaved round-robin via queue-backed pipes.
-
-    Same :func:`_simulate_partition` code as the worker processes --
-    only the transport differs (plain lists instead of pipes) -- so it
-    pins the *protocol* (window sizing, batch ordering, unequal
-    partition sizes) without multiprocessing nondeterminism.
-    """
-    from collections import deque as _dq
-
-    topo = spec.topology()
-    blocks = topo.partition(spec.partitions)
-    parts = len(blocks)
-    mailboxes: Dict[Tuple[int, int], Any] = {
-        (src, dst): _dq()
-        for src in range(parts)
-        for dst in range(parts)
-        if src != dst
-    }
-
-    def recv_fn(src: int, dst: int):
-        def _recv():
-            box = mailboxes[(src, dst)]
-            if not box:
-                raise RuntimeError(
-                    f"deadlock: partition {dst} waiting on {src} with an "
-                    "empty mailbox (window protocol violated)"
-                )
-            return box.popleft()
-
-        return _recv
-
-    results = []
-    # Round-robin co-execution: because each round's receives depend only
-    # on the previous round's sends, running partitions to completion one
-    # at a time *in any order* would deadlock, but stepping them through
-    # the protocol as generators is unnecessary -- sends all happen
-    # before the next round's receives, so executing partitions in order
-    # per *round* works.  _simulate_partition runs the whole timeline,
-    # so instead exploit the acyclic dependency: run partitions in an
-    # order where every in-peer batch is already present.  For arbitrary
-    # graphs that order may not exist within a single pass, so this
-    # helper simply pre-computes each partition fully, relying on the
-    # protocol property that partition p's round-r sends never depend on
-    # any other partition's round-r sends ... which holds only for
-    # DAG-ordered topologies like the feed-forward Clos (ingress ->
-    # middle -> egress).  The general case is what the process pool is
-    # for; tests use this helper on Clos only.
-    order = _toposort_partitions(topo, blocks)
-    for part_id in order:
-        recv_fns = {
-            src: recv_fn(src, part_id)
-            for src in range(parts)
-            if (src, part_id) in mailboxes
-        }
-        send_fns = {
-            dst: mailboxes[(part_id, dst)].append
-            for dst in range(parts)
-            if (part_id, dst) in mailboxes
-        }
-        results.append(
-            (part_id,
-             _simulate_partition(spec, part_id, blocks, recv_fns, send_fns))
-        )
-    results.sort()
-    payloads = [payload_to_stats(r[1][0]) for r in results]
-    stats = merge_part_stats(payloads, topo.num_ports, spec.costs)
-    info = SpaceRunInfo(
-        partitions=parts,
-        workers=1,
-        window=min(topo.window(blocks), spec.warmup_quanta + spec.quanta),
-        rounds=max(r[1][1] for r in results),
-        node_blocks=blocks,
-        windows_per_worker=[r[1][1] for r in results],
-        pipe_stall_s=[r[1][2] for r in results],
-        boundary_flits=[r[1][3] for r in results],
-        transport="inprocess",
-        bytes_moved=[0 for _ in results],
-    )
-    return stats, info
-
-
-def _toposort_partitions(
-    topo: SpaceTopology, blocks: List[List[int]]
-) -> List[int]:
-    """Partition order where every boundary producer precedes its
-    consumers; raises on cyclic partition graphs (those need the real
-    process pool)."""
-    owner = topo.node_owner(blocks)
-    parts = len(blocks)
-    deps: Dict[int, set] = {p: set() for p in range(parts)}
-    for ch in topo.channels:
-        a, b = owner[ch.src_node], owner[ch.dst_node]
-        if a != b:
-            deps[b].add(a)
-    order: List[int] = []
-    ready = [p for p in range(parts) if not deps[p]]
-    while ready:
-        p = ready.pop()
-        order.append(p)
-        for q in range(parts):
-            if p in deps[q]:
-                deps[q].discard(p)
-                if not deps[q]:
-                    ready.append(q)
-    if len(order) != parts:
-        raise ValueError(
-            "cyclic partition graph: in-process execution needs a "
-            "feed-forward topology (use the worker pool)"
-        )
-    return order
-
-
-# ---------------------------------------------------------------------------
-# The multi-machine worker entry point (``python -m repro serve``).
-# ---------------------------------------------------------------------------
-def serve_worker(
-    address: str, authkey: bytes = _transport.DEFAULT_AUTHKEY
-) -> int:
-    """Connect to a ``socket:HOST:PORT`` coordinator and serve space
-    partitions until it hangs up.  ``address`` is ``HOST:PORT``."""
-    host, _, port = address.rpartition(":")
-    if not port.isdigit():
-        raise ValueError(f"expected HOST:PORT, got {address!r}")
-    return _transport._serve_client(
-        (host or "127.0.0.1", int(port)), authkey, _space_worker
-    )

@@ -285,8 +285,7 @@ def summarize(table: Dict[str, Any]) -> str:
             else:
                 auto = "auto " if sp.get("partitions_auto") else ""
                 line += (
-                    f"  [space {auto}P{sp['workers']} "
-                    f"{sp.get('transport', 'pipe')}, "
+                    f"  [space {auto}P{sp['workers']}, "
                     f"{sum(sp['windows_per_worker'])}w, "
                     f"stall {sum(sp['pipe_stall_s']):.2f}s, "
                     f"{sum(sp['boundary_flits'])} bflits, "

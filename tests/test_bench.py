@@ -1,9 +1,10 @@
 """``repro bench --check``: the results-file validators reject stale
-sections -- an empty per-backend table, a backend that is not a live
-transport, a mode missing one of its suite's scenarios, a mode the suite
-does not have, a kernel report filed under the wrong mode -- and accept
-the committed results file.  Merging a kernel report touches only its
-own budget mode's slots."""
+sections -- a space row that does not record its host's cores, a mode
+missing one of its suite's scenarios, a mode the suite does not have, a
+kernel report filed under the wrong mode -- and accept the committed
+results file.  The space gate holds the speed floor only on rows with a
+core per worker.  Merging a kernel report touches only its own budget
+mode's slots."""
 
 import copy
 import json
@@ -63,21 +64,10 @@ class TestValidators:
         assert _errors(results) == []
         assert _check_exit(tmp_path, results) == 0
 
-    def test_non_transport_backend_rejected(self, results, tmp_path):
-        row = results["space_shard"]["quick"]["scenarios"][0]
-        row["backends"]["shm"] = dict(row["backends"]["pipe"])
-        errors = bench.validate_space(results)
-        assert errors == [
-            f"space_shard.quick.{row['scenario']}: backend 'shm' is not a "
-            "transport ('pipe', 'socket')"
-        ]
-        assert _check_exit(tmp_path, results) == 1
-
-    def test_empty_backends_rejected(self, results, tmp_path):
-        row = results["space_shard"]["full"]["scenarios"][0]
-        row["backends"] = {}
+    def test_space_row_without_cpu_count_rejected(self, results, tmp_path):
+        del results["space_shard"]["quick"]["scenarios"][0]["cpu_count"]
         assert bench.validate_space(results) == [
-            f"space_shard.full.{row['scenario']}: backends table is empty"
+            "space_shard.quick scenario missing 'cpu_count'"
         ]
         assert _check_exit(tmp_path, results) == 1
 
@@ -127,6 +117,47 @@ class TestValidators:
             "kernel_bench.current.full holds a 'quick' report"
         ]
         assert _check_exit(tmp_path, results) == 1
+
+
+def _space_row(name, partitions, cpu_count, speedup, stats_match=True,
+               serial_fallback=False):
+    return {
+        "scenario": name, "partitions": partitions, "cpu_count": cpu_count,
+        "oversubscribed": partitions > cpu_count, "speedup": speedup,
+        "stats_match": stats_match,
+        "space": {"serial_fallback": serial_fallback},
+    }
+
+
+class TestSpaceGate:
+    def test_oversubscribed_rows_not_held_to_the_floor(self):
+        report = {"scenarios": [_space_row("p4", 4, 2, 0.5),
+                                _space_row("p2", 2, 2, 1.1)]}
+        assert bench.check_space(report) == []
+
+    def test_slow_row_with_a_core_per_worker_fails(self):
+        report = {"scenarios": [_space_row("p2", 2, 2, 0.9)]}
+        assert bench.check_space(report) == [
+            "p2: speedup 0.9 < 1.0 with P=2 on 2 cores"
+        ]
+
+    def test_identity_and_fallback_checked_on_every_row(self):
+        report = {"scenarios": [
+            _space_row("p4", 4, 2, 2.0, stats_match=False,
+                       serial_fallback=True),
+            _space_row("p2", 2, 2, 1.1),
+        ]}
+        assert bench.check_space(report) == [
+            "p4: partitioned stats differ from the single-process reference",
+            "p4: fell back to serial (not a distributed measurement)",
+        ]
+
+    def test_host_without_a_qualifying_row_fails(self):
+        report = {"scenarios": [_space_row("p2", 2, 1, 3.0)]}
+        assert bench.check_space(report) == [
+            "no scenario has P <= cpu_count, so none was held to the "
+            "speed floor"
+        ]
 
 
 class TestMergeResults:

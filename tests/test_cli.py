@@ -104,3 +104,18 @@ class TestBadInput:
         assert named in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            pytest.param(["serve", "127.0.0.1:1"], "'serve'",
+                         id="serve-removed"),
+            pytest.param(["sweep", "--grid", "ports=16", "--transport",
+                          "pipe"], "--transport", id="sweep-transport-removed"),
+        ],
+    )
+    def test_removed_options_are_usage_errors(self, argv, named, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err

@@ -10,7 +10,9 @@ so any grouping of partitions folds to the same totals.
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from pathlib import Path
+from typing import Dict, List
 
 import pytest
 from hypothesis import given, settings
@@ -29,12 +31,13 @@ from repro.core.spacetopo import (
 from repro.engines import WorkloadSpec, run_config
 from repro.faults import FaultEvent, FaultPlan
 from repro.parallel import (
+    SpaceRunInfo,
     SpaceSpec,
     SpaceWorkerPool,
     run_space,
-    run_space_inprocess,
     run_space_serial,
 )
+from repro.parallel.space_shard import _simulate_partition
 from repro.telemetry import runtime
 from repro.traffic.build import shard_source
 from repro.traffic.spec import PRESETS, TrafficSpec, spec_from_legacy
@@ -81,6 +84,104 @@ def spec_for(k: int, partitions: int, source_key: str, latency: int = 2,
         quanta=quanta,
         warmup_quanta=warmup,
     )
+
+
+# ---------------------------------------------------------------------------
+# The in-process harness: the window protocol without processes.
+# ---------------------------------------------------------------------------
+def _toposort_partitions(topo, blocks: List[List[int]]) -> List[int]:
+    """Partition order where every boundary producer precedes its
+    consumers; raises on cyclic partition graphs (those need the real
+    worker pool)."""
+    owner = topo.node_owner(blocks)
+    parts = len(blocks)
+    deps: Dict[int, set] = {p: set() for p in range(parts)}
+    for ch in topo.channels:
+        a, b = owner[ch.src_node], owner[ch.dst_node]
+        if a != b:
+            deps[b].add(a)
+    order: List[int] = []
+    ready = [p for p in range(parts) if not deps[p]]
+    while ready:
+        p = ready.pop()
+        order.append(p)
+        for q in range(parts):
+            if p in deps[q]:
+                deps[q].discard(p)
+                if not deps[q]:
+                    ready.append(q)
+    if len(order) != parts:
+        raise ValueError(
+            "cyclic partition graph: in-process execution needs a "
+            "feed-forward topology (use the worker pool)"
+        )
+    return order
+
+
+def _run_partitions_inprocess(spec: SpaceSpec):
+    """Run every partition's :func:`_simulate_partition` in this
+    process over deque mailboxes; returns ``(topo, blocks, {part_id:
+    result})``.
+
+    Each partition runs its whole timeline in one go, producers first.
+    That is sound only on a feed-forward partition graph like the
+    Clos's (ingress -> middle -> egress), where every in-peer's batches
+    exist before their consumer starts; an empty mailbox means the
+    window protocol was violated.
+    """
+    topo = spec.topology()
+    blocks = topo.partition(spec.partitions)
+    parts = range(len(blocks))
+    mailboxes = {(src, dst): deque() for src in parts for dst in parts
+                 if src != dst}
+
+    def recv_fn(src: int, dst: int):
+        box = mailboxes[src, dst]
+
+        def _recv():
+            if not box:
+                raise RuntimeError(
+                    f"deadlock: partition {dst} waiting on {src} with an "
+                    "empty mailbox (window protocol violated)"
+                )
+            return box.popleft()
+
+        return _recv
+
+    results = {}
+    for part_id in _toposort_partitions(topo, blocks):
+        recv_fns = {src: recv_fn(src, part_id) for src in parts
+                    if src != part_id}
+        send_fns = {dst: mailboxes[part_id, dst].append for dst in parts
+                    if dst != part_id}
+        results[part_id] = _simulate_partition(
+            spec, part_id, blocks, recv_fns, send_fns
+        )
+    return topo, blocks, results
+
+
+def run_space_inprocess(spec: SpaceSpec):
+    """The token-window protocol with every partition in one process:
+    the pool workers' :func:`_simulate_partition` with mailboxes for
+    pipes, so it pins the protocol (window sizing, batch ordering,
+    unequal partition sizes) without multiprocessing nondeterminism."""
+    topo, blocks, results = _run_partitions_inprocess(spec)
+    ordered = [results[p] for p in range(len(blocks))]
+    stats = merge_part_stats(
+        [payload_to_stats(r[0]) for r in ordered], topo.num_ports, spec.costs
+    )
+    info = SpaceRunInfo(
+        partitions=len(blocks),
+        workers=1,
+        window=min(topo.window(blocks), spec.warmup_quanta + spec.quanta),
+        rounds=max(r[1] for r in ordered),
+        node_blocks=blocks,
+        windows_per_worker=[r[1] for r in ordered],
+        pipe_stall_s=[r[2] for r in ordered],
+        boundary_flits=[r[3] for r in ordered],
+        bytes_moved=[0] * len(ordered),
+    )
+    return stats, info
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +340,6 @@ class TestWindowProtocol:
         # Running a consumer partition before its producer violates the
         # window protocol; the transport must fail loudly (empty
         # mailbox), not silently simulate with missing traffic.
-        from collections import deque
-
-        from repro.parallel.space_shard import _simulate_partition
-
         spec = spec_for(4, 3, "permutation")
         topo = spec.topology()
         blocks = topo.partition(3)
@@ -269,10 +366,6 @@ class TestWindowProtocol:
         # Each producer sends exactly rounds-1 batches per out-peer
         # (every round but the last), empty windows included -- the
         # receiver counts batches, not flits, to frame its windows.
-        from collections import deque
-
-        from repro.parallel.space_shard import _simulate_partition
-
         spec = spec_for(2, 3, "permutation", latency=3, quanta=50, warmup=10)
         topo = spec.topology()
         blocks = topo.partition(3)
@@ -321,38 +414,10 @@ class TestMergeAssociativity:
     def _partition_payloads(self, spec: SpaceSpec):
         """Run the window protocol in-process and keep the raw
         per-partition PartStats (before the merge folds them)."""
-        from collections import deque
-
-        from repro.parallel.space_shard import (
-            _simulate_partition,
-            _toposort_partitions,
-        )
-
-        topo = spec.topology()
-        blocks = topo.partition(spec.partitions)
-        parts = len(blocks)
-        mailboxes = {
-            (s, d): deque()
-            for s in range(parts)
-            for d in range(parts)
-            if s != d
-        }
-        payloads = {}
-        for part_id in _toposort_partitions(topo, blocks):
-            recv_fns = {
-                s: mailboxes[(s, part_id)].popleft
-                for s in range(parts)
-                if (s, part_id) in mailboxes
-            }
-            send_fns = {
-                d: mailboxes[(part_id, d)].append
-                for d in range(parts)
-                if (part_id, d) in mailboxes
-            }
-            payloads[part_id], *_ = _simulate_partition(
-                spec, part_id, blocks, recv_fns, send_fns
-            )
-        return topo, [payload_to_stats(payloads[p]) for p in range(parts)]
+        topo, blocks, results = _run_partitions_inprocess(spec)
+        return topo, [
+            payload_to_stats(results[p][0]) for p in range(len(blocks))
+        ]
 
     @staticmethod
     def _combine(a, b):

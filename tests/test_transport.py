@@ -1,17 +1,22 @@
-"""Transport-layer invariants of the space-partitioned fabric.
+"""Pipe-transport invariants of the space-partitioned fabric.
 
-The contract under test (DESIGN.md §15): every transport backend --
-pipe and hub-relayed socket -- moves the token-window protocol
-bit-identically to the single-process reference at every partition
-count; the torus geometry pins its channel table; and the fault guard
-admits exactly the plans the engine can realize.
+The contract under test (DESIGN.md §15): the pipe workers move the
+token-window protocol bit-identically to the single-process reference
+at every partition count; a worker that dies fails the run loudly,
+naming its partition, instead of hanging it; the removed transport
+knobs stay removed; the torus geometry pins its channel table; and the
+fault guard admits exactly the plans the engine can realize.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import signal
+import threading
+import time
+
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.config import SimConfig
 from repro.core.spacetopo import build_topology, torus_topology
@@ -20,15 +25,13 @@ from repro.faults import FaultEvent, FaultPlan
 from repro.parallel import (
     SpaceSpec,
     SpaceWorkerPool,
-    TRANSPORTS,
     auto_partitions,
-    merge_backend_counters,
     run_space,
     run_space_serial,
-    serve_worker,
-    transport_name,
 )
-from repro.parallel.space_shard import BACKEND_COUNTER_KEYS, backend_counters
+from repro.sweep import build_cell
+from repro.traffic.build import shard_source
+from repro.traffic.spec import TrafficSpec
 
 
 def _result_key(res):
@@ -53,49 +56,132 @@ def spec_for(partitions: int, k: int = 4, geometry: str = "clos",
 
 
 # ---------------------------------------------------------------------------
-# Cross-backend bit-identity.
+# Pipe workers == serial.
 # ---------------------------------------------------------------------------
 class TestBackendIdentity:
-    @pytest.mark.parametrize("transport", list(TRANSPORTS))
-    @pytest.mark.parametrize("partitions", [1, 2, 4, 8])
-    def test_backend_matches_serial(self, transport, partitions):
+    @pytest.mark.parametrize("partitions", [1, 2, 4, 8],
+                             ids=lambda p: f"{p}-pipe")
+    def test_backend_matches_serial(self, partitions):
         spec = spec_for(partitions)
         ref = run_space_serial(spec)
-        got, info = run_space(spec, transport=transport)
+        got, info = run_space(spec)
         assert ref.counters() == got.counters()
-        assert info.transport == transport
         if partitions > 1:
             assert not info.serial_fallback
             assert sum(info.bytes_moved) > 0
 
-    def test_transport_name_parsing(self):
-        assert transport_name("pipe") == "pipe"
-        assert transport_name("socket") == "socket"
-        assert transport_name("socket:127.0.0.1:9999") == "socket"
-        for gone in ("carrier-pigeon", "shm"):
-            with pytest.raises(ValueError, match="transport"):
-                transport_name(gone)
+    def test_transport_options_removed(self):
+        with pytest.raises(TypeError):
+            SimConfig(transport="pipe")
+        with pytest.raises(TypeError):
+            SpaceWorkerPool(2, transport="pipe")
+        with pytest.raises(TypeError):
+            run_space(spec_for(2), transport="pipe")
+        with pytest.raises(ValueError, match="transport"):
+            build_cell({"transport": "pipe"})
 
-    def test_simconfig_validates_transport(self):
-        assert SimConfig(transport="socket:h:1").transport == "socket:h:1"
-        for gone in ("bogus", "shm"):
-            with pytest.raises(ValueError, match="transport"):
-                SimConfig(transport=gone)
 
-    def test_pool_reuse_stays_identical(self):
-        spec = spec_for(4)
-        ref = run_space_serial(spec)
-        with SpaceWorkerPool(4, transport="socket") as pool:
-            for _ in range(2):
-                got, info = run_space(spec, pool=pool)
-                assert got.counters() == ref.counters()
-                assert info.transport == "socket"
+# ---------------------------------------------------------------------------
+# A dead worker fails the run, bounded, and leaves no process behind.
+# ---------------------------------------------------------------------------
+#: Seconds a dead-worker test waits for the coordinator's error.  A run
+#: that blocks instead fails the test at this bound rather than hanging.
+DEAD_WORKER_BOUND_S = 20.0
 
-    def test_serve_worker_rejects_bad_address(self):
-        with pytest.raises(ValueError, match="HOST:PORT"):
-            serve_worker("nocolon")
-        with pytest.raises(ValueError, match="HOST:PORT"):
-            serve_worker("host:notaport")
+
+def _long_run_spec() -> SpaceSpec:
+    """A 64-port P=2 run that takes seconds, so a kill lands mid-run."""
+    return SpaceSpec(
+        k=8, latency=4, partitions=2, quanta=20_000, warmup_quanta=50,
+        source=SpaceSpec.pack_source(
+            {"kind": "uniform_counter", "words": 256, "seed": 3}
+        ),
+    )
+
+
+class TestDeadWorker:
+    #: ``unread_command``: the victim is stopped before the run and
+    #: killed with the run command still unread in its pipe.
+    @pytest.mark.parametrize("when",
+                             ["before_run", "mid_run", "unread_command"])
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_dead_worker_fails_the_run_naming_it(self, victim, when):
+        pool = SpaceWorkerPool(2)
+        proc = pool._procs[victim]
+        outcome = {}
+
+        def run():
+            try:
+                outcome["result"] = pool.run(_long_run_spec())
+            except Exception as exc:
+                outcome["error"] = exc
+
+        try:
+            if when == "before_run":
+                proc.kill()
+                proc.join(DEAD_WORKER_BOUND_S)
+            elif when == "unread_command":
+                os.kill(proc.pid, signal.SIGSTOP)
+            thread = threading.Thread(target=run, daemon=True)
+            thread.start()
+            if when != "before_run":
+                time.sleep(0.3)
+                proc.kill()
+            thread.join(DEAD_WORKER_BOUND_S)
+            assert not thread.is_alive(), (
+                f"run still blocked {DEAD_WORKER_BOUND_S:.0f} s after "
+                f"worker {victim} died"
+            )
+            assert "result" not in outcome, "the run finished before the kill"
+            err = outcome["error"]
+            assert isinstance(err, RuntimeError)
+            assert f"partition {victim}: worker died" in str(err)
+        finally:
+            for worker in pool._procs:
+                worker.kill()
+            pool.close()
+        assert multiprocessing.active_children() == []
+
+
+    def test_worker_error_mid_run_fails_the_run(self, tmp_path):
+        # At P=3 on k=4 only partition 0 (the ingress chips) reads the
+        # trace, so only it meets the malformed last record; its peers
+        # are left waiting on batches it will never send.
+        trace = tmp_path / "bad.csv"
+        rows = ["src,dst,bytes,count"]
+        rows += [f"{i % 16},{(5 * i) % 16},1024,4" for i in range(400)]
+        trace.write_text("\n".join(rows + ["3,5,banana,2"]) + "\n")
+        spec = SpaceSpec(
+            k=4, latency=2, partitions=3, quanta=4_000, warmup_quanta=10,
+            source=SpaceSpec.pack_source(
+                shard_source(TrafficSpec(kind="replay", trace=str(trace)))
+            ),
+        )
+        with pytest.raises(ValueError, match="malformed"):
+            run_space_serial(spec)
+        pool = SpaceWorkerPool(3)
+        outcome = {}
+
+        def run():
+            try:
+                outcome["result"] = pool.run(spec)
+            except Exception as exc:
+                outcome["error"] = exc
+
+        try:
+            thread = threading.Thread(target=run, daemon=True)
+            thread.start()
+            thread.join(DEAD_WORKER_BOUND_S)
+            assert not thread.is_alive(), (
+                f"run still blocked {DEAD_WORKER_BOUND_S:.0f} s after "
+                "partition 0 raised"
+            )
+            assert "partition 0: ValueError" in str(outcome["error"])
+        finally:
+            for worker in pool._procs:
+                worker.kill()
+            pool.close()
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -236,29 +322,3 @@ class TestFaultGuard:
             run_config(
                 SimConfig(ports=16, fidelity="space", partitions=2), wl
             )
-
-
-# ---------------------------------------------------------------------------
-# Per-backend counter merge.
-# ---------------------------------------------------------------------------
-COUNTERS = st.fixed_dictionaries(
-    {key: st.integers(0, 10**9) for key in BACKEND_COUNTER_KEYS}
-)
-
-
-class TestCounterMerge:
-    @settings(max_examples=50, deadline=None)
-    @given(a=COUNTERS, b=COUNTERS, c=COUNTERS)
-    def test_merge_is_associative_and_commutative(self, a, b, c):
-        ab_c = merge_backend_counters(merge_backend_counters(a, b), c)
-        a_bc = merge_backend_counters(a, merge_backend_counters(b, c))
-        assert ab_c == a_bc
-        assert merge_backend_counters(a, b) == merge_backend_counters(b, a)
-
-    def test_backend_counters_shape(self):
-        spec = spec_for(2)
-        _, info = run_space(spec)
-        counters = backend_counters(info)
-        assert set(counters) == set(BACKEND_COUNTER_KEYS)
-        assert counters["bytes_moved"] == sum(info.bytes_moved)
-        assert counters["boundary_flits"] == sum(info.boundary_flits)
