@@ -274,7 +274,7 @@ def _cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Subparser(
         prog="python -m repro",
         description="Regenerate tables/figures from the Raw router paper.",
     )

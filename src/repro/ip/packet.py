@@ -7,11 +7,14 @@ checksum helpers implement verification and the incremental TTL patch,
 and ``synthesize`` builds deterministic test/benchmark packets of any
 size.  A synthesized packet's payload word ``i`` is
 ``(ident * 2654435761 + i * 0x9E3779B9) mod 2**32``, with the unmasked
-``ident`` (the header keeps only its low 16 bits).
+``ident`` (the header keeps only its low 16 bits).  The phase-level
+router only ever takes a payload's length, so ``synthesize`` stores a
+read-only sequence that builds those words on first read.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import List, Sequence, Tuple
@@ -29,6 +32,54 @@ MAX_TOTAL_LENGTH = 0xFFFF
 #: largest payload; ``synthesize`` adds the ident term to a prefix of it.
 _PAYLOAD_STEP = np.arange(MAX_TOTAL_LENGTH // 4 - HEADER_WORDS_IPV4, dtype=np.uint32)
 _PAYLOAD_STEP *= np.uint32(0x9E3779B9)  # uint32 arithmetic wraps mod 2**32
+
+
+class _PayloadWords(abc.Sequence):
+    """A synthesized packet's payload: ``n`` words derived from ``ident``.
+
+    ``len`` is free; the first index, iteration or comparison builds the
+    tuple of Python ints the closed form gives, once, and everything
+    after reads that tuple.  It compares and hashes like the tuple,
+    shows its words in ``repr`` and pickles as ``(ident, n)``.
+    """
+
+    __slots__ = ("_ident", "_n", "_words")
+
+    def __init__(self, ident: int, n: int):
+        self._ident = ident
+        self._n = n
+        self._words = None
+
+    def words(self) -> Tuple[int, ...]:
+        words = self._words
+        if words is None:
+            # uint32 addition wraps mod 2**32; tolist() gives Python ints.
+            base = np.uint32(self._ident * 2654435761 & 0xFFFFFFFF)
+            words = self._words = tuple((_PAYLOAD_STEP[: self._n] + base).tolist())
+        return words
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        return self.words()[index]
+
+    def __iter__(self):
+        return iter(self.words())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _PayloadWords):
+            other = other.words()
+        return self.words() == other
+
+    def __hash__(self) -> int:
+        return hash(self.words())
+
+    def __repr__(self) -> str:
+        return repr(self.words())
+
+    def __reduce__(self):
+        return _PayloadWords, (self._ident, self._n)
 
 
 class PacketField(IntEnum):
@@ -54,7 +105,8 @@ class IPv4Packet:
     flags: int = 0
     frag_offset: int = 0
     checksum: int = 0
-    payload: Tuple[int, ...] = ()
+    #: A tuple, or a synthesized packet's words built on first read.
+    payload: Sequence[int] = ()
     #: metadata stamped by the harness, not serialized:
     arrival_cycle: int = -1
     departure_cycle: int = -1
@@ -171,12 +223,24 @@ class IPv4Packet:
             raise ValueError("packet size must be word-aligned")
         if size_bytes > MAX_TOTAL_LENGTH:
             raise ValueError("packet exceeds IPv4 maximum length")
-        n_payload = size_bytes // 4 - HEADER_WORDS_IPV4
-        # uint32 addition wraps mod 2**32; tolist() gives Python ints.
-        base = np.uint32(ident * 2654435761 & 0xFFFFFFFF)
-        payload = tuple((_PAYLOAD_STEP[:n_payload] + base).tolist())
-        pkt = cls(src=src, dst=dst, ttl=ttl, ident=ident & 0xFFFF, payload=payload)
-        return pkt.fill_checksum()
+        if not 0 <= ttl <= 0xFF:
+            raise ValueError(f"ttl {ttl} out of 8-bit range")
+        ident16 = ident & 0xFFFF
+        # fill_checksum() in place: the ten header halfwords with the
+        # checksum field 0 (version/IHL 0x45, TOS, flags and fragment
+        # offset all 0; total length == size_bytes; protocol 17), summed
+        # and folded twice -- the sum is below 8 * 0xFFFF.
+        total = (
+            0x4500 + size_bytes + ident16 + (ttl << 8 | 17)
+            + (src >> 16 & 0xFFFF) + (src & 0xFFFF)
+            + (dst >> 16 & 0xFFFF) + (dst & 0xFFFF)
+        )
+        total = (total & 0xFFFF) + (total >> 16)
+        total = (total & 0xFFFF) + (total >> 16)
+        return cls(
+            src, dst, ttl, 17, ident16, 0, 0, 0, ~total & 0xFFFF,
+            _PayloadWords(ident, size_bytes // 4 - HEADER_WORDS_IPV4),
+        )
 
     def copy(self) -> "IPv4Packet":
         return replace(self)

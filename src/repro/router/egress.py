@@ -25,19 +25,22 @@ class EgressProcessor:
 
     def run(self) -> Generator:
         router = self.router
-        queue = router.egress_queues[self.port]
+        sim = router.sim
         stats = router.stats
+        have = self._have
+        get = Get(router.egress_queues[self.port])
         tel = _telemetry.RECORDER
         port_s = f"port{self.port}"
         while True:
-            frag = yield Get(queue)
-            pid = id(frag.packet)
-            got = self._have.get(pid, 0) + 1
-            if got < frag.count:
-                self._have[pid] = got
-                continue
-            self._have.pop(pid, None)
+            frag = yield get
             pkt = frag.packet
+            pid = id(pkt)
+            if frag.count > 1:
+                got = have.get(pid, 0) + 1
+                if got < frag.count:
+                    have[pid] = got
+                    continue
+                have.pop(pid, None)
             if router.faults_on:
                 # Egress-side verification: a header corrupted in flight
                 # no longer matches its checksum (ingress re-patched it
@@ -46,24 +49,20 @@ class EgressProcessor:
                     stats.corrupt_drops += 1
                     router.resilience.record_drop("corrupt")
                     if tel is not None:
-                        tel.journeys.drop(pid, "corrupt", router.sim.now)
-                        tel.events.emit(
-                            router.sim.now, EV_PKT_DROP, port_s, "corrupt"
-                        )
+                        tel.journeys.drop(pid, "corrupt", sim.now)
+                        tel.events.emit(sim.now, EV_PKT_DROP, port_s, "corrupt")
                         tel.registry.count("drops.corrupt")
                     continue
             # Stream the complete packet to the line card: 1 word/cycle.
-            yield Timeout(pkt.total_words, BUSY)
-            pkt.departure_cycle = router.sim.now
+            words = pkt.total_words
+            yield Timeout(words, BUSY)
+            now = sim.now
+            pkt.departure_cycle = now
             if tel is not None:
-                tel.journeys.depart(pid, router.sim.now)
-                tel.events.emit(
-                    router.sim.now, EV_PKT_DEPART, port_s, pkt.total_length
-                )
-            stats.record_delivery(
-                router.sim.now, self.port, pkt.total_length, pkt.input_port
-            )
+                tel.journeys.depart(pid, now)
+                tel.events.emit(now, EV_PKT_DEPART, port_s, pkt.total_length)
+            stats.record_delivery(now, self.port, pkt.total_length, pkt.input_port)
             if router.faults_on:
-                router.resilience.delivered_words += pkt.total_words
-            if pkt.arrival_cycle >= 0 and router.sim.now >= stats.warmup_cycles:
-                stats.latency.record(pkt.arrival_cycle, pkt.departure_cycle)
+                router.resilience.delivered_words += words
+            if pkt.arrival_cycle >= 0 and now >= stats.warmup_cycles:
+                stats.latency.record(pkt.arrival_cycle, now)

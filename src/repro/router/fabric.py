@@ -86,6 +86,8 @@ class RotatingCrossbarFabric:
         timing = router.timing
         n = router.num_ports
         transform = router.transform
+        # The control phases' cycles; each quantum adds its longest body.
+        control = quantum_cycles(0, 0, timing, router.pipelined, costs=router.costs)
         tel = _telemetry.RECORDER
 
         while True:
@@ -131,10 +133,7 @@ class RotatingCrossbarFabric:
                 frag = heads[grant.src]
                 w = frag.words * (transform.cycles_per_word if transform else 1)
                 body = max(body, w + grant.expansion)
-            duration = (
-                quantum_cycles(0, 0, timing, router.pipelined, costs=router.costs)
-                + body
-            )
+            duration = control + body
             stats.quanta += 1
             stats.blocked_grants += len(alloc.blocked)
             stats.grant_histogram[alloc.num_granted] += 1

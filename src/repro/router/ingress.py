@@ -49,26 +49,34 @@ class IngressProcessor:
 
     def run(self) -> Generator:
         router = self.router
+        sim = router.sim
         stats = router.stats
+        table = router.table
+        num_ports = router.num_ports
+        max_quantum_words = router.max_quantum_words
+        queue = router.input_queues[self.port]
+        fabric_wake = router.fabric_wake
+        lookup_cycles = router.costs.lookup_cycles
+        header = Timeout(router.costs.ingress_header_cycles, BUSY)
+        supply = self.supply
+        line = Get(self.line_in) if supply is None else None
         tel = _telemetry.RECORDER
         port_s = f"port{self.port}"
         while True:
-            if self.supply is not None:
-                pkt = self.supply()
+            if supply is not None:
+                pkt = supply()
                 if pkt is None:
                     return
             else:
-                pkt = yield Get(self.line_in)
+                pkt = yield line
                 if pkt is None:  # sentinel: line card finished
                     return
             self.packets_in += 1
             if pkt.arrival_cycle < 0:
-                pkt.arrival_cycle = router.sim.now
+                pkt.arrival_cycle = sim.now
             if tel is not None:
-                tel.journeys.arrive(id(pkt), self.port, router.sim.now)
-                tel.events.emit(
-                    router.sim.now, EV_PKT_ARRIVE, port_s, pkt.total_length
-                )
+                tel.journeys.arrive(id(pkt), self.port, sim.now)
+                tel.events.emit(sim.now, EV_PKT_ARRIVE, port_s, pkt.total_length)
             words = pkt.total_words
             if router.faults_on:
                 router.resilience.offered_words += words
@@ -76,27 +84,26 @@ class IngressProcessor:
             # Stream the packet in from the line (1 word/cycle); the
             # route lookup runs on the Lookup Processor concurrently and
             # only extends the critical path when it outlasts the payload.
-            lookup_extra = max(0, router.costs.lookup_cycles - words)
-            yield Timeout(words + lookup_extra, BUSY)
-            yield Timeout(router.costs.ingress_header_cycles, BUSY)
+            yield Timeout(max(words, lookup_cycles), BUSY)
+            yield header
 
             # Functional header path: these really run on the packet.
             if not pkt.checksum_ok():
                 stats.checksum_drops += 1
                 if tel is not None:
-                    self._drop(tel, pkt, "checksum", router.sim.now)
+                    self._drop(tel, pkt, "checksum", sim.now)
                 continue
             if pkt.ttl <= 1:
                 stats.ttl_drops += 1
                 if tel is not None:
-                    self._drop(tel, pkt, "ttl", router.sim.now)
+                    self._drop(tel, pkt, "ttl", sim.now)
                 continue
             pkt.decrement_ttl()
-            out_port = router.table.lookup(pkt.dst)
-            if out_port is None or not 0 <= out_port < router.num_ports:
+            out_port = table.lookup(pkt.dst)
+            if out_port is None or not 0 <= out_port < num_ports:
                 stats.ttl_drops += 1  # unroutable; folded into drop count
                 if tel is not None:
-                    self._drop(tel, pkt, "unroutable", router.sim.now)
+                    self._drop(tel, pkt, "unroutable", sim.now)
                 continue
             if router.faults_on and router.degraded.any_dead:
                 # Degraded mode: the routing layer has reconverged around
@@ -106,28 +113,22 @@ class IngressProcessor:
                     stats.dead_port_drops += 1
                     router.resilience.record_drop("dead_port")
                     if tel is not None:
-                        self._drop(tel, pkt, "dead_port", router.sim.now)
+                        self._drop(tel, pkt, "dead_port", sim.now)
                     continue
             pkt.output_port = out_port
             if tel is not None:
-                tel.journeys.lookup(
-                    id(pkt), out_port, pkt.total_length, router.sim.now
-                )
-                tel.events.emit(
-                    router.sim.now, EV_PKT_LOOKUP, port_s, out_port
-                )
+                tel.journeys.lookup(id(pkt), out_port, pkt.total_length, sim.now)
+                tel.events.emit(sim.now, EV_PKT_LOOKUP, port_s, out_port)
 
             first = True
-            for frag in fragment_packet(pkt, out_port, router.max_quantum_words):
-                yield Put(router.input_queues[self.port], frag)
+            for frag in fragment_packet(pkt, out_port, max_quantum_words):
+                yield Put(queue, frag)
                 if first:
                     first = False
                     if tel is not None:
-                        tel.journeys.enqueue(id(pkt), router.sim.now)
-                        tel.events.emit(
-                            router.sim.now, EV_PKT_ENQUEUE, port_s, out_port
-                        )
-                router.sim.try_put(router.fabric_wake, 1)
+                        tel.journeys.enqueue(id(pkt), sim.now)
+                        tel.events.emit(sim.now, EV_PKT_ENQUEUE, port_s, out_port)
+                sim.try_put(fabric_wake, 1)
 
     @staticmethod
     def _drop(tel, pkt, cause: str, now: int) -> None:

@@ -177,20 +177,27 @@ def router_traffic(spec: TrafficLike, config: SimConfig):
         raise ValueError("router_traffic needs a traffic spec")
     n = config.ports
     _check_hot_port(spec, n)
-    rng = np.random.default_rng(config.seed)
-    factory = PacketFactory(n, rng)
-    if spec.kind == "replay":
-        return TraceReplay(spec.trace, n=n, loop=spec.loop), factory, None
     if _is_legacy(spec):
         p = spec.pattern
         if p.kind == "permutation":
+            # No pattern draws: the factory is the generator's only reader.
+            rng = config.seed
             pattern = FixedPermutation.shift(n, p.shift)
-        elif p.kind == "uniform":
-            pattern = UniformDestinations(n, rng, exclude_self=p.exclude_self)
         else:
-            pattern = HotspotDestinations(n, rng, hot=p.hot_port, p_hot=p.p_hot)
+            # The historical draw order: the pattern draws from the
+            # factory's generator between packets, so they share it.
+            rng = np.random.default_rng(config.seed)
+            if p.kind == "uniform":
+                pattern = UniformDestinations(n, rng, exclude_self=p.exclude_self)
+            else:
+                pattern = HotspotDestinations(n, rng, hot=p.hot_port, p_hot=p.p_hot)
         workload = Workload(pattern, FixedSize(spec.sizes.bytes), Saturated())
-        return workload, factory, None
+        return workload, PacketFactory(n, rng), None
+    # The factory is the only reader of its generator (the line cards
+    # draw from their own), so it owns one and draws addresses in blocks.
+    factory = PacketFactory(n, config.seed)
+    if spec.kind == "replay":
+        return TraceReplay(spec.trace, n=n, loop=spec.loop), factory, None
     if spec.arrivals.kind == "saturated":
         return SpecModel(spec, n=n, seed=config.seed), factory, None
     # Paced: strip the arrival gate (line cards pace in simulated time).

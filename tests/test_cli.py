@@ -43,9 +43,15 @@ class TestRun:
         assert main(["run", "nope"]) == 2
         assert "unknown" in capsys.readouterr().err
 
-    def test_requires_subcommand(self):
-        with pytest.raises(SystemExit):
-            main([])
+    def test_requires_subcommand(self, capsys):
+        assert main([]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestTrace:
@@ -115,7 +121,7 @@ class TestBadInput:
         ],
     )
     def test_removed_options_are_usage_errors(self, argv, named, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert named in capsys.readouterr().err
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert len(err.strip().splitlines()) == 1

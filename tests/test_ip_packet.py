@@ -1,10 +1,15 @@
 """IPv4 packet serialization and header operations."""
 
+import dataclasses
+import pickle
+from collections import abc
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ip.addr import ip_to_int
+from repro.ip.checksum import internet_checksum
 from repro.ip.packet import HEADER_WORDS_IPV4, IPv4Packet
 
 addr = st.integers(min_value=0, max_value=0xFFFFFFFF)
@@ -54,6 +59,105 @@ class TestSynthesize:
         )
         assert all(type(word) is int for word in pkt.payload)
         assert pkt.ident == ident & 0xFFFF
+
+    @given(src=addr, dst=addr, ident=st.integers(0, 2**40),
+           ttl=st.integers(0, 255), nwords=st.integers(0, 0xFFFF // 4 - 5))
+    @example(src=0xFFFFFFFF, dst=0xFFFFFFFF, ident=48090, ttl=255, nwords=0)
+    @settings(max_examples=200)
+    def test_checksum_matches_the_halfword_sum(self, src, dst, ident, ttl, nwords):
+        """The in-place sum equals fill_checksum's; the explicit example's
+        sum needs the second carry fold."""
+        pkt = IPv4Packet.synthesize(src, dst, 20 + 4 * nwords, ident=ident, ttl=ttl)
+        assert pkt.checksum == internet_checksum(
+            pkt.header_halfwords(zero_checksum=True)
+        )
+        assert pkt.checksum_ok()
+
+    @pytest.mark.parametrize("ttl", [-1, 256])
+    def test_ttl_out_of_range_rejected(self, ttl):
+        with pytest.raises(ValueError):
+            IPv4Packet.synthesize(1, 2, 64, ttl=ttl)
+
+
+def closed_form(ident, size):
+    return tuple(
+        (ident * 2654435761 + i * 0x9E3779B9) % 2**32
+        for i in range(size // 4 - HEADER_WORDS_IPV4)
+    )
+
+
+class TestPayloadWords:
+    """``synthesize`` stores its payload as a sequence built on first read;
+    everywhere it is read it must behave as the tuple of its words."""
+
+    @pytest.fixture
+    def unbuildable(self, monkeypatch):
+        """Make building any synthesized payload's words fail."""
+        from repro.ip import packet
+
+        def refuse(self):
+            raise AssertionError("payload words were built")
+
+        monkeypatch.setattr(packet._PayloadWords, "words", refuse)
+
+    def test_lengths_leave_words_unbuilt(self, unbuildable):
+        pkt = IPv4Packet.synthesize(1, 2, 576, ident=9)
+        assert len(pkt.payload) == 576 // 4 - HEADER_WORDS_IPV4
+        assert pkt.total_words == 576 // 4
+        assert pkt.total_length == 576
+        assert pkt.checksum_ok()
+        pkt.decrement_ttl()
+        assert pkt.checksum_ok()
+
+    def test_router_run_leaves_words_unbuilt(self, unbuildable):
+        from repro import SimConfig, WorkloadSpec, run_config
+
+        r = run_config(SimConfig(fidelity="router", ports=4, seed=3),
+                       WorkloadSpec(traffic="imix", packets=200))
+        assert r.delivered_packets >= 200
+
+    @pytest.mark.parametrize("size", [20, 64, 1500])
+    def test_behaves_as_its_tuple(self, size):
+        pkt = IPv4Packet.synthesize(1, 2, size, ident=77)
+        words = closed_form(77, size)
+        assert pkt.payload == words and words == pkt.payload
+        assert not pkt.payload != words and not words != pkt.payload
+        assert hash(pkt.payload) == hash(words)
+        assert repr(pkt.payload) == repr(words)
+        assert tuple(pkt.payload) == words
+        assert list(pkt.payload) == list(words)
+        assert pkt.payload[1:3] == words[1:3]
+        if words:
+            assert pkt.payload[-1] == words[-1]
+            assert words[0] in pkt.payload
+        assert pkt.payload != list(words)  # as a tuple is unequal to a list
+        assert isinstance(pkt.payload, abc.Sequence)
+        assert all(type(w) is int for w in pkt.payload)
+
+    def test_two_payloads_compare_by_words(self):
+        a = IPv4Packet.synthesize(1, 2, 256, ident=5).payload
+        b = IPv4Packet.synthesize(3, 4, 256, ident=5).payload
+        c = IPv4Packet.synthesize(1, 2, 256, ident=6).payload
+        short = IPv4Packet.synthesize(1, 2, 252, ident=5).payload
+        assert a == b and b == a
+        assert a != c and a != short
+        assert len({a, b, closed_form(5, 256)}) == 1
+
+    def test_pickle_replace_and_copy(self):
+        pkt = IPv4Packet.synthesize(10, 20, 1024, ident=123)
+        again = pickle.loads(pickle.dumps(pkt))
+        assert again == pkt
+        assert again.payload == closed_form(123, 1024)
+        assert dataclasses.replace(pkt, ttl=9).payload == pkt.payload
+        dup = pkt.copy()
+        assert dup == pkt and dup.payload == closed_form(123, 1024)
+
+    def test_words_roundtrip_equals_the_packet(self):
+        pkt = IPv4Packet.synthesize(0x0A000001, 0xC0A80001, 512, ident=2**20 + 3)
+        again = IPv4Packet.from_words(pkt.to_words())
+        assert type(again.payload) is tuple
+        assert again.payload == pkt.payload
+        assert again == pkt and pkt == again
 
 
 class TestRoundtrip:
