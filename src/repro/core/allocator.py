@@ -56,11 +56,13 @@ class Grant:
     src: int
     dst: int
     path: Path
+    #: Ring hops between source and destination crossbar tiles: the
+    #: path's hop count, stored once because every engine's quantum
+    #: reads it per grant.  Not part of equality, hash or repr.
+    expansion: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def expansion(self) -> int:
-        """Ring hops between source and destination crossbar tiles."""
-        return self.path.hops
+    def __post_init__(self):
+        object.__setattr__(self, "expansion", self.path.hops)
 
 
 @dataclass

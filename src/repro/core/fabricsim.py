@@ -8,19 +8,30 @@ clock by the quantum's phase cost, deliver fragments, rotate the token.
 The full router model (:mod:`repro.router`) layers ingress/lookup/egress
 pipelines on top; for saturated inputs both models agree on throughput
 (cross-checked in tests) because the fabric is the bottleneck stage.
+:meth:`FabricSimulator.run` steps a fixed number of quanta.
+
+Cost of a quantum
+-----------------
+Each quantum does only its own work: one pass over the ports refills
+the empty queues (a busy queue costs no call) and collects the
+requests, the allocation rule indexes the shared compiled tables
+(:class:`~repro.core.allocator.CompiledAllocator`) through
+:meth:`Allocator.allocate <repro.core.allocator.Allocator.allocate>`,
+each grant's hop count is a field of the
+:class:`~repro.core.allocator.Grant`, and the control phases are
+priced once per simulator.  The legacy stochastic sources own their
+generator (see the canned sources below).
 
 Fast path
 ---------
-Every quantum evaluates the allocation rule through the shared compiled
-tables (:class:`~repro.core.allocator.CompiledAllocator`).  One layer on
-top is opt-in, bit-identical to the plain step loop:
+One layer on top of the step loop is opt-in, bit-identical to it:
 
 * **steady-state fast-forward** (``fast_forward=True``) -- for
   deterministic sources the (queue-contents, token) state recurs with a
   short period; once a cycle is detected the per-cycle stats delta is
   applied in closed form over the remaining quanta.  Automatically
-  disabled whenever faults, telemetry recording, ``keep_history``, a
-  stochastic source, or a ``min_packets`` stopping rule are active.
+  disabled whenever faults, telemetry recording, ``keep_history`` or a
+  stochastic source are active.
 """
 
 from __future__ import annotations
@@ -313,6 +324,9 @@ class FabricSimulator:
             )
         self.timing = timing
         self.pipelined = pipelined
+        # The control phases cost the same every quantum: price them once.
+        self._ctl_cycles = quantum_cycles(0, 0, timing, pipelined, costs=costs)
+        self._idle_cycles = idle_quantum_cycles(timing)
         self.keep_history = keep_history
         self.history: List[Tuple[Tuple[Optional[int], ...], Allocation]] = []
         self._queues: List[Deque[_HolFragment]] = [
@@ -357,8 +371,8 @@ class FabricSimulator:
         )
 
     def _refill(self, port: int, source: PortSource, tel=None) -> None:
-        if self._queues[port]:
-            return
+        """Queue the next packet ``source`` offers ``port`` (whose queue
+        is empty), split into quantum-sized fragments."""
         pkt = source(port)
         if pkt is None:
             return
@@ -384,29 +398,23 @@ class FabricSimulator:
                 return
         if tel is not None:
             tel.journeys.enqueue(tag, self.clock)
+        queue = self._queues[port]
+        quantum = self.max_quantum_words
         remaining = words
-        while remaining > 0:
-            q = min(remaining, self.max_quantum_words)
-            remaining -= q
-            self._queues[port].append(
-                _HolFragment(dest=dest, words=q, is_last=remaining == 0,
-                             packet_words=words, tag=tag)
-            )
+        while remaining > quantum:
+            remaining -= quantum
+            queue.append(_HolFragment(dest, quantum, False, words, False, tag))
+        queue.append(_HolFragment(dest, remaining, True, words, False, tag))
 
     def run(
         self,
         source: PortSource,
-        quanta: Optional[int] = None,
-        min_packets: Optional[int] = None,
+        quanta: int,
         warmup_quanta: int = 0,
     ) -> FabricStats:
-        """Run until ``quanta`` quanta elapse or ``min_packets`` deliver.
-
-        ``warmup_quanta`` initial quanta are simulated but excluded from
-        the returned statistics (queues reach steady state first).
-        """
-        if quanta is None and min_packets is None:
-            raise ValueError("need a stopping condition")
+        """Run ``quanta`` measured quanta after ``warmup_quanta`` initial
+        ones, which are simulated but excluded from the returned
+        statistics (queues reach steady state first)."""
         stats = FabricStats(num_ports=self.ring.n, costs=self.costs)
         tel = _telemetry.RECORDER
         if tel is not None and self._gauge_registry is not tel.registry:
@@ -415,14 +423,12 @@ class FabricSimulator:
             self._register_gauges(tel.registry)
         # Steady-state fast-forward eligibility: only the plain,
         # fully-observable step loop may be skipped.  Faults, telemetry,
-        # history recording, stochastic sources, and packet-count
-        # stopping all force the step loop (bit-identical to PR 4).
+        # history recording and stochastic sources all force the step
+        # loop (bit-identical to PR 4).
         ff_seen = (
             {}
             if (
                 self.fast_forward
-                and quanta is not None
-                and min_packets is None
                 and self.faults is None
                 and tel is None
                 and not self.keep_history
@@ -430,17 +436,9 @@ class FabricSimulator:
             )
             else None
         )
-        total = None if quanta is None else quanta + warmup_quanta
+        total = quanta + warmup_quanta
         done = 0
-        while True:
-            if total is not None and done >= total:
-                break
-            if (
-                min_packets is not None
-                and stats.delivered_packets >= min_packets
-                and done >= warmup_quanta
-            ):
-                break
+        while done < total:
             measuring = done >= warmup_quanta
             self._step(source, stats if measuring else None)
             done += 1
@@ -493,79 +491,87 @@ class FabricSimulator:
         return skipped
 
     def _step(self, source: PortSource, stats: Optional[FabricStats]) -> None:
-        n = self.ring.n
+        queues = self._queues
         faults = self.faults
         tel = _telemetry.RECORDER
+        token = self.token
         if faults is not None:
             # Refill before applying events: at saturation every queue is
             # re-armed at each boundary, so a corruption event aimed at a
             # busy input actually finds a word to hit.
-            for port in range(n):
-                if faults.degraded.alive(port):
+            for port, q in enumerate(queues):
+                if not q and faults.degraded.alive(port):
                     self._refill(port, source, tel)
-            faults.advance_to(self.clock, self._queues)
+            faults.advance_to(self.clock, queues)
             if faults.in_recovery():
                 # Token lost: one idle quantum of the regeneration
                 # protocol (no grants, no rotation -- there is no token).
-                idle = idle_quantum_cycles(self.timing)
+                idle = self._idle_cycles
                 if stats:
                     stats.quanta += 1
                     stats.idle_quanta += 1
                     stats.cycles += idle
                 self.clock += idle
-                faults.recovery_quantum_done(self.token, self.clock)
+                faults.recovery_quantum_done(token, self.clock)
                 return
-            requests = tuple(
-                self._queues[p][0].dest
+            requests = [
+                q[0].dest
                 if (
-                    self._queues[p]
+                    q
                     and not faults.port_silenced(p)
-                    and not faults.dest_suppressed(self._queues[p][0].dest)
+                    and not faults.dest_suppressed(q[0].dest)
                 )
                 else None
-                for p in range(n)
-            )
+                for p, q in enumerate(queues)
+            ]
+            busy = requests.count(None) < len(requests)
         else:
-            for port in range(n):
-                self._refill(port, source, tel)
-            requests = tuple(
-                self._queues[p][0].dest if self._queues[p] else None for p in range(n)
-            )
-        if all(r is None for r in requests):
-            idle = idle_quantum_cycles(self.timing)
+            # One pass: refill the empty queues, poll every head.
+            requests = []
+            busy = False
+            for port, q in enumerate(queues):
+                if not q:
+                    self._refill(port, source, tel)
+                    if not q:
+                        requests.append(None)
+                        continue
+                requests.append(q[0].dest)
+                busy = True
+        if not busy:
+            idle = self._idle_cycles
             if stats:
                 stats.quanta += 1
                 stats.idle_quanta += 1
                 stats.cycles += idle
             self.clock += idle
-            self.token.advance()
+            token.advance()
             return
-        alloc = self.allocator.allocate(requests, self.token.master)
+        alloc = self.allocator.allocate(requests, token.master)
+        grants = alloc.grants
         if tel is not None:
             tel.events.emit(
                 self.clock, EV_XBAR_CONFIG, "fabric",
-                (self.token.master,
-                 tuple(sorted((g.src, g.dst) for g in alloc.grants.values()))),
+                (token.master,
+                 tuple(sorted((g.src, g.dst) for g in grants.values()))),
             )
             tel.registry.count("fabric.xbar_configs")
             tel.registry.maybe_snapshot(self.clock)
         body = 0
-        for grant in alloc.grants.values():
-            frag = self._queues[grant.src][0]
-            body = max(body, frag.words + grant.expansion)
-        duration = (
-            quantum_cycles(0, 0, self.timing, self.pipelined, costs=self.costs) + body
-        )
+        for src, grant in grants.items():
+            hop = queues[src][0].words + grant.expansion
+            if hop > body:
+                body = hop
+        duration = self._ctl_cycles + body
         if self.keep_history:
-            self.history.append((requests, alloc))
+            self.history.append((alloc.requests, alloc))
         if stats:
             stats.quanta += 1
             stats.cycles += duration
             stats.blocked_events += len(alloc.blocked)
-            stats.grant_histogram[alloc.num_granted] += 1
+            stats.grant_histogram[len(grants)] += 1
         self.clock += duration
-        for grant in alloc.grants.values():
-            frag = self._queues[grant.src].popleft()
+        for src in grants:
+            frag = queues[src].popleft()
             if faults is not None and frag.corrupt:
                 # Egress verification catches the broken checksum; the
                 # words crossed the fabric but never reach the line.
@@ -577,20 +583,48 @@ class FabricSimulator:
                 faults.metrics.delivered_words += frag.words
             if stats:
                 stats.delivered_words += frag.words
-                stats.per_port_words[grant.src] += frag.words
+                stats.per_port_words[src] += frag.words
                 if frag.is_last:
                     stats.delivered_packets += 1
-                    stats.per_port_packets[grant.src] += 1
+                    stats.per_port_packets[src] += 1
             if tel is not None and frag.tag is not None:
                 tel.journeys.hop(frag.tag, self.clock)
                 if frag.is_last:
                     tel.journeys.depart(frag.tag, self.clock)
-        self.token.advance()
+        token.advance()
 
 
 # ---------------------------------------------------------------------------
 # Canned sources for the common workloads.
+#
+# The two stochastic ones own the generator ``np.random.default_rng(seed)``
+# builds and draw exactly what per-call ``integers(0, n)`` and
+# ``random()`` on it would.  The uniform source takes its destinations a
+# block at a time: numpy fills ``integers(0, n, size=k)`` with the same
+# bounded draw, element by element, that a scalar ``integers(0, n)``
+# makes, and PCG64 keeps its pending 32-bit half between calls, so a
+# block is the next ``k`` per-call draws.  ``tests/test_fabric_sources.py``
+# holds both sources to numpy's per-call draws.
 # ---------------------------------------------------------------------------
+
+#: Destinations the uniform source draws from its generator at a time.
+_DRAW_BLOCK = 1024
+
+
+def _owned_rng(seed, owner: str):
+    """A fresh ``np.random.default_rng(seed)`` that only ``owner`` reads."""
+    import numpy as np
+
+    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        raise TypeError(
+            f"{owner} takes an int seed, not a generator: the legacy "
+            "fabric sources own their generator, and drawing ahead in "
+            "blocks would silently change the stream anyone else holding "
+            "a shared one sees"
+        )
+    return np.random.default_rng(seed)
+
+
 def saturated_permutation(words: int, shift: int = 2, n: int = 4) -> PortSource:
     """Conflict-free peak workload: port i always sends to (i+shift) mod n.
 
@@ -605,17 +639,27 @@ def saturated_permutation(words: int, shift: int = 2, n: int = 4) -> PortSource:
     return source
 
 
-def saturated_uniform(words: int, rng, n: int = 4, exclude_self: bool = False) -> PortSource:
-    """Uniform iid destinations (the thesis's "complete fairness" traffic)."""
+def saturated_uniform(words: int, seed, n: int = 4,
+                      exclude_self: bool = False) -> PortSource:
+    """Uniform iid destinations (the thesis's "complete fairness" traffic).
+
+    Each destination is the next ``integers(0, n)`` draw of
+    ``np.random.default_rng(seed)`` (redrawn while it is the sending
+    port under ``exclude_self``), drawn a block at a time.
+    """
     if exclude_self and n < 2:
         raise ValueError(
             "exclude_self needs at least 2 ports: with n=1 every draw is "
             "the self-destination and the rejection loop never terminates"
         )
+    rng = _owned_rng(seed, "saturated_uniform")
+    dests: List[int] = []  # drawn destinations, last to be used first
 
     def source(port: int) -> Tuple[int, int]:
         while True:
-            dest = int(rng.integers(0, n))
+            if not dests:
+                dests.extend(rng.integers(0, n, size=_DRAW_BLOCK)[::-1].tolist())
+            dest = dests.pop()
             if not exclude_self or dest != port:
                 return (dest, words)
 
@@ -626,10 +670,10 @@ class CounterUniformSource:
     """Uniform iid destinations from counter-based (stateless-replayable)
     randomness: draw ``k`` for port ``p`` hashes ``(seed, p, k)``.
 
-    Unlike :func:`saturated_uniform` (which consumes a shared sequential
-    RNG), the only mutable state is one draw counter per port, so each
-    port's draw sequence is independent of which other ports are polled
-    and in what order -- the property the space-partitioned fabric
+    Unlike :func:`saturated_uniform` (one sequential stream read by
+    every port), the only mutable state is one draw counter per port, so
+    each port's draw sequence is independent of which other ports are
+    polled and in what order -- the property the space-partitioned fabric
     (:mod:`repro.parallel.space_shard`) needs from a stochastic
     workload.  Not marked ``deterministic``: the destination stream is
     aperiodic, so fast-forward never applies.
@@ -670,10 +714,16 @@ def saturated_uniform_counter(words: int, seed: int, n: int = 4,
     return CounterUniformSource(words, seed, n=n, exclude_self=exclude_self)
 
 
-def saturated_hotspot(words: int, rng, hot: int = 0, p_hot: float = 0.7, n: int = 4) -> PortSource:
-    """All inputs prefer one output with probability ``p_hot``."""
+def saturated_hotspot(words: int, seed, hot: int = 0, p_hot: float = 0.7,
+                      n: int = 4) -> PortSource:
+    """All inputs prefer one output with probability ``p_hot``.
+
+    Per packet, ``random() < p_hot`` of ``np.random.default_rng(seed)``
+    picks ``hot``; otherwise its ``integers(0, n)`` is the destination.
+    """
     if not 0.0 <= p_hot <= 1.0:
         raise ValueError("p_hot must be a probability")
+    rng = _owned_rng(seed, "saturated_hotspot")
 
     def source(port: int) -> Tuple[int, int]:
         if rng.random() < p_hot:

@@ -17,8 +17,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.allocator import Allocator
 from repro.core.fabricsim import (
     FabricSimulator,
@@ -45,8 +43,7 @@ def run_second_network(
         for networks in (1, 2):
             sim = FabricSimulator(ring=ring, allocator=Allocator(ring, networks=networks))
             if uniform:
-                rng = np.random.default_rng(seed)
-                src = saturated_uniform(words, rng, exclude_self=True)
+                src = saturated_uniform(words, seed, exclude_self=True)
             else:
                 src = saturated_permutation(words, shift=2)
             rates[networks] = sim.run(src, quanta=quanta, warmup_quanta=200).gbps

@@ -65,9 +65,8 @@ def run(
     # measured average capacity for this packet size.
     from repro.core.fabricsim import FabricSimulator, saturated_uniform
 
-    rng = np.random.default_rng(seed)
     fabric_cap = FabricSimulator().run(
-        saturated_uniform(costs.bytes_to_words(size_bytes), rng, exclude_self=True),
+        saturated_uniform(costs.bytes_to_words(size_bytes), seed, exclude_self=True),
         quanta=3000,
         warmup_quanta=200,
     ).gbps

@@ -17,8 +17,6 @@ are reported, so the partitioned rows measure *the same* fabric.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.compose import ClosFabric, clos_vs_single_ring
 from repro.core.fabricsim import saturated_uniform
 from repro.experiments.common import ExperimentResult
@@ -66,10 +64,9 @@ def run(
     result.add("neighbor_single_ring_gbps", ring_n_gbps)
     result.add("neighbor_clos_gbps", clos_n_gbps)
 
-    rng = np.random.default_rng(seed)
     clos = ClosFabric(k=k)
     uni = clos.run(
-        saturated_uniform(words, rng, n=num_ports, exclude_self=True),
+        saturated_uniform(words, seed, n=num_ports, exclude_self=True),
         quanta=quanta,
         warmup_quanta=quanta // 10,
     )

@@ -17,8 +17,6 @@ needs a richer topology for adversarial permutations.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.fabricsim import (
     FabricSimulator,
     saturated_permutation,
@@ -66,10 +64,9 @@ def run(
             quanta=quanta,
             warmup_quanta=200,
         )
-        rng = np.random.default_rng(seed)
         sim2 = FabricSimulator(ring=ring, token=RotatingToken(n))
         avg = sim2.run(
-            saturated_uniform(words, rng, n=n, exclude_self=True),
+            saturated_uniform(words, seed, n=n, exclude_self=True),
             quanta=quanta,
             warmup_quanta=200,
         )

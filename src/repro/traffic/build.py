@@ -91,10 +91,8 @@ def fabric_source(spec: TrafficLike, config: SimConfig,
     ``force_counter`` builds the counter-based model even for legacy
     workloads -- the space engine needs per-port draws that do not
     depend on which ports a partition polls, which the historical
-    shared-RNG sources cannot provide.
+    sequential-stream sources cannot provide.
     """
-    import numpy as np
-
     from repro.core.fabricsim import (
         saturated_hotspot,
         saturated_permutation,
@@ -112,13 +110,12 @@ def fabric_source(spec: TrafficLike, config: SimConfig,
         words = costs.bytes_to_words(spec.sizes.bytes)
         if p.kind == "permutation":
             return saturated_permutation(words, shift=p.shift, n=n)
-        rng = np.random.default_rng(config.seed)
         if p.kind == "uniform":
             return saturated_uniform(
-                words, rng, n=n, exclude_self=p.exclude_self
+                words, config.seed, n=n, exclude_self=p.exclude_self
             )
         return saturated_hotspot(
-            words, rng, hot=p.hot_port, p_hot=p.p_hot, n=n
+            words, config.seed, hot=p.hot_port, p_hot=p.p_hot, n=n
         )
     return FabricModelSource(_model(spec, n, config.seed), costs)
 

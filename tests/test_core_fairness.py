@@ -78,9 +78,8 @@ class TestAnalyzeService:
 class TestFabricFairness:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_uniform_traffic_is_fair(self, seed):
-        rng = np.random.default_rng(seed)
         sim = FabricSimulator(keep_history=True)
-        sim.run(saturated_uniform(64, rng, exclude_self=True), quanta=2000)
+        sim.run(saturated_uniform(64, seed, exclude_self=True), quanta=2000)
         report = analyze_service(sim.history)
         assert report.jains > 0.99
         assert report.worst_starvation_gap() <= 3

@@ -6,7 +6,6 @@ The contract under test everywhere: every fast-path layer is
 objects, same FabricStats fields, same clock and token state.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,12 +190,6 @@ class TestFastForward:
             sim.run(saturated_permutation(64, shift=1), quanta=120)
         assert sim.ff_quanta == 0
 
-    def test_disabled_under_min_packets_stopping(self):
-        sim = FabricSimulator(fast_forward=True)
-        stats = sim.run(saturated_permutation(64, shift=1), min_packets=50)
-        assert sim.ff_quanta == 0
-        assert stats.delivered_packets >= 50
-
     def test_disabled_under_faults_and_still_bit_identical(self):
         plan = FaultPlan(
             events=(FaultEvent(cycle=2_000, kind="token_loss"),)
@@ -214,17 +207,15 @@ class TestFastForward:
 
 class TestSourceGuards:
     def test_saturated_uniform_rejects_self_only_ring(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            saturated_uniform(64, rng, n=1, exclude_self=True)
+            saturated_uniform(64, 0, n=1, exclude_self=True)
 
     def test_counter_uniform_rejects_self_only_ring(self):
         with pytest.raises(ValueError):
             CounterUniformSource(64, seed=0, n=1, exclude_self=True)
 
     def test_n1_allowed_without_exclusion(self):
-        rng = np.random.default_rng(0)
-        source = saturated_uniform(64, rng, n=1, exclude_self=False)
+        source = saturated_uniform(64, 0, n=1, exclude_self=False)
         assert source(0) == (0, 64)
 
 

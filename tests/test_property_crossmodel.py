@@ -91,10 +91,9 @@ def test_clos_conserves_packets(seed, n):
     from repro.core.fabricsim import saturated_uniform
 
     k = int(round(n ** 0.5))
-    rng = np.random.default_rng(seed)
     clos = ClosFabric(k=k)
     stats = clos.run(
-        saturated_uniform(32, rng, n=n, exclude_self=True),
+        saturated_uniform(32, seed, n=n, exclude_self=True),
         quanta=150,
         warmup_quanta=15,
     )
