@@ -16,11 +16,7 @@ from repro.baselines.click import (
     standard_ip_router,
     CLICK_CPU_HZ,
 )
-from repro.baselines.schedulers import (
-    iSLIPScheduler,
-    PIMScheduler,
-    RandomScheduler,
-)
+from repro.baselines.schedulers import iSLIPScheduler, PIMScheduler
 from repro.baselines.cellsim import (
     VOQSwitch,
     FIFOSwitch,
@@ -36,7 +32,6 @@ __all__ = [
     "CLICK_CPU_HZ",
     "iSLIPScheduler",
     "PIMScheduler",
-    "RandomScheduler",
     "VOQSwitch",
     "FIFOSwitch",
     "OutputQueuedSwitch",

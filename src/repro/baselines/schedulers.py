@@ -112,24 +112,3 @@ class PIMScheduler(Scheduler):
                 matched_in[i] = j
                 matched_out[j] = i
         return matched_in
-
-
-class RandomScheduler(Scheduler):
-    """Single-iteration uniform-random matching (a weak baseline)."""
-
-    def __init__(self, num_ports: int, rng: Optional[np.random.Generator] = None):
-        super().__init__(num_ports)
-        self.rng = rng or np.random.default_rng(0)
-
-    def match(self, requests: Sequence[Sequence[bool]]) -> Dict[int, int]:
-        n = self.n
-        matched: Dict[int, int] = {}
-        taken = set()
-        order = list(self.rng.permutation(n))
-        for i in order:
-            options = [j for j in range(n) if requests[i][j] and j not in taken]
-            if options:
-                j = options[int(self.rng.integers(0, len(options)))]
-                matched[i] = j
-                taken.add(j)
-        return matched

@@ -52,6 +52,8 @@ from typing import Any, Dict, List, Optional
 
 from repro.config import SimConfig
 from repro.engines import WorkloadSpec, run_config
+from repro.traffic.build import shard_source
+from repro.traffic.spec import spec_from_legacy
 
 #: Schema tag stored in the results file; bump on incompatible changes.
 BENCH_SCHEMA = "repro-kernel-bench/2"
@@ -320,6 +322,8 @@ SPACE_SCHEMA = "repro-space-bench/3"
 #: ``clos_n256`` is the scale headline: a 256-port Clos (48 16-port
 #: chips) across 4 workers.  The ``_p2`` rows repeat their twins at
 #: P = 2, so a 2-core host still has rows with a core per worker.
+#: ``clos_n16_uniform`` runs the saturated uniform source the space
+#: engine builds for ``--pattern uniform``.
 SPACE_SCENARIOS: Dict[str, List[Dict[str, Any]]] = {
     "full": [
         {"name": "clos_n256", "k": 16, "latency": 8, "partitions": 4,
@@ -333,8 +337,8 @@ SPACE_SCENARIOS: Dict[str, List[Dict[str, Any]]] = {
          "source": {"kind": "permutation", "words": 256, "shift": 32}},
         {"name": "clos_n16_uniform", "k": 4, "latency": 4, "partitions": 3,
          "quanta": 4_000, "warmup": 200,
-         "source": {"kind": "uniform_counter", "words": 256, "seed": 42,
-                    "exclude_self": True}},
+         "source": shard_source(spec_from_legacy(pattern="uniform",
+                                                 packet_bytes=1024), seed=42)},
         {"name": "clos_n16", "k": 4, "latency": 4, "partitions": 3,
          "quanta": 6_000, "warmup": 200,
          "source": {"kind": "permutation", "words": 256, "shift": 8}},

@@ -93,9 +93,6 @@ class Allocation:
     def max_expansion(self) -> int:
         return max((g.expansion for g in self.grants.values()), default=0)
 
-    def granted_outputs(self) -> Set[int]:
-        return {g.dst for g in self.grants.values()}
-
     def is_conflict_free(self) -> bool:
         """Outputs unique and ring links disjoint across grants."""
         outputs = [g.dst for g in self.grants.values()]

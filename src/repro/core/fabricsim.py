@@ -36,8 +36,6 @@ One layer on top of the step loop is opt-in, bit-identical to it:
 
 from __future__ import annotations
 
-import struct
-import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, List, Optional, Tuple
@@ -47,7 +45,6 @@ from repro.core.allocator import Allocation, Allocator
 from repro.core.phases import DEFAULT_TIMING, PhaseTiming, idle_quantum_cycles, quantum_cycles
 from repro.core.ring import RingGeometry
 from repro.core.token import RotatingToken
-from repro.seeds import counter_seed
 from repro.telemetry import runtime as _telemetry
 from repro.telemetry.events import EV_XBAR_CONFIG
 
@@ -664,54 +661,6 @@ def saturated_uniform(words: int, seed, n: int = 4,
                 return (dest, words)
 
     return source
-
-
-class CounterUniformSource:
-    """Uniform iid destinations from counter-based (stateless-replayable)
-    randomness: draw ``k`` for port ``p`` hashes ``(seed, p, k)``.
-
-    Unlike :func:`saturated_uniform` (one sequential stream read by
-    every port), the only mutable state is one draw counter per port, so
-    each port's draw sequence is independent of which other ports are
-    polled and in what order -- the property the space-partitioned fabric
-    (:mod:`repro.parallel.space_shard`) needs from a stochastic
-    workload.  Not marked ``deterministic``: the destination stream is
-    aperiodic, so fast-forward never applies.
-    """
-
-    deterministic = False
-
-    def __init__(self, words: int, seed: int, n: int = 4,
-                 exclude_self: bool = True):
-        if exclude_self and n < 2:
-            raise ValueError(
-                "exclude_self needs at least 2 ports: with n=1 every draw "
-                "is the self-destination and the rejection loop never "
-                "terminates"
-            )
-        self.words = words
-        self.seed = counter_seed(seed)
-        self.n = n
-        self.exclude_self = exclude_self
-        self._draws = [0] * n
-
-    def __call__(self, port: int) -> Tuple[int, int]:
-        k = self._draws[port]
-        n = self.n
-        while True:
-            dest = zlib.crc32(struct.pack("<III", self.seed, port, k)) % n
-            k += 1
-            if not self.exclude_self or dest != port:
-                break
-        self._draws[port] = k
-        return (dest, self.words)
-
-
-def saturated_uniform_counter(words: int, seed: int, n: int = 4,
-                              exclude_self: bool = True) -> CounterUniformSource:
-    """The partition-independent stochastic workload (see
-    :class:`CounterUniformSource`)."""
-    return CounterUniformSource(words, seed, n=n, exclude_self=exclude_self)
 
 
 def saturated_hotspot(words: int, seed, hot: int = 0, p_hot: float = 0.7,

@@ -27,7 +27,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Protocol, runtime_checkable
 
-from repro.config import CostModel, SimConfig
+from repro.config import SimConfig
 
 #: Traffic pattern names understood by every engine (the deprecated
 #: flat-kwargs surface; the ``traffic=`` spec supersedes it).
@@ -464,7 +464,7 @@ class RouterEngine(_BaseEngine):
             fidelity=self.fidelity,
             cycles=result.cycles,
             delivered_packets=stats.delivered_packets,
-            delivered_words=bits // costs_word_bits(router.costs),
+            delivered_words=bits // router.costs.word_bits,
             gbps=result.gbps,
             mpps=result.mpps,
             per_port_packets=list(stats.per_port_delivered),
@@ -519,10 +519,6 @@ class WordLevelEngine(_BaseEngine):
             trace=res.trace,
             extra=extra,
         )
-
-
-def costs_word_bits(costs: CostModel) -> int:
-    return costs.word_bits
 
 
 ENGINES = {

@@ -5,9 +5,7 @@ A :class:`FaultPlan` is a frozen, picklable schedule of
 *deterministic by construction*: the same plan applied to the same
 seeded simulation produces bit-identical results, which is what makes
 chaos runs regression-testable.  Plans load from / dump to JSON
-(``python -m repro chaos --plan faults.json``), can be generated
-pseudo-randomly from a seed and per-kind rates
-(:meth:`FaultPlan.generate`), and ride along a
+(``python -m repro chaos --plan faults.json``) and ride along a
 :class:`~repro.engines.WorkloadSpec` (its ``fault_plan`` field) so the
 sweep runner can fan fault grids across processes.
 
@@ -55,9 +53,8 @@ Targets are small strings resolved per engine:
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 #: The supported failure modes, in documentation order.
 FAULT_KINDS = (
@@ -164,58 +161,6 @@ class FaultPlan:
         """A plan with no faults: runs must be bit-identical to no plan."""
         return cls(events=(), name=name)
 
-    @classmethod
-    def generate(
-        cls,
-        seed: int,
-        horizon: int,
-        rates: Dict[str, float],
-        ports: int = 4,
-        mean_duration: int = 200,
-        name: str = "",
-    ) -> "FaultPlan":
-        """Seed-deterministic pseudo-random plan.
-
-        ``rates[kind]`` is the expected number of events of ``kind``
-        over ``horizon`` cycles; event cycles, ports and durations come
-        from a private ``random.Random(seed)`` stream, so the same
-        (seed, horizon, rates) always yields the same plan -- the
-        property the sweep runner's per-cell seeds rely on.
-        """
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        rng = random.Random(seed)
-        events: List[FaultEvent] = []
-        for kind in FAULT_KINDS:  # fixed iteration order for determinism
-            rate = rates.get(kind, 0.0)
-            if rate <= 0:
-                continue
-            count = int(rate) + (1 if rng.random() < rate - int(rate) else 0)
-            for _ in range(count):
-                cycle = rng.randrange(horizon)
-                port = rng.randrange(ports)
-                duration = 0
-                if kind in WINDOW_KINDS:
-                    duration = max(1, int(rng.expovariate(1.0 / mean_duration)))
-                if kind == "token_loss":
-                    target = "token"
-                elif kind == "corrupt":
-                    target = f"input:{port}"
-                elif kind == "link_down":
-                    target = f"input:{port}"
-                else:
-                    target = f"port:{port}"
-                events.append(
-                    FaultEvent(
-                        cycle=cycle,
-                        kind=kind,
-                        target=target,
-                        duration=duration,
-                        param=rng.randrange(16) if kind == "corrupt" else 0,
-                    )
-                )
-        return cls(events=tuple(events), name=name or f"generated-{seed}", seed=seed)
-
     # -- JSON round-trip ------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -255,23 +200,6 @@ class FaultPlan:
         behave exactly like no plan at all."""
         return bool(self.events)
 
-    def shifted(self, offset: int) -> "FaultPlan":
-        """The same plan with every cycle moved by ``offset``."""
-        return FaultPlan(
-            events=tuple(
-                FaultEvent(
-                    cycle=e.cycle + offset,
-                    kind=e.kind,
-                    target=e.target,
-                    duration=e.duration,
-                    param=e.param,
-                )
-                for e in self.events
-            ),
-            name=self.name,
-            seed=self.seed,
-        )
-
     def kinds(self) -> Tuple[str, ...]:
         return tuple(sorted({e.kind for e in self.events}))
 
@@ -283,12 +211,6 @@ class FaultPlan:
             out.add(e.cycle)
             out.add(e.end)
         return tuple(sorted(out))
-
-    def window_active(self, cycle: int) -> bool:
-        """True when any windowed fault covers ``cycle``."""
-        return any(
-            e.cycle <= cycle < e.end for e in self.events if e.kind in WINDOW_KINDS
-        )
 
 
 #: Things engines accept as a fault plan: a plan, its dict form, a JSON

@@ -107,10 +107,6 @@ class DegradedRouting:
         return port not in self.dead
 
     @property
-    def n_alive(self) -> int:
-        return self.ports - len(self.dead)
-
-    @property
     def any_dead(self) -> bool:
         return bool(self.dead)
 

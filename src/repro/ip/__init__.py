@@ -13,10 +13,9 @@ to for core-router lookups (section 8.2).
 
 from repro.ip.addr import ip_to_int, int_to_ip, Prefix, random_prefixes
 from repro.ip.checksum import internet_checksum, incremental_update, verify_checksum
-from repro.ip.packet import IPv4Packet, PacketField, HEADER_WORDS_IPV4
+from repro.ip.packet import IPv4Packet, HEADER_WORDS_IPV4
 from repro.ip.trie import PatriciaTrie
 from repro.ip.lookup import RoutingTable, CompressedTable, LookupCostModel
-from repro.ip.fragment import fragment_words, Reassembler, Fragment
 from repro.ip.nblookup import LookupEngine, LookupEngineResult
 
 __all__ = [
@@ -28,15 +27,11 @@ __all__ = [
     "incremental_update",
     "verify_checksum",
     "IPv4Packet",
-    "PacketField",
     "HEADER_WORDS_IPV4",
     "PatriciaTrie",
     "RoutingTable",
     "CompressedTable",
     "LookupCostModel",
-    "fragment_words",
-    "Reassembler",
-    "Fragment",
     "LookupEngine",
     "LookupEngineResult",
 ]

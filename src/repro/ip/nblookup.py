@@ -37,10 +37,6 @@ class LookupEngineResult:
     def cycles_per_lookup(self) -> float:
         return self.cycles / self.lookups if self.lookups else float("inf")
 
-    @property
-    def mlookups_per_sec(self, clock_hz: float = costs.CLOCK_HZ) -> float:
-        return costs.CLOCK_HZ / self.cycles_per_lookup / 1e6
-
 
 class LookupEngine:
     """Single tile processor walking many independent lookup chains."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import abc
 from dataclasses import dataclass, replace
-from enum import IntEnum
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -80,16 +79,6 @@ class _PayloadWords(abc.Sequence):
 
     def __reduce__(self):
         return _PayloadWords, (self._ident, self._n)
-
-
-class PacketField(IntEnum):
-    """Word indices of header fields (for the tile programs' bit games)."""
-
-    VERSION_IHL_TOS_LEN = 0
-    IDENT_FLAGS_FRAG = 1
-    TTL_PROTO_CSUM = 2
-    SRC = 3
-    DST = 4
 
 
 @dataclass

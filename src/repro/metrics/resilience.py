@@ -68,9 +68,6 @@ class ResilienceMetrics:
         self.recoveries.append(rec)
         return rec
 
-    def record_recovery(self, rec: RecoveryRecord, cycle: int) -> None:
-        rec.recovered_at = cycle
-
     def close_open(self, kind: str, target: str, cycle: int) -> None:
         """Close the oldest still-open recovery matching kind/target."""
         for rec in self.recoveries:

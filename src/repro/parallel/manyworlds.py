@@ -14,8 +14,7 @@ What makes this exact rather than approximate:
 * every traffic draw is counter-based (:mod:`repro.traffic.rng`): a
   pure function of ``(seed, stream, counter)``, so a ``[n_worlds]``
   lane of seeds plus ``[n_worlds, ports]`` counter arrays reproduces
-  each world's scalar draw stream bit-for-bit
-  (:class:`VecSpecModel`, :class:`VecCounterUniform`);
+  each world's scalar draw stream bit-for-bit (:class:`VecSpecModel`);
 * the allocation rule is shared lookup tensors
   (:meth:`~repro.core.allocator.CompiledAllocator.lookup_tensors`)
   indexed per world: the token is global (all worlds rotate in
@@ -57,7 +56,7 @@ from repro.core.phases import (
 from repro.core.ring import RingGeometry
 from repro.engines import FabricEngine, RunResult, WorkloadSpec
 from repro.metrics.latency import _percentile_sorted
-from repro.seeds import counter_seed, spec_seed, world_seed
+from repro.seeds import spec_seed, world_seed
 from repro.traffic.model import (
     _S_ARRIVAL,
     _S_BURST,
@@ -92,27 +91,6 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     x = (x ^ (x >> _S30)) * _MIX_B
     x = (x ^ (x >> _S27)) * _MIX_C
     return x ^ (x >> _S31)
-
-
-def _vdraw_u64(seeds: np.ndarray, stream: int, k: np.ndarray) -> np.ndarray:
-    """:func:`repro.traffic.rng.draw_u64` with array ``seeds``/``k``.
-
-    The stream term is folded in Python ints (a 0-d numpy multiply would
-    emit overflow warnings; array ops wrap silently like the scalar
-    ``& _M64`` does)."""
-    base = np.uint64((stream * _B_INT + 1) & _M64)
-    return _mix64(seeds * _A + k.astype(np.uint64) * _C + base)
-
-
-def _vdraw_float(seeds: np.ndarray, stream: int, k: np.ndarray) -> np.ndarray:
-    """[0, 1) floats, bit-identical to :func:`repro.traffic.rng.draw_float`
-    (uint64 -> float64 rounding and the 2**-64 scale are both exact)."""
-    return _vdraw_u64(seeds, stream, k) / np.float64(1 << 64)
-
-
-def _vdraw_int(seeds: np.ndarray, stream: int, k: np.ndarray, n: int) -> np.ndarray:
-    """[0, n) ints, bit-identical to :func:`repro.traffic.rng.draw_int`."""
-    return (_vdraw_u64(seeds, stream, k) % np.uint64(n)).astype(np.int64)
 
 
 class VecSpecModel:
@@ -312,83 +290,6 @@ class VecSpecModel:
         nbytes = self._size_grid(mo)
         self._offered += mo
         return mo, dest, nbytes
-
-
-# ---------------------------------------------------------------------------
-# Vectorized CounterUniformSource (the counter-based uniform workload).
-# ---------------------------------------------------------------------------
-def _crc32_table() -> np.ndarray:
-    table = np.zeros(256, dtype=np.uint32)
-    for i in range(256):
-        c = i
-        for _ in range(8):
-            c = (c >> 1) ^ 0xEDB88320 if c & 1 else c >> 1
-        table[i] = c
-    return table
-
-
-_CRC_TABLE = _crc32_table()
-_U8, _U24, _FF = np.uint32(8), np.uint32(24), np.uint32(0xFF)
-
-
-class VecCounterUniform:
-    """:class:`~repro.core.fabricsim.CounterUniformSource` over world lanes.
-
-    The scalar source hashes ``zlib.crc32(pack("<III", seed, port, k))``
-    per draw.  Here the CRC over the constant 8-byte ``(seed, port)``
-    prefix is precomputed per (world, port); a draw is then four
-    table-driven byte steps over ``k``'s little-endian bytes -- all
-    vectorized -- with the same masked rejection loop for
-    ``exclude_self``.  Draw streams are bit-identical per lane
-    (property-tested against ``zlib.crc32`` in the test suite).
-    """
-
-    deterministic = False
-
-    def __init__(self, words: int, seeds: Sequence[int], n: int = 4,
-                 exclude_self: bool = True):
-        if exclude_self and n < 2:
-            raise ValueError("exclude_self needs at least 2 ports")
-        self.words = words
-        self.n = n
-        self.w = len(seeds)
-        self.exclude_self = exclude_self
-        self.seeds = [counter_seed(s) for s in seeds]
-        # CRC state after the (seed, port) prefix, before final xor-out.
-        prefix = np.zeros((self.w, n), dtype=np.uint32)
-        for wi, seed in enumerate(self.seeds):
-            for p in range(n):
-                c = 0xFFFFFFFF
-                for b in seed.to_bytes(4, "little") + p.to_bytes(4, "little"):
-                    c = (c >> 8) ^ int(_CRC_TABLE[(c ^ b) & 0xFF])
-                prefix[wi, p] = c
-        self._prefix = prefix
-        self._draws = np.zeros((self.w, n), dtype=np.int64)
-
-    def _crc_finish(self, p: int, k: np.ndarray) -> np.ndarray:
-        """Fold ``k``'s 4 little-endian bytes into the prefix CRC."""
-        crc = self._prefix[:, p].copy()
-        ku = k.astype(np.uint32)
-        for shift in (np.uint32(0), _U8, np.uint32(16), _U24):
-            b = (ku >> shift) & _FF
-            crc = (crc >> _U8) ^ _CRC_TABLE[(crc ^ b) & _FF]
-        return crc ^ np.uint32(0xFFFFFFFF)
-
-    def draw_col(self, p: int, m: np.ndarray) -> np.ndarray:
-        """One destination draw per world where ``m`` (with rejection)."""
-        k = self._draws[:, p].copy()
-        dest = np.zeros(self.w, dtype=np.int64)
-        active = m.copy()
-        while active.any():
-            d = (self._crc_finish(p, k) % np.uint32(self.n)).astype(np.int64)
-            k += active.astype(np.int64)
-            settled = active & (
-                np.ones(self.w, dtype=bool) if not self.exclude_self else d != p
-            )
-            dest[settled] = d[settled]
-            active &= ~settled
-        self._draws[m, p] = k[m]
-        return dest
 
 
 # ---------------------------------------------------------------------------

@@ -50,11 +50,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import CostModel
-from repro.core.fabricsim import (
-    FabricStats,
-    saturated_permutation,
-    saturated_uniform_counter,
-)
+from repro.core.fabricsim import FabricStats, saturated_permutation
 from repro.core.spacetopo import (
     PartitionSim,
     SpaceTopology,
@@ -76,8 +72,7 @@ class SpaceSpec:
     external ports on ``3k`` chips.  ``latency`` is the uniform
     inter-chip channel latency in quanta and therefore the token window.
     ``source`` is a declarative workload: ``{"kind": "permutation",
-    "words": W, "shift": s}``, ``{"kind": "uniform_counter", "words": W,
-    "seed": s, "exclude_self": bool}``, or ``{"kind": "traffic", "json":
+    "words": W, "shift": s}`` or ``{"kind": "traffic", "json":
     <TrafficSpec.to_json()>, "seed": s}`` (``"spec": <preset name or
     trace path>`` also works; see :func:`repro.traffic.build.shard_source`),
     always instantiated counter-based so per-port draws are
@@ -169,13 +164,6 @@ def make_space_source(spec: SpaceSpec):
     n = spec.num_ports
     if kind == "permutation":
         return saturated_permutation(src["words"], shift=src.get("shift", 2), n=n)
-    if kind == "uniform_counter":
-        return saturated_uniform_counter(
-            src["words"],
-            src["seed"],
-            n=n,
-            exclude_self=src.get("exclude_self", True),
-        )
     if kind == "traffic":
         from repro.traffic.build import fabric_source_for_shard
 

@@ -13,8 +13,8 @@ of the chip the router design depends on:
 * :mod:`repro.raw.memory` -- the per-tile 2-way set-associative data cache.
 * :mod:`repro.raw.network` -- static-network links as flow-controlled
   channels and a latency model of the dynamic (wormhole) network.
-* :mod:`repro.raw.tile` / :mod:`repro.raw.switchproc` -- the programming
-  model: tile programs and switch route schedules as kernel processes.
+* :mod:`repro.raw.switchproc` -- the programming model: switch route
+  schedules as kernel processes.
 * :mod:`repro.raw.chip` -- assembles a whole chip simulation.
 """
 
@@ -37,8 +37,6 @@ from repro.raw.layout import (
 )
 from repro.raw.memory import DataCache, CacheStats
 from repro.raw.network import StaticNetwork, DynamicNetwork
-from repro.raw.dynrouter import WormholeNetwork
-from repro.raw.tile import TileProgram
 from repro.raw.switchproc import SwitchProcessor, RouteInstruction
 from repro.raw.chip import RawChip
 
@@ -62,8 +60,6 @@ __all__ = [
     "CacheStats",
     "StaticNetwork",
     "DynamicNetwork",
-    "WormholeNetwork",
-    "TileProgram",
     "SwitchProcessor",
     "RouteInstruction",
     "RawChip",

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.config import CostModel
-from repro.raw.layout import Direction, NUM_TILES, manhattan, neighbor, tile_xy
+from repro.raw.layout import Direction, NUM_TILES, manhattan, neighbor
 from repro.sim.channel import Channel
 from repro.sim.kernel import Put, Simulator, Timeout
 
@@ -94,21 +94,6 @@ class StaticNetwork:
         """Directions in which ``tile`` touches the chip edge."""
         return [d for (t, d) in self._edges if t == tile]
 
-    def find(self, name: str) -> Optional[Channel]:
-        """The link or edge channel with kernel name ``name``, or None.
-
-        Fault plans name word-level targets this way
-        (``"link:sn1.t5->t6"``); a linear scan is fine because it runs
-        once per fault event at plan-install time, never per cycle.
-        """
-        for ch in self._links.values():
-            if ch.name == name:
-                return ch
-        for ch in self._edges.values():
-            if ch.name == name:
-                return ch
-        return None
-
     def channels(self) -> Dict[str, Channel]:
         """Every link/edge channel keyed by its kernel name."""
         out = {ch.name: ch for ch in self._links.values()}
@@ -173,18 +158,3 @@ class DynamicNetwork:
         """
         yield Timeout(self.latency(src, dst, words, costs=self.costs))
         yield Put(self.mailbox(dst), message)
-
-
-def route_hops(src: int, dst: int):
-    """Dimension-ordered (X then Y) hop sequence used by the dynamic net."""
-    sx, sy = tile_xy(src)
-    dx, dy = tile_xy(dst)
-    hops = []
-    x, y = sx, sy
-    while x != dx:
-        x += 1 if dx > x else -1
-        hops.append((x, y))
-    while y != dy:
-        y += 1 if dy > y else -1
-        hops.append((x, y))
-    return hops

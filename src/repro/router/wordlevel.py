@@ -548,9 +548,8 @@ class WordLevelRouter:
     def _egress(self, port: int) -> Generator:
         """Egress Processor: idle on the single-quantum fast path.
 
-        (Reassembly of multi-quantum packets is the phase model's and
-        :class:`~repro.ip.fragment.Reassembler`'s job; word-level runs
-        are restricted to single-quantum packets.)
+        (Reassembly of multi-quantum packets is the phase model's job;
+        word-level runs are restricted to single-quantum packets.)
         """
         while True:
             yield Timeout(1 << 20, IDLE)

@@ -1,13 +1,11 @@
 """One authority for every derived seed in the repository.
 
 Child-seed derivation used to be scattered: :mod:`repro.sweep` hashed a
-cell's key/value assignment with ``zlib.crc32``, the traffic layer's
-arrival processes drew a seed out of a legacy ``np.random.Generator``,
-:class:`~repro.traffic.model.SpecModel` masked its seed to 63 bits and
-:class:`~repro.core.fabricsim.CounterUniformSource` to 32 -- each its
-own convention, none documented.  This module is the single home for
-all of them, plus the new :func:`world_seed` axis the many-worlds
-engine (:mod:`repro.parallel.manyworlds`) fans a base seed across.
+cell's key/value assignment with ``zlib.crc32`` and
+:class:`~repro.traffic.model.SpecModel` masked its seed to 63 bits --
+each its own convention, none documented.  This module is the single
+home for both, plus the :func:`world_seed` axis the many-worlds engine
+(:mod:`repro.parallel.manyworlds`) fans a base seed across.
 
 Every function here is pinned bit-for-bit by ``tests/test_seeds.py``:
 existing derived seeds (and therefore every golden number seeded on
@@ -27,10 +25,6 @@ SEED_RANGE = 2**31
 #: :class:`~repro.traffic.model.SpecModel` folds seeds into 63 bits
 #: (keeps ``seed * const`` arithmetic on the fast small-int path).
 SPEC_SEED_MASK = (1 << 63) - 1
-
-#: :class:`~repro.core.fabricsim.CounterUniformSource` packs its seed
-#: into a ``<I`` struct field, so it folds to 32 bits.
-COUNTER_SEED_MASK = 0xFFFFFFFF
 
 
 def cell_seed(base_seed: int, cell: Dict[str, Any]) -> int:
@@ -52,28 +46,13 @@ def world_seed(base_seed: int, world: int) -> int:
         raise ValueError(f"world index must be >= 0, got {world}")
     if world == 0:
         return int(base_seed) % SEED_RANGE
-    # Imported lazily: repro.traffic.__init__ pulls in arrivals, which
-    # imports this module -- a top-level rng import would be circular.
+    # Imported lazily: repro.traffic.__init__ pulls in the traffic model,
+    # which imports this module -- a top-level rng import would be circular.
     from repro.traffic.rng import draw_u64
 
     return draw_u64(int(base_seed), 1, world) % SEED_RANGE
 
 
-def coerce_seed(seed) -> int:
-    """Accept an int seed or (for compatibility with the historical
-    arrival-process signature) an ``np.random.Generator``, from which a
-    seed is drawn (moved from ``repro.traffic.arrivals``)."""
-    if hasattr(seed, "integers"):  # a Generator
-        return int(seed.integers(0, SEED_RANGE))
-    return int(seed)
-
-
 def spec_seed(seed: int) -> int:
     """The seed as :class:`~repro.traffic.model.SpecModel` stores it."""
     return int(seed) & SPEC_SEED_MASK
-
-
-def counter_seed(seed: int) -> int:
-    """The seed as :class:`~repro.core.fabricsim.CounterUniformSource`
-    stores it (32-bit struct field)."""
-    return int(seed) & COUNTER_SEED_MASK

@@ -73,14 +73,6 @@ class Channel:
     def occupancy(self) -> int:
         return len(self._items)
 
-    @property
-    def is_full(self) -> bool:
-        return len(self._items) >= self.capacity
-
-    def peek_ready(self, now: int) -> bool:
-        """True when a word is available to a getter at cycle ``now``."""
-        return bool(self._items) and self._items[0][0] <= now
-
     # -- the fast-path word operations --------------------------------
     # One implementation shared by the kernel's blocking commands, the
     # burst state machines, and the Simulator's non-blocking helpers

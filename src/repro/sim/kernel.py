@@ -519,22 +519,6 @@ class Simulator:
     # records, and ready-queue positions the equivalent command loops
     # used, which is what keeps burst and word-at-a-time execution
     # cycle-identical.
-    def _defer_until_ready(self, sm, ready_at: int) -> None:
-        """Sleep a burst machine until an in-flight head word lands.
-
-        Channels here are single-consumer, so when the head word exists
-        but is still propagating the machine can resume directly at its
-        ready time instead of parking in the getter queue behind a
-        channel-service event -- same wake cycle, same bucket position
-        (both are scheduled at this exact point), so ordering is
-        unchanged.  The RX interval is recorded at resume (in
-        :meth:`run`'s drain loop), like a queue-parked waiter's would be.
-        """
-        proc = sm.proc
-        proc._block_start = self.now
-        proc._block_state = RX_BLOCK
-        self._schedule(ready_at, _EV_RESUME, sm)
-
     def _advance_get(self, sm: _GetSM) -> bool:
         # Same inlining note as _advance_put.
         now = self.now
@@ -548,8 +532,12 @@ class Simulator:
                 if ch._putters:
                     self._service_channel(ch)
             elif items:
-                # Word in flight: sleep until it lands (the inline form
-                # of _defer_until_ready).
+                # Word in flight: sleep until it lands.  Channels are
+                # single-consumer, so the machine resumes directly at the
+                # word's ready time instead of parking in the getter
+                # queue behind a channel-service event -- same wake
+                # cycle, same bucket position.  The RX interval is
+                # recorded at resume, in run()'s drain loop.
                 proc = sm.proc
                 proc._block_start = now
                 proc._block_state = RX_BLOCK
@@ -671,8 +659,8 @@ class Simulator:
                         if ch._putters:
                             self._service_channel(ch)
                         continue
-                    # Word in flight: sleep until it lands (the inline
-                    # form of _defer_until_ready).
+                    # Word in flight: sleep until it lands (see
+                    # _advance_get).
                     sm.src_idx = src_idx
                     proc._block_start = now
                     proc._block_state = RX_BLOCK
@@ -1139,17 +1127,3 @@ class Simulator:
             }
             for proc in self._drained_blocked
         ]
-
-
-def run_processes(
-    *gens: Generator,
-    until: Optional[int] = None,
-    trace: Optional[Trace] = None,
-    raise_on_deadlock: bool = True,
-) -> Simulator:
-    """Convenience: build a simulator, add ``gens``, run, return it."""
-    sim = Simulator(trace=trace)
-    for i, gen in enumerate(gens):
-        sim.add_process(gen, name=f"proc{i}")
-    sim.run(until=until, raise_on_deadlock=raise_on_deadlock)
-    return sim

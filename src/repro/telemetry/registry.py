@@ -126,12 +126,6 @@ class LogHistogram:
         if smax is not None and (self.max is None or smax > self.max):
             self.max = smax
 
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "LogHistogram":
-        h = cls()
-        h.merge_state(state)
-        return h
-
 
 class MetricsRegistry:
     """Flat-namespace counters/gauges/histograms + periodic snapshots."""
@@ -182,9 +176,6 @@ class MetricsRegistry:
         if h is None:
             h = self._hists[name] = LogHistogram()
         return h
-
-    def observe(self, name: str, value: int) -> None:
-        self.histogram(name).record(value)
 
     # -- snapshots ------------------------------------------------------
     def maybe_snapshot(self, cycle: int) -> None:

@@ -18,14 +18,7 @@ many-worlds lanes (:mod:`repro.parallel.manyworlds`) reproduce the
 serial draws while polling ports in their own order.
 """
 
-from repro.traffic.arrivals import (
-    ArrivalProcess,
-    Bernoulli,
-    CounterSlotArrivals,
-    IIDSlotArrivals,
-    OnOff,
-    Saturated,
-)
+from repro.traffic.arrivals import ArrivalProcess, IIDSlotArrivals, Saturated
 from repro.traffic.build import (
     build,
     fabric_source as build_fabric_source,
@@ -37,14 +30,12 @@ from repro.traffic.build import (
 )
 from repro.traffic.model import SpecModel, TrafficModel
 from repro.traffic.patterns import (
-    BurstyDestinations,
     DestinationPattern,
     FixedPermutation,
     HotspotDestinations,
-    RotatingPermutation,
     UniformDestinations,
 )
-from repro.traffic.replay import TraceReplay, generate_trace, iter_flows, scan_trace
+from repro.traffic.replay import TraceReplay, iter_flows, scan_trace
 from repro.traffic.sizes import (
     PAPER_SIZES,
     BimodalSizes,
@@ -63,15 +54,13 @@ from repro.traffic.spec import (
     resolve_traffic,
     spec_from_legacy,
 )
-from repro.traffic.workload import PacketFactory, Workload, fabric_source
+from repro.traffic.workload import PacketFactory, Workload
 
 __all__ = [
     "DestinationPattern",
     "UniformDestinations",
     "FixedPermutation",
-    "RotatingPermutation",
     "HotspotDestinations",
-    "BurstyDestinations",
     "SizeDistribution",
     "FixedSize",
     "IMix",
@@ -80,13 +69,9 @@ __all__ = [
     "PAPER_SIZES",
     "ArrivalProcess",
     "Saturated",
-    "Bernoulli",
-    "OnOff",
     "IIDSlotArrivals",
-    "CounterSlotArrivals",
     "Workload",
     "PacketFactory",
-    "fabric_source",
     # The declarative layer.
     "TrafficSpec",
     "PatternSpec",
@@ -99,7 +84,6 @@ __all__ = [
     "TrafficModel",
     "SpecModel",
     "TraceReplay",
-    "generate_trace",
     "iter_flows",
     "scan_trace",
     # The one factory.

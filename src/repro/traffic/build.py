@@ -22,12 +22,7 @@ from typing import Any, Optional, Tuple
 from repro.config import CostModel, SimConfig
 from repro.traffic.model import SpecModel, TrafficModel
 from repro.traffic.replay import TraceReplay
-from repro.traffic.spec import (
-    ArrivalSpec,
-    TrafficLike,
-    TrafficSpec,
-    resolve_traffic,
-)
+from repro.traffic.spec import TrafficLike, TrafficSpec, resolve_traffic
 
 
 def _check_hot_port(spec: TrafficSpec, ports: int) -> None:
@@ -283,18 +278,13 @@ def wordlevel_source(spec: TrafficLike, config: SimConfig):
 # ---------------------------------------------------------------------------
 # Baselines (cell switches / backplanes).
 # ---------------------------------------------------------------------------
-def slot_arrivals(n: int, rng=None, seed: Optional[int] = None):
-    """Per-slot iid arrivals for the cell-switch baselines.
+def slot_arrivals(n: int, rng):
+    """Per-slot iid arrivals for the cell-switch baselines, in the
+    historical shared-generator draw order (the chapter-2 experiments
+    are seeded on it)."""
+    from repro.traffic.arrivals import IIDSlotArrivals
 
-    With ``rng`` this preserves the historical shared-generator draw
-    order (the chapter-2 experiments are seeded on it); with ``seed``
-    it returns the counter-based variant.
-    """
-    from repro.traffic.arrivals import CounterSlotArrivals, IIDSlotArrivals
-
-    if rng is not None:
-        return IIDSlotArrivals(n, rng)
-    return CounterSlotArrivals(n, seed=seed or 0)
+    return IIDSlotArrivals(n, rng)
 
 
 def size_distribution(sizes: Any, rng=None):

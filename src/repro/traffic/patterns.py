@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,19 +58,6 @@ class FixedPermutation(DestinationPattern):
         return cls([(i + k) % num_ports for i in range(num_ports)])
 
 
-class RotatingPermutation(DestinationPattern):
-    """A different conflict-free permutation per packet round."""
-
-    def __init__(self, num_ports: int):
-        super().__init__(num_ports)
-        self._round = [0] * num_ports
-
-    def next_dest(self, port: int) -> int:
-        k = self._round[port] % (self.n - 1) + 1  # never self
-        self._round[port] += 1
-        return (port + k) % self.n
-
-
 class HotspotDestinations(DestinationPattern):
     """Every input prefers output ``hot`` with probability ``p_hot``."""
 
@@ -94,38 +81,3 @@ class HotspotDestinations(DestinationPattern):
         if self.rng.random() < self.p_hot:
             return self.hot
         return int(self.rng.integers(0, self.n))
-
-
-class BurstyDestinations(DestinationPattern):
-    """On/off bursts: a whole burst of packets shares one destination.
-
-    Models TCP-like trains; burst lengths are geometric with mean
-    ``mean_burst``.  Correlated destinations stress head-of-line
-    behaviour much harder than iid traffic.
-    """
-
-    def __init__(
-        self,
-        num_ports: int,
-        rng: np.random.Generator,
-        mean_burst: float = 8.0,
-        exclude_self: bool = True,
-    ):
-        super().__init__(num_ports)
-        if mean_burst < 1.0:
-            raise ValueError("mean burst length must be >= 1")
-        self.rng = rng
-        self.p_end = 1.0 / mean_burst
-        self.exclude_self = exclude_self
-        self._current: List[Optional[int]] = [None] * num_ports
-
-    def next_dest(self, port: int) -> int:
-        cur = self._current[port]
-        if cur is None or self.rng.random() < self.p_end:
-            if self.exclude_self:
-                d = int(self.rng.integers(0, self.n - 1))
-                cur = d if d < port else d + 1
-            else:
-                cur = int(self.rng.integers(0, self.n))
-            self._current[port] = cur
-        return cur

@@ -154,54 +154,6 @@ class TraceReplay:
         return self.n
 
 
-def generate_trace(
-    path: str,
-    flows: int = 1000,
-    ports: int = 4,
-    seed: int = 0,
-    max_count: int = 8,
-) -> int:
-    """Write a synthetic IMIX flow trace; returns total packet count.
-
-    Deterministic in ``seed`` (counter-based draws), so the bundled
-    example trace under ``examples/`` is exactly reproducible.
-    """
-    from repro.traffic.rng import draw_int
-    from repro.traffic.spec import SizeSpec
-
-    sizes = SizeSpec.IMIX_SIZES
-    weights = SizeSpec.IMIX_WEIGHTS
-    cdf: List[int] = []
-    acc = 0
-    for w in weights:
-        acc += w
-        cdf.append(acc)
-    total = 0
-    jsonl = path.endswith(".jsonl")
-    with open(path, "w") as fh:
-        if not jsonl:
-            fh.write("src,dst,bytes,count\n")
-        for i in range(flows):
-            src = draw_int(seed, 1, i, ports)
-            dst = draw_int(seed, 2, i, ports - 1)
-            if dst >= src:
-                dst += 1  # flows never loop back to their own port
-            u = draw_int(seed, 3, i, cdf[-1])
-            nbytes = sizes[next(j for j, c in enumerate(cdf) if u < c)]
-            count = 1 + draw_int(seed, 4, i, max_count)
-            total += count
-            if jsonl:
-                fh.write(
-                    json.dumps(
-                        {"src": src, "dst": dst, "bytes": nbytes, "count": count}
-                    )
-                    + "\n"
-                )
-            else:
-                fh.write(f"{src},{dst},{nbytes},{count}\n")
-    return total
-
-
 def scan_trace(path: str) -> Dict[str, Any]:
     """One streaming pass: record/packet/byte totals and the port span."""
     records = packets = total_bytes = 0

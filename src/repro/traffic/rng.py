@@ -1,10 +1,9 @@
 """Counter-based replayable randomness for the traffic layer.
 
 Every stochastic draw a :class:`~repro.traffic.model.SpecModel` makes is
-a pure function ``hash(seed, stream, counter)`` -- the style of
-:class:`repro.core.fabricsim.CounterUniformSource`, generalized.  A
-shared sequential ``np.random.Generator`` ties every port's draws to
-the global polling interleaving, which a worker owning only some ports
+a pure function ``hash(seed, stream, counter)``.  A shared sequential
+``np.random.Generator`` ties every port's draws to the global polling
+interleaving, which a worker owning only some ports
 (:mod:`repro.parallel.space_shard`) or a vectorized lane
 (:mod:`repro.parallel.manyworlds`) cannot reproduce.  With
 counter-based draws the only mutable state is a handful of small

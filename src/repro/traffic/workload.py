@@ -1,8 +1,6 @@
-"""Workload: pattern + sizes + arrivals, and adapters for the simulators.
+"""Workload: pattern + sizes + arrivals, and the packet factory.
 
-:class:`Workload` is the one object experiments configure;
-:func:`fabric_source` adapts it to the quantum-level
-:class:`~repro.core.fabricsim.FabricSimulator`, and
+:class:`Workload` is the one object experiments configure, and
 :class:`PacketFactory` mints real :class:`~repro.ip.packet.IPv4Packet`
 objects (with addresses that the routing table resolves back to the
 intended output port) for the full router and Click models.
@@ -17,7 +15,6 @@ import numpy as np
 
 from repro.ip.addr import ADDR_BITS
 from repro.ip.packet import IPv4Packet
-from repro.raw import costs
 from repro.traffic.arrivals import ArrivalProcess
 from repro.traffic.patterns import DestinationPattern
 from repro.traffic.sizes import SizeDistribution
@@ -40,20 +37,6 @@ class Workload:
         if not self.arrivals.offers(port):
             return None
         return self.pattern.next_dest(port), self.sizes.next_size()
-
-
-def fabric_source(workload: Workload):
-    """Adapt a workload to the fabric simulator's PortSource protocol
-    (destinations + word counts; no packet objects on this fast path)."""
-
-    def source(port: int) -> Optional[Tuple[int, int]]:
-        pkt = workload.next_packet(port)
-        if pkt is None:
-            return None
-        dest, nbytes = pkt
-        return dest, costs.bytes_to_words(nbytes)
-
-    return source
 
 
 #: Address words a seeded factory draws per refill of its block.

@@ -1,11 +1,10 @@
 """Text rendering: ASCII tile-utilization timelines and result tables."""
 
-from repro.viz.timeline import render_timeline, render_utilization_bars
+from repro.viz.timeline import render_timeline
 from repro.viz.tables import format_table, format_comparison
 
 __all__ = [
     "render_timeline",
-    "render_utilization_bars",
     "format_table",
     "format_comparison",
 ]

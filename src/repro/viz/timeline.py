@@ -18,7 +18,6 @@ from repro.metrics.utilization import (
     DOWN_CODE,
     IDLE_CODE,
     STALLED_CODE,
-    UtilizationSummary,
     state_matrix,
 )
 from repro.sim.trace import Trace
@@ -73,27 +72,4 @@ def render_timeline(
             cells.append(_GLYPH[int(np.argmax(counts))])
         name = (labels or {}).get(key, key)
         lines.append(f"{name:<{label_width}} {''.join(cells)}")
-    return "\n".join(lines)
-
-
-def render_utilization_bars(
-    summaries: Dict[str, UtilizationSummary],
-    keys: Optional[Sequence[str]] = None,
-    width: int = 40,
-) -> str:
-    """Horizontal busy/blocked bars per key with percentages."""
-    if keys is None:
-        keys = sorted(summaries)
-    label_width = max((len(k) for k in keys), default=4)
-    lines = []
-    for key in keys:
-        s = summaries[key]
-        busy_cols = round(s.busy_frac * width)
-        blocked_cols = round(s.blocked_frac * width)
-        blocked_cols = min(blocked_cols, width - busy_cols)
-        bar = "#" * busy_cols + "." * blocked_cols
-        lines.append(
-            f"{key:<{label_width}} |{bar:<{width}}| "
-            f"busy {s.busy_frac * 100:5.1f}%  blocked {s.blocked_frac * 100:5.1f}%"
-        )
     return "\n".join(lines)

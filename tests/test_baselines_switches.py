@@ -2,12 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.baselines.cells import CellModeBackplane, PacketModeBackplane
 from repro.baselines.cellsim import FIFOSwitch, OutputQueuedSwitch, VOQSwitch
-from repro.baselines.schedulers import PIMScheduler, RandomScheduler, iSLIPScheduler
+from repro.baselines.schedulers import PIMScheduler, iSLIPScheduler
 from repro.traffic.sizes import BimodalSizes
 
 
@@ -20,7 +18,6 @@ class TestSchedulerInvariants:
         lambda n: iSLIPScheduler(n, iterations=1),
         lambda n: iSLIPScheduler(n, iterations=4),
         lambda n: PIMScheduler(n, iterations=2, rng=np.random.default_rng(0)),
-        lambda n: RandomScheduler(n, rng=np.random.default_rng(0)),
     ])
     def test_matching_is_valid(self, make):
         rng = np.random.default_rng(7)

@@ -18,18 +18,17 @@ from repro.core.allocator import (
     reference_allocate,
 )
 from repro.core.fabricsim import (
-    CounterUniformSource,
     FabricSimulator,
     FabricStats,
     saturated_permutation,
     saturated_uniform,
-    saturated_uniform_counter,
 )
 from repro.core.ring import Link, RingGeometry
 from repro.core.token import RotatingToken
 from repro.engines import WorkloadSpec, run_config
 from repro.faults import FaultEvent, FaultPlan
 from repro.telemetry import runtime
+from repro.traffic import SpecModel, spec_from_legacy
 
 
 @st.composite
@@ -175,7 +174,7 @@ class TestFastForward:
 
     def test_disabled_for_stochastic_source(self):
         sim = FabricSimulator(fast_forward=True)
-        sim.run(saturated_uniform_counter(64, seed=7), quanta=200)
+        sim.run(saturated_uniform(64, seed=7, exclude_self=True), quanta=200)
         assert sim.ff_quanta == 0
 
     def test_disabled_under_keep_history(self):
@@ -211,8 +210,10 @@ class TestSourceGuards:
             saturated_uniform(64, 0, n=1, exclude_self=True)
 
     def test_counter_uniform_rejects_self_only_ring(self):
+        # The counter-based uniform source (what the space engine polls).
+        spec = spec_from_legacy("uniform", 256, exclude_self=True)
         with pytest.raises(ValueError):
-            CounterUniformSource(64, seed=0, n=1, exclude_self=True)
+            SpecModel(spec, n=1, seed=0)
 
     def test_n1_allowed_without_exclusion(self):
         source = saturated_uniform(64, 0, n=1, exclude_self=False)

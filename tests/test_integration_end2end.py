@@ -9,19 +9,19 @@ egress metering, on both router engines where feasible.
 import numpy as np
 import pytest
 
+from repro.config import SimConfig
 from repro.ip.addr import Prefix, random_prefixes
 from repro.ip.lookup import RoutingTable
-from repro.ip.packet import IPv4Packet
 from repro.router import RawRouter
 from repro.traffic import (
-    BurstyDestinations,
     FixedSize,
-    IMix,
     PacketFactory,
     Saturated,
     UniformDestinations,
     Workload,
 )
+from repro.traffic.build import router_traffic
+from repro.traffic.spec import PatternSpec, SizeSpec, TrafficSpec
 
 
 class TestRealPrefixTable:
@@ -97,12 +97,15 @@ class TestMixedTraffic:
     def test_imix_bursty_run(self):
         """IMIX sizes + bursty destinations: the messy-traffic smoke
         test; conservation and monotone timestamps must survive."""
-        rng = np.random.default_rng(2)
-        router = RawRouter(warmup_cycles=5_000)
-        workload = Workload(
-            BurstyDestinations(4, rng, mean_burst=6.0), IMix(rng), Saturated()
+        spec = TrafficSpec(
+            pattern=PatternSpec(kind="bursty", mean_burst=6.0),
+            sizes=SizeSpec(kind="imix"),
         )
-        router.attach_saturated(workload, PacketFactory(4, rng))
+        config = SimConfig(ports=4, seed=2)
+        traffic, factory, offered_load = router_traffic(spec, config)
+        assert offered_load is None  # saturated: every ingress always has a packet
+        router = RawRouter(warmup_cycles=5_000)
+        router.attach_saturated(traffic, factory)
         res = router.run(max_cycles=150_000)
         assert res.packets > 200
         assert sum(router.stats.per_port_delivered) == res.packets

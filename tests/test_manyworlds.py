@@ -5,8 +5,7 @@ The vectorized engine (`repro.parallel.manyworlds`) promises that world
 sources, for every supported configuration -- not approximately equal,
 identical in every counter.  These tests pin that contract across ring
 sizes, traffic families and quantum lengths, pin the batch allocation
-rule to the reference allocation rule, pin `VecCounterUniform`
-to the `zlib.crc32`-hashed scalar source, and check the reduction
+rule to the reference allocation rule, and check the reduction
 (envelope) statistics against plain numpy over independent scalar runs.
 """
 
@@ -19,12 +18,10 @@ from hypothesis import strategies as st
 
 from repro.config import SimConfig
 from repro.core.allocator import CompiledAllocator, reference_allocate
-from repro.core.fabricsim import CounterUniformSource
 from repro.core.ring import RingGeometry
 from repro.engines import RunResult, WorkloadSpec
 from repro.parallel.manyworlds import (
     ManyWorldsResult,
-    VecCounterUniform,
     envelope,
     run_scalar_world,
     run_worlds,
@@ -168,34 +165,6 @@ def test_batch_grants_rejects_bad_inputs():
         compiled.batch_grants(np.array([[0, 1, 2]]), 0)  # wrong width
     with pytest.raises(ValueError):
         compiled.batch_grants(np.array([[0, 1, 2, 3]]), 7)  # bad token
-
-
-# ---------------------------------------------------------------------------
-# VecCounterUniform vs the zlib.crc32 scalar source.
-# ---------------------------------------------------------------------------
-@given(
-    seeds=st.lists(st.integers(min_value=0, max_value=2**32 - 1),
-                   min_size=1, max_size=5),
-    n=st.sampled_from([2, 4, 8]),
-    exclude_self=st.booleans(),
-)
-@settings(max_examples=25, deadline=None)
-def test_vec_counter_uniform_matches_scalar_source(seeds, n, exclude_self):
-    vec = VecCounterUniform(256, seeds, n=n, exclude_self=exclude_self)
-    scalars = [
-        CounterUniformSource(256, s, n=n, exclude_self=exclude_self)
-        for s in seeds
-    ]
-    for _ in range(8):
-        for p in range(n):
-            dest = vec.draw_col(p, np.ones(len(seeds), dtype=bool))
-            for w, src in enumerate(scalars):
-                d_ref, words = src(p)
-                assert int(dest[w]) == d_ref
-                assert words == 256
-    # Draw counters advanced identically (the sources' only state).
-    for w, src in enumerate(scalars):
-        assert [int(v) for v in vec._draws[w]] == src._draws
 
 
 # ---------------------------------------------------------------------------

@@ -4,34 +4,6 @@ import pytest
 
 from repro.experiments import paperdata
 from repro.raw import costs
-from repro.sim.kernel import Get, Put, Timeout, run_processes
-
-
-class TestRunProcessesHelper:
-    def test_runs_and_returns_simulator(self):
-        log = []
-
-        def a():
-            yield Timeout(5)
-            log.append("a")
-
-        def b():
-            yield Timeout(3)
-            log.append("b")
-
-        sim = run_processes(a(), b())
-        assert sim.now == 5
-        assert log == ["b", "a"]
-
-    def test_with_trace(self):
-        from repro.sim.trace import Trace
-
-        def noop():
-            yield Timeout(2)
-
-        trace = Trace()
-        sim = run_processes(noop(), trace=trace)
-        assert sim.now == 2
 
 
 class TestCostHelpers:

@@ -4,9 +4,7 @@ import pytest
 
 from repro.raw import costs
 from repro.raw.chip import RawChip
-from repro.raw.layout import Direction
-from repro.raw.tile import TileProgram
-from repro.sim.kernel import Get, Put
+from repro.sim.kernel import BUSY, Get, Put, Timeout
 from repro.sim.trace import Trace
 
 
@@ -98,48 +96,26 @@ class TestTileToTileTransfer:
 
 
 class TestTileProgram:
-    class _Echo(TileProgram):
-        def __init__(self, tile, chan_in, chan_out):
-            super().__init__(tile)
-            self.chan_in = chan_in
-            self.chan_out = chan_out
-
-        def run(self):
-            word = yield self.recv(self.chan_in)
-            yield self.compute(3)
-            yield self.send(self.chan_out, word + 1)
-
     def test_echo_program(self):
+        """A tile program is a generator of kernel commands: receive a
+        word, compute for 3 cycles, send the word + 1."""
         chip = RawChip()
         a = chip.sim.channel("a")
         b = chip.sim.channel("b")
-        prog = self._Echo(0, a, b)
+
+        def echo():
+            word = yield Get(a)
+            yield Timeout(3, BUSY)
+            yield Put(b, word + 1)
+
         got = []
 
         def driver():
             yield Put(a, 41)
             got.append((yield Get(b)))
 
-        chip.add_tile_program(0, prog.run())
+        chip.add_tile_program(0, echo())
         chip.add_io_program(driver(), "driver")
         chip.run()
         assert got == [42]
         assert chip.now == 3
-
-    def test_load_store_costs(self):
-        chip = RawChip()
-        prog = TileProgram(0, cache=chip.caches[0])
-
-        def runner():
-            yield from prog.store_words(0, 64)  # 2 c/w + misses
-            yield from prog.load_words(0, 64)  # 1 c/w, now resident
-
-        chip.add_tile_program(0, runner())
-        chip.run()
-        lines = 64 * 4 // costs.CACHE_LINE_BYTES
-        expected = 64 * 2 + lines * costs.CACHE_MISS_CYCLES + 64 * 1
-        assert chip.now == expected
-
-    def test_base_run_not_implemented(self):
-        with pytest.raises(NotImplementedError):
-            TileProgram(0).run()

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.raw import costs
-from repro.raw.layout import Direction, NUM_TILES
-from repro.raw.network import DynamicNetwork, StaticNetwork, route_hops
+from repro.raw.layout import Direction
+from repro.raw.network import DynamicNetwork, StaticNetwork
 from repro.sim.kernel import Get, Put, Simulator
 
 
@@ -99,20 +99,3 @@ class TestDynamicNetwork:
     def test_mailbox_requires_sim(self):
         with pytest.raises(RuntimeError):
             DynamicNetwork(None).mailbox(0)
-
-
-class TestRouteHops:
-    def test_dimension_order_x_first(self):
-        hops = route_hops(0, 15)  # (0,0) -> (3,3)
-        assert hops[:3] == [(1, 0), (2, 0), (3, 0)]  # X first
-        assert hops[3:] == [(3, 1), (3, 2), (3, 3)]  # then Y
-
-    def test_same_tile(self):
-        assert route_hops(7, 7) == []
-
-    def test_length_is_manhattan(self):
-        from repro.raw.layout import manhattan
-
-        for src in range(NUM_TILES):
-            for dst in range(NUM_TILES):
-                assert len(route_hops(src, dst)) == manhattan(src, dst)

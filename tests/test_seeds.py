@@ -7,16 +7,12 @@ in the repo silently shifted -- fix the regression, do not update the
 numbers.
 """
 
-import numpy as np
 import pytest
 
 from repro.seeds import (
-    COUNTER_SEED_MASK,
     SEED_RANGE,
     SPEC_SEED_MASK,
     cell_seed,
-    coerce_seed,
-    counter_seed,
     spec_seed,
     world_seed,
 )
@@ -70,16 +66,6 @@ class TestWorldSeed:
             world_seed(0, -1)
 
 
-class TestCoerceSeed:
-    def test_int_passthrough(self):
-        assert coerce_seed(17) == 17
-
-    def test_generator_draw(self):
-        # Must keep drawing integers(0, 2**31) off the Generator, as the
-        # historical arrivals._coerce_seed did.
-        assert coerce_seed(np.random.default_rng(7)) == 2029167941
-
-
 class TestStorageMasks:
     def test_spec_seed_matches_specmodel(self):
         from repro.traffic.model import SpecModel
@@ -89,17 +75,3 @@ class TestStorageMasks:
         big = 2**64 + 12345
         assert SpecModel(spec, 4, seed=big).seed == spec_seed(big)
         assert spec_seed(big) == big & SPEC_SEED_MASK
-
-    def test_counter_seed_matches_counter_source(self):
-        from repro.core.fabricsim import CounterUniformSource
-
-        big = 2**40 + 99
-        assert CounterUniformSource(16, big, n=4).seed == counter_seed(big)
-        assert counter_seed(big) == big & COUNTER_SEED_MASK
-
-    def test_arrivals_use_coerce_seed(self):
-        from repro.traffic.arrivals import Bernoulli, OnOff
-
-        gen_seed = coerce_seed(np.random.default_rng(3))
-        assert Bernoulli(0.5, seed=np.random.default_rng(3)).seed == gen_seed
-        assert OnOff(seed=np.random.default_rng(3)).seed == gen_seed

@@ -52,14 +52,17 @@ def assert_stats_identical(a: FabricStats, b: FabricStats) -> None:
     assert a.counters() == b.counters()
 
 
-#: Every counter-based source kind: the two direct source kinds, every
+#: Every counter-based source kind: the direct permutation kind, every
 #: traffic preset, the legacy uniform spec (which the ``traffic`` kind
-#: forces onto the counter model), and trace replay.  The imix preset
-#: appears twice: by name (``"spec"`` entry) and packed as JSON by
-#: ``shard_source`` (``"json"`` entry), the two ways a source is named.
+#: forces onto the counter model) at two sizes, and trace replay.  The
+#: imix preset appears twice: by name (``"spec"`` entry) and packed as
+#: JSON by ``shard_source`` (``"json"`` entry), the two ways a source is
+#: named.
 SOURCES = {
     "permutation": {"kind": "permutation", "words": 64, "shift": 3},
-    "uniform": {"kind": "uniform_counter", "words": 48, "seed": 11},
+    "uniform": shard_source(
+        spec_from_legacy(pattern="uniform", packet_bytes=192), seed=11
+    ),
     "imix": {"kind": "traffic", "spec": "imix", "seed": 5},
     "imix_packed": shard_source(PRESETS["imix"], seed=11),
     **{
@@ -518,9 +521,12 @@ class TestSpaceEngine:
         assert len(sp["pipe_stall_s"]) == 2
         assert len(sp["boundary_flits"]) == 2
 
-    def test_unknown_source_kind_rejected(self):
-        spec = SpaceSpec(source=SpaceSpec.pack_source({"kind": "zipf"}))
-        with pytest.raises(ValueError, match="unknown space source kind"):
+    @pytest.mark.parametrize("kind", ["zipf", "uniform_counter"])
+    def test_unknown_source_kind_rejected(self, kind):
+        # "uniform_counter" was a source kind once; a stale spec that
+        # still names it must fail loudly, not run some other source.
+        spec = SpaceSpec(source=SpaceSpec.pack_source({"kind": kind}))
+        with pytest.raises(ValueError, match=f"unknown space source kind '{kind}'"):
             run_space_serial(spec)
 
     def test_worker_error_carries_traceback(self):

@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 from repro.parallel import SpaceSpec, run_space, run_space_serial
 from repro.telemetry import runtime
 from repro.telemetry.events import N_KINDS
+from repro.traffic.build import shard_source
+from repro.traffic.spec import spec_from_legacy
 
 # Deliberately tiny so merges exercise ring trimming and reservoir
 # truncation, not just concatenation.
@@ -183,7 +185,9 @@ class TestMergeAlgebra:
 
 SOURCES = {
     "permutation": {"kind": "permutation", "words": 64, "shift": 3},
-    "uniform": {"kind": "uniform_counter", "words": 48, "seed": 11},
+    "uniform": shard_source(
+        spec_from_legacy(pattern="uniform", packet_bytes=192), seed=11
+    ),
 }
 
 

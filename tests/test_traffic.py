@@ -5,20 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.traffic.arrivals import (
-    Bernoulli,
-    OnOff,
-    Saturated,
-)
+from repro.config import SimConfig
+from repro.traffic.arrivals import ArrivalProcess, Saturated
+from repro.traffic.build import fabric_source
+from repro.traffic.model import SpecModel
 from repro.traffic.patterns import (
-    BurstyDestinations,
     FixedPermutation,
     HotspotDestinations,
-    RotatingPermutation,
     UniformDestinations,
 )
 from repro.traffic.sizes import BimodalSizes, FixedSize, IMix, UniformSizes
-from repro.traffic.workload import PacketFactory, Workload, fabric_source
+from repro.traffic.spec import ArrivalSpec, PatternSpec, TrafficSpec, spec_from_legacy
+from repro.traffic.workload import PacketFactory, Workload
+
+
+def _model(arrivals=ArrivalSpec(), pattern=PatternSpec(kind="uniform"), seed=0):
+    """A 4-port counter-based model of a synthetic spec."""
+    return SpecModel(TrafficSpec(pattern=pattern, arrivals=arrivals), n=4, seed=seed)
 
 
 class TestPatterns:
@@ -47,18 +50,6 @@ class TestPatterns:
         seen = {p.next_dest(1) for _ in range(300)}
         assert seen == {0, 1, 2, 3}
 
-    def test_rotating_permutation_never_self(self):
-        p = RotatingPermutation(4)
-        for _ in range(20):
-            for port in range(4):
-                assert p.next_dest(port) != port
-
-    def test_rotating_is_conflict_free_each_round(self):
-        p = RotatingPermutation(4)
-        for _ in range(8):
-            dests = [p.next_dest(i) for i in range(4)]
-            assert sorted(dests) == [0, 1, 2, 3]
-
     def test_hotspot_bias(self):
         rng = np.random.default_rng(1)
         p = HotspotDestinations(4, rng, hot=2, p_hot=0.8)
@@ -73,16 +64,14 @@ class TestPatterns:
             HotspotDestinations(4, rng, p_hot=1.5)
 
     def test_bursty_produces_runs(self):
-        rng = np.random.default_rng(2)
-        p = BurstyDestinations(4, rng, mean_burst=16.0)
-        dests = [p.next_dest(0) for _ in range(400)]
+        m = _model(pattern=PatternSpec(kind="bursty", mean_burst=16.0), seed=2)
+        dests = [m.next_packet(0)[0] for _ in range(400)]
         repeats = sum(a == b for a, b in zip(dests, dests[1:]))
         assert repeats > 300  # long runs dominate
 
     def test_bursty_never_self_when_excluded(self):
-        rng = np.random.default_rng(2)
-        p = BurstyDestinations(4, rng, exclude_self=True)
-        assert all(p.next_dest(3) != 3 for _ in range(300))
+        m = _model(pattern=PatternSpec(kind="bursty", exclude_self=True), seed=2)
+        assert all(m.next_packet(3)[0] != 3 for _ in range(300))
 
 
 class TestSizes:
@@ -124,42 +113,45 @@ class TestSizes:
 
 
 class TestArrivals:
+    """Stochastic arrivals are :class:`SpecModel`'s counter-based draws,
+    selected by an :class:`ArrivalSpec`; a poll offers a packet when
+    ``next_packet`` returns one."""
+
     def test_saturated(self):
         a = Saturated()
         assert a.offers(0) and a.load == 1.0
 
     def test_bernoulli_rate(self):
-        rng = np.random.default_rng(0)
-        a = Bernoulli(0.3, rng)
-        rate = np.mean([a.offers(0) for _ in range(4000)])
+        m = _model(ArrivalSpec(kind="bernoulli", p=0.3))
+        rate = np.mean([m.next_packet(0) is not None for _ in range(4000)])
         assert rate == pytest.approx(0.3, abs=0.03)
 
     def test_bernoulli_validation(self):
         with pytest.raises(ValueError):
-            Bernoulli(1.5, np.random.default_rng(0))
+            ArrivalSpec(kind="bernoulli", p=1.5)
 
     def test_bernoulli_is_counter_replayable(self):
-        a = Bernoulli(0.4, seed=7)
-        head = [a.offers(1) for _ in range(50)]
+        a = _model(ArrivalSpec(kind="bernoulli", p=0.4), seed=7)
+        head = [a.next_packet(1) for _ in range(50)]
         # Replaying from scratch reproduces the same draws.
-        c = Bernoulli(0.4, seed=7)
-        assert [c.offers(1) for _ in range(50)] == head
+        c = _model(ArrivalSpec(kind="bernoulli", p=0.4), seed=7)
+        assert [c.next_packet(1) for _ in range(50)] == head
 
     def test_bernoulli_ports_independent(self):
-        a = Bernoulli(0.5, seed=3)
-        p0 = [a.offers(0) for _ in range(200)]
-        b = Bernoulli(0.5, seed=3)
+        a = _model(ArrivalSpec(kind="bernoulli", p=0.5), seed=3)
+        p0 = [a.next_packet(0) for _ in range(200)]
+        b = _model(ArrivalSpec(kind="bernoulli", p=0.5), seed=3)
         # Interleaving draws on another port must not perturb port 0.
         p0_interleaved = []
         for _ in range(200):
-            b.offers(1)
-            p0_interleaved.append(b.offers(0))
+            b.next_packet(1)
+            p0_interleaved.append(b.next_packet(0))
         assert p0 == p0_interleaved
 
     def test_onoff_load_and_gaps(self):
-        a = OnOff(mean_on=8.0, mean_off=8.0, seed=1)
+        a = _model(ArrivalSpec(kind="onoff", mean_on=8.0, mean_off=8.0), seed=1)
         assert a.load == pytest.approx(0.5)
-        draws = [a.offers(0) for _ in range(4000)]
+        draws = [a.next_packet(0) is not None for _ in range(4000)]
         rate = np.mean(draws)
         assert 0.3 < rate < 0.7
         # On-off must produce runs of idle polls, unlike Bernoulli(0.5).
@@ -171,9 +163,9 @@ class TestArrivals:
 
     def test_onoff_validation(self):
         with pytest.raises(ValueError):
-            OnOff(mean_on=0.5)
+            ArrivalSpec(kind="onoff", mean_on=0.5)
         with pytest.raises(ValueError):
-            OnOff(heavy=True, alpha=1.0)
+            ArrivalSpec(kind="onoff", heavy=True, alpha=1.0)
 
 
 class TestWorkload:
@@ -184,17 +176,19 @@ class TestWorkload:
         assert w.num_ports == 4
 
     def test_fabric_source_converts_to_words(self):
-        w = Workload(FixedPermutation.shift(4, 1), FixedSize(256), Saturated())
-        src = fabric_source(w)
+        spec = spec_from_legacy(pattern="permutation", packet_bytes=256, shift=1)
+        src = fabric_source(spec, SimConfig(ports=4))
         assert src(2) == (3, 64)
 
     def test_no_arrival_is_none(self):
-        rng = np.random.default_rng(0)
-        w = Workload(
-            FixedPermutation.shift(4, 1), FixedSize(64), Bernoulli(0.0, rng)
-        )
+        class Never(ArrivalProcess):
+            def offers(self, port):
+                return False
+
+        w = Workload(FixedPermutation.shift(4, 1), FixedSize(64), Never())
         assert w.next_packet(0) is None
-        assert fabric_source(w)(0) is None
+        spec = TrafficSpec(arrivals=ArrivalSpec(kind="bernoulli", p=0.0))
+        assert fabric_source(spec, SimConfig(ports=4))(0) is None
 
 
 class TestPacketFactory:

@@ -4,17 +4,50 @@ identity for every counter-based source, replay included, lives in
 ``tests/test_space_shard.py``.)"""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.traffic.replay import (
-    TraceReplay,
-    generate_trace,
-    iter_flows,
-    run_replay,
-    scan_trace,
-)
-from repro.traffic.spec import TrafficSpec
+from repro.traffic.replay import TraceReplay, iter_flows, run_replay, scan_trace
+from repro.traffic.rng import draw_int
+from repro.traffic.spec import SizeSpec, TrafficSpec
+
+#: The bundled trace, which ``generate_trace`` must reproduce.
+EXAMPLE_TRACE = Path(__file__).resolve().parent.parent / "examples/traces/imix_1k.csv"
+
+
+def generate_trace(path: str, flows: int, ports: int, seed: int) -> int:
+    """Write a synthetic IMIX flow trace; returns total packet count.
+
+    Deterministic in ``seed`` (counter-based draws): ``flows=1000,
+    ports=4, seed=0`` writes the bundled ``examples/traces/imix_1k.csv``.
+    """
+    cdf = []
+    acc = 0
+    for w in SizeSpec.IMIX_WEIGHTS:
+        acc += w
+        cdf.append(acc)
+    total = 0
+    jsonl = path.endswith(".jsonl")
+    with open(path, "w") as fh:
+        if not jsonl:
+            fh.write("src,dst,bytes,count\n")
+        for i in range(flows):
+            src = draw_int(seed, 1, i, ports)
+            dst = draw_int(seed, 2, i, ports - 1)
+            if dst >= src:
+                dst += 1  # flows never loop back to their own port
+            u = draw_int(seed, 3, i, cdf[-1])
+            nbytes = SizeSpec.IMIX_SIZES[next(j for j, c in enumerate(cdf) if u < c)]
+            count = 1 + draw_int(seed, 4, i, 8)
+            total += count
+            if jsonl:
+                fh.write(json.dumps(
+                    {"src": src, "dst": dst, "bytes": nbytes, "count": count}
+                ) + "\n")
+            else:
+                fh.write(f"{src},{dst},{nbytes},{count}\n")
+    return total
 
 
 @pytest.fixture()
@@ -43,6 +76,11 @@ class TestTraceFiles:
         c = str(tmp_path / "c.csv")
         generate_trace(c, flows=200, ports=4, seed=6)
         assert open(a).read() != open(c).read()
+
+    def test_bundled_example_trace_is_generated(self, tmp_path):
+        path = str(tmp_path / "imix_1k.csv")
+        generate_trace(path, flows=1000, ports=4, seed=0)
+        assert open(path).read() == EXAMPLE_TRACE.read_text()
 
     def test_csv_and_jsonl_parse_identically(self, trace_csv, trace_jsonl):
         assert list(iter_flows(trace_csv)) == list(iter_flows(trace_jsonl))

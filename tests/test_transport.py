@@ -31,7 +31,7 @@ from repro.parallel import (
 )
 from repro.sweep import build_cell
 from repro.traffic.build import shard_source
-from repro.traffic.spec import TrafficSpec
+from repro.traffic.spec import TrafficSpec, spec_from_legacy
 
 
 def _result_key(res):
@@ -93,9 +93,9 @@ def _long_run_spec() -> SpaceSpec:
     """A 64-port P=2 run that takes seconds, so a kill lands mid-run."""
     return SpaceSpec(
         k=8, latency=4, partitions=2, quanta=20_000, warmup_quanta=50,
-        source=SpaceSpec.pack_source(
-            {"kind": "uniform_counter", "words": 256, "seed": 3}
-        ),
+        source=SpaceSpec.pack_source(shard_source(
+            spec_from_legacy(pattern="uniform", packet_bytes=1024), seed=3
+        )),
     )
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.metrics.utilization import summarize_trace
 from repro.sim.trace import Trace
 from repro.viz.tables import format_comparison, format_table
-from repro.viz.timeline import render_timeline, render_utilization_bars
+from repro.viz.timeline import render_timeline
 
 
 def _trace():
@@ -72,15 +72,6 @@ class TestFaultUtilization:
         assert s.faulted == 30
         assert s.blocked == 0
         assert s.idle == 40
-
-
-class TestUtilizationBars:
-    def test_bars_and_percentages(self):
-        s = summarize_trace(_trace(), 0, 100)
-        out = render_utilization_bars(s, ["t4", "t5"], width=10)
-        assert "busy  40.0%" in out
-        assert "blocked  60.0%" in out
-        assert "busy 100.0%" in out
 
 
 class TestTables:
