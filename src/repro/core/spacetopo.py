@@ -99,7 +99,6 @@ class SpaceTopology:
 
     def __init__(
         self,
-        geometry: str,
         k: int,
         num_nodes: int,
         num_ports: int,
@@ -107,7 +106,6 @@ class SpaceTopology:
         ext_in: Dict[int, Tuple[int, int]],
         ext_out: Dict[Tuple[int, int], int],
     ):
-        self.geometry = geometry
         self.k = k
         self.num_nodes = num_nodes
         self.num_ports = num_ports
@@ -125,17 +123,9 @@ class SpaceTopology:
     # -- forwarding -----------------------------------------------------
     def route(self, node: int, dest: int) -> int:
         """The output leg a fragment for global port ``dest`` takes at
-        ``node`` (clos: spread by dest over middles, then by egress
-        chip, then the local output leg; torus: shortest way around the
-        ring, ties broken toward +, then the local output leg)."""
+        ``node``: spread by dest over middles, then by egress chip, then
+        the local output leg."""
         k = self.k
-        if self.geometry == "torus":
-            ext = k - 2
-            d = dest // ext
-            if d == node:
-                return 2 + dest % ext
-            delta = (d - node) % self.num_nodes
-            return 0 if delta <= self.num_nodes - delta else 1
         if node < k:  # ingress chip -> middle index
             return dest % k
         if node < 2 * k:  # middle chip -> egress chip index
@@ -145,9 +135,9 @@ class SpaceTopology:
     @property
     def preferred_partitions(self) -> int:
         """The topology's natural worker count before the CPU clamp: the
-        middle-stage chip count for a Clos (each stage block then holds
-        whole chips), every chip for a torus."""
-        return self.k if self.geometry == "clos" else self.num_nodes
+        middle-stage chip count (each stage block then holds whole
+        chips)."""
+        return self.k
 
     # -- partitioning ---------------------------------------------------
     def partition(self, parts: int) -> List[List[int]]:
@@ -218,75 +208,9 @@ def clos_topology(k: int, latency: int = 1) -> SpaceTopology:
     ext_in = {g: (g // k, g % k) for g in range(k * k)}
     ext_out = {(2 * k + o, l): o * k + l for o in range(k) for l in range(k)}
     return SpaceTopology(
-        geometry="clos", k=k, num_nodes=3 * k, num_ports=k * k,
+        k=k, num_nodes=3 * k, num_ports=k * k,
         channels=channels, ext_in=ext_in, ext_out=ext_out,
     )
-
-
-def torus_topology(k: int, latency: int = 1) -> SpaceTopology:
-    """A 1-D bidirectional torus (ring) of ``k`` k-port crossbar chips.
-
-    Node ids ``0..k-1`` around the ring.  Each chip spends leg ``0`` on
-    its ``+1`` neighbor and leg ``1`` on its ``-1`` neighbor; legs
-    ``2..k-1`` are external, so the fabric exposes ``k * (k - 2)``
-    ports, global port ``g`` mapping to chip ``g // (k-2)`` leg
-    ``2 + g % (k-2)`` for both input and output.  Channel ``2c`` runs
-    ``c -> c+1`` (src leg 0 into dst leg 1), channel ``2c + 1`` runs
-    ``c -> c-1`` (src leg 1 into dst leg 0); every channel carries the
-    same ``latency``.  Unlike the feed-forward Clos, the partition graph
-    is cyclic, so torus runs need the worker pool (the in-process
-    toposort helper refuses them).
-    """
-    if k < 3:
-        raise ValueError("a torus chip needs >= 3 ports (2 ring + 1 external)")
-    channels: List[Channel] = []
-    for c in range(k):
-        channels.append(Channel(
-            cid=len(channels), src_node=c, src_leg=0,
-            dst_node=(c + 1) % k, dst_leg=1, latency=latency,
-        ))
-        channels.append(Channel(
-            cid=len(channels), src_node=c, src_leg=1,
-            dst_node=(c - 1) % k, dst_leg=0, latency=latency,
-        ))
-    ext = k - 2
-    ext_in = {g: (g // ext, 2 + g % ext) for g in range(k * ext)}
-    ext_out = {(c, 2 + l): c * ext + l for c in range(k) for l in range(ext)}
-    return SpaceTopology(
-        geometry="torus", k=k, num_nodes=k, num_ports=k * ext,
-        channels=channels, ext_in=ext_in, ext_out=ext_out,
-    )
-
-
-#: Geometry name -> (ports for chip size k, topology builder).
-GEOMETRIES = {
-    "clos": (lambda k: k * k, clos_topology),
-    "torus": (lambda k: k * (k - 2), torus_topology),
-}
-
-
-def geometry_ports(geometry: str, k: int) -> int:
-    """External port count of ``geometry`` at chip size ``k`` without
-    building the topology."""
-    try:
-        ports_of, _ = GEOMETRIES[geometry]
-    except KeyError:
-        raise ValueError(
-            f"unknown space geometry {geometry!r}; expected one of "
-            f"{tuple(GEOMETRIES)}"
-        ) from None
-    return ports_of(k)
-
-
-def build_topology(geometry: str, k: int, latency: int = 1) -> SpaceTopology:
-    try:
-        _, builder = GEOMETRIES[geometry]
-    except KeyError:
-        raise ValueError(
-            f"unknown space geometry {geometry!r}; expected one of "
-            f"{tuple(GEOMETRIES)}"
-        ) from None
-    return builder(k, latency=latency)
 
 
 def link_fault_windows(
@@ -703,20 +627,3 @@ def merge_part_stats(
             stats.idle_quanta += 1
             stats.cycles += idle
     return stats
-
-
-def part_payload(stats: PartStats) -> Dict[str, Any]:
-    """The picklable worker-result form of :class:`PartStats`."""
-    return {
-        "num_ports": stats.num_ports,
-        "delivered_words": stats.delivered_words,
-        "delivered_packets": stats.delivered_packets,
-        "per_port_words": list(stats.per_port_words),
-        "per_port_packets": list(stats.per_port_packets),
-        "blocked_events": stats.blocked_events,
-        "body_max": list(stats.body_max),
-    }
-
-
-def payload_to_stats(payload: Dict[str, Any]) -> PartStats:
-    return PartStats(**payload)

@@ -321,7 +321,7 @@ class SpaceEngine(_BaseEngine):
     def _spec(self, workload: WorkloadSpec):
         import math
 
-        from repro.core.spacetopo import build_topology
+        from repro.core.spacetopo import clos_topology
         from repro.faults.plan import resolve_plan
         from repro.parallel.space_shard import SpaceSpec, auto_partitions
         from repro.traffic.build import shard_source
@@ -337,7 +337,7 @@ class SpaceEngine(_BaseEngine):
             # Adaptive: as many workers as the Clos's middle stage (= k
             # chips per block boundary cut) and the box's cores allow.
             partitions = auto_partitions(
-                build_topology("clos", k, latency=self.config.link_latency)
+                clos_topology(k, latency=self.config.link_latency)
             )
         source = shard_source(workload.effective_traffic(), seed=self.config.seed)
         warmup = (

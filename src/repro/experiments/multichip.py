@@ -8,7 +8,7 @@ middle-stage reselection) restores ~4x of it -- and what it costs
 (3k crossbar chips and a 3-quantum pipeline instead of 1 ring).
 
 ``run()`` is parameterized over chip count (``k``: k*k external ports
-on 3k chips), geometry, and -- via the space-partitioned engine
+on 3k chips) and -- via the space-partitioned engine
 (:mod:`repro.parallel.space_shard`, DESIGN.md §13) -- the number of
 worker processes the Clos is distributed across.  The distributed
 numbers are asserted bit-identical to the serial reference before they
@@ -28,7 +28,6 @@ def run(
     quanta: int = 2000,
     seed: int = 0,
     k: int = 4,
-    geometry: str = "clos",
     partitions: int = 3,
     latency: int = 4,
 ) -> ExperimentResult:
@@ -39,8 +38,6 @@ def run(
     space-partitioned token-window engine for the distributed rows
     (DESIGN.md §13).
     """
-    if geometry != "clos":
-        raise ValueError(f"unknown multichip geometry {geometry!r}")
     num_ports = k * k
     result = ExperimentResult(
         name="ext_multichip",

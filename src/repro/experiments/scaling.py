@@ -82,7 +82,7 @@ def run(
     # min(middle-stage chips, cpu_count)).
     import math
 
-    from repro.core.spacetopo import build_topology
+    from repro.core.spacetopo import clos_topology
     from repro.parallel.space_shard import (
         SpaceSpec,
         auto_partitions,
@@ -94,7 +94,7 @@ def run(
         if k * k != n:
             raise ValueError(f"space Clos needs a square port count, got {n}")
         partitions = space_partitions or auto_partitions(
-            build_topology("clos", k)
+            clos_topology(k)
         )
         # The N=256 fabric steps 48 chips per quantum; a shorter
         # (post-warmup) horizon keeps the experiment affordable without

@@ -7,7 +7,6 @@ only parallelizes *across* independent cells."""
 from repro.parallel.space_shard import (  # noqa: F401
     SpaceRunInfo,
     SpaceSpec,
-    SpaceWorkerPool,
     auto_partitions,
     run_space,
     run_space_serial,
@@ -16,7 +15,6 @@ from repro.parallel.space_shard import (  # noqa: F401
 __all__ = [
     "SpaceSpec",
     "SpaceRunInfo",
-    "SpaceWorkerPool",
     "auto_partitions",
     "run_space",
     "run_space_serial",

@@ -27,16 +27,19 @@ associative :func:`~repro.core.spacetopo.merge_part_stats` fold;
 property tests in ``tests/test_space_shard.py`` pin P ∈ {1, 2, 4, 5}
 against serial across chip sizes and traffic families.
 
-Workers are *persistent*: :class:`SpaceWorkerPool` keeps the processes
-warm between runs and streams successive :class:`SpaceSpec` s to them
-over one duplex command pipe per worker.  Boundary batches travel over
-one simplex pipe per ordered partition pair, pickled explicitly so the
-bytes moved are counted.  A worker that finished its window blocks only
-on the specific peers feeding it.  Every worker advances exactly one
-window per round and ships one batch per out-peer per round --
-firesim's per-link token discipline.  Each worker holds only its own
-pipe ends, so a dead worker's pipes close everywhere and its peers and
-the coordinator fail with an error instead of waiting on it.
+Workers are *one-shot*: :func:`run_space` forks one process per
+partition for each run, hands it the :class:`SpaceSpec` and the node
+blocks as process arguments, and joins every one before it returns or
+raises.  Boundary batches travel over one simplex pipe per partition
+pair that shares a boundary channel (the Clos feeds forward, so P = 2
+needs one), pickled explicitly so the bytes moved are counted.  A
+worker that finished its window blocks only on the specific peers
+feeding it.  Every worker advances exactly one window per round and
+ships one batch per out-peer per round -- firesim's per-link token
+discipline.  A worker's live telemetry snaps and its result come back
+over its own simplex result pipe.  Each worker holds only its own pipe
+ends, so a dead worker's pipes close everywhere and its peers and the
+coordinator fail with an error instead of waiting on it.
 
 ``partitions=0`` in the engine/CLI layer picks P adaptively
 (:func:`auto_partitions`: ``min(middle-stage chips, cpu_count)``).
@@ -54,11 +57,8 @@ from repro.core.fabricsim import FabricStats, saturated_permutation
 from repro.core.spacetopo import (
     PartitionSim,
     SpaceTopology,
-    build_topology,
-    geometry_ports,
+    clos_topology,
     merge_part_stats,
-    part_payload,
-    payload_to_stats,
 )
 from repro.faults.plan import FaultPlan
 from repro.telemetry import runtime as _telemetry
@@ -68,19 +68,17 @@ from repro.telemetry import runtime as _telemetry
 class SpaceSpec:
     """A picklable description of one space-partitionable fabric run.
 
-    ``k`` is the chip port count; a ``"clos"`` geometry yields ``k * k``
-    external ports on ``3k`` chips.  ``latency`` is the uniform
-    inter-chip channel latency in quanta and therefore the token window.
-    ``source`` is a declarative workload: ``{"kind": "permutation",
-    "words": W, "shift": s}`` or ``{"kind": "traffic", "json":
-    <TrafficSpec.to_json()>, "seed": s}`` (``"spec": <preset name or
-    trace path>`` also works; see :func:`repro.traffic.build.shard_source`),
-    always instantiated counter-based so per-port draws are
-    partition-independent.
+    ``k`` is the chip port count: the Clos has ``k * k`` external ports
+    on ``3k`` chips, so at most ``3k`` partitions.  ``latency`` is the
+    uniform inter-chip channel latency in quanta and therefore the token
+    window.  ``source`` is a declarative workload: ``{"kind":
+    "permutation", "words": W, "shift": s}`` or ``{"kind": "traffic",
+    "json": <TrafficSpec.to_json()>, "seed": s}`` (see
+    :func:`repro.traffic.build.shard_source`), always instantiated
+    counter-based so per-port draws are partition-independent.
     """
 
     k: int = 4
-    geometry: str = "clos"
     latency: int = 4
     partitions: int = 3
     costs: CostModel = field(default_factory=CostModel.default)
@@ -94,12 +92,18 @@ class SpaceSpec:
             raise ValueError("channel latency must be >= 1 quantum")
         if self.partitions < 1:
             raise ValueError("partitions must be >= 1")
+        if self.partitions > 3 * self.k:
+            # Refused here, before any worker process starts.
+            raise ValueError(
+                f"{self.partitions} partitions over {3 * self.k} chips "
+                "leaves empty workers; lower --partitions"
+            )
         if self.warmup_quanta < 0 or self.quanta < 1:
             raise ValueError("need quanta >= 1 and warmup_quanta >= 0")
 
     @property
     def num_ports(self) -> int:
-        return geometry_ports(self.geometry, self.k)
+        return self.k * self.k
 
     def source_dict(self) -> Dict[str, Any]:
         return dict(self.source)
@@ -110,7 +114,7 @@ class SpaceSpec:
         return tuple(sorted(source.items()))
 
     def topology(self) -> SpaceTopology:
-        return build_topology(self.geometry, self.k, latency=self.latency)
+        return clos_topology(self.k, latency=self.latency)
 
 
 @dataclass
@@ -201,7 +205,7 @@ def run_space_serial(spec: SpaceSpec) -> FabricStats:
 
 
 # ---------------------------------------------------------------------------
-# The worker side: one process per partition, persistent across runs.
+# The worker side: one process per partition, one run per process.
 # ---------------------------------------------------------------------------
 def _simulate_partition(
     spec: SpaceSpec,
@@ -215,11 +219,11 @@ def _simulate_partition(
     """Run one partition's token-window rounds.
 
     ``recv_fns[peer]()`` blocks until that peer's next batch arrives;
-    ``send_fns[peer](batch)`` ships one.  Returns ``(stats payload,
-    windows, pipe-stall seconds, boundary flits sent)`` -- plus the
-    worker-local telemetry state when ``tel_cfg`` asked for
-    recording.  The same function drives the pipe workers and the
-    in-process harness the tests use, which fakes both callables.
+    ``send_fns[peer](batch)`` ships one.  Returns ``(PartStats, windows,
+    pipe-stall seconds, boundary flits sent)`` -- plus the worker-local
+    telemetry state when ``tel_cfg`` asked for recording.  The same
+    function drives the pipe workers and the in-process harness the
+    tests use, which fakes both callables.
 
     ``tel_cfg`` (from :meth:`Telemetry.config` plus ``port_classes``)
     installs a fresh *worker-local* recorder for the duration: journeys
@@ -333,32 +337,31 @@ def _run_partition_rounds(
             for peer in out_peers:
                 send_fns[peer](batches[peer])
     if tel is None:
-        return part_payload(sim.stats), rounds, stall, flits_sent
+        return sim.stats, rounds, stall, flits_sent
     tel.registry.snapshot(q)
     state = tel.to_state(worker=part_id,
                          meta={"partition": part_id, "rounds": rounds,
                                "chips": len(blocks[part_id])})
-    return part_payload(sim.stats), rounds, stall, flits_sent, state
+    return sim.stats, rounds, stall, flits_sent, state
 
 
-def _space_worker(part_id, cmd_conn, recv_conns, send_conns, pool_ends):
-    """Persistent worker loop: block on the command pipe, run one
-    partition per ``("run", spec, blocks, tel_cfg)`` message, exit on
-    ``None`` (or the coordinator hanging up).  Live telemetry snaps
-    stream back over the same pipe as ``("snap", part_id, state)``
-    messages ahead of the terminal ``("ok", result, bytes_sent)`` /
-    ``("err", msg, traceback)``; a worker exits after an ``err``.
-    ``recv_conns`` / ``send_conns`` map each peer to this worker's end
-    of the data pipe from / to it."""
-    # A forked worker inherits every pipe end the pool made.  Holding a
+def _space_worker(spec, part_id, blocks, tel_cfg, recv_conns, send_conns,
+                  result_conn, run_ends):
+    """One partition's process: run its rounds once and report over
+    ``result_conn`` -- live telemetry snaps as ``("snap", part_id,
+    state)`` messages ahead of the terminal ``("ok", result,
+    bytes_sent)`` or ``("err", msg, traceback)``.  ``recv_conns`` /
+    ``send_conns`` map each peer to this worker's end of the data pipe
+    from / to it."""
+    # A forked worker inherits every pipe end the run made.  Holding a
     # peer's ends would keep them open after that peer died, so nobody
     # would ever see its EOF or EPIPE: keep only this worker's own.
-    own = [cmd_conn, *recv_conns.values(), *send_conns.values()]
-    for end in pool_ends:
+    own = [result_conn, *recv_conns.values(), *send_conns.values()]
+    for end in run_ends:
         if end not in own:
             end.close()
-    # The fork start method hands children the parent's recorder; each
-    # run installs its own local one (or none) via tel_cfg instead.
+    # The fork start method hands children the parent's recorder;
+    # tel_cfg installs a worker-local one (or none) instead.
     _telemetry.RECORDER = None
     sent = [0]
 
@@ -373,143 +376,89 @@ def _space_worker(part_id, cmd_conn, recv_conns, send_conns, pool_ends):
     def make_recv(conn):
         return lambda: pickle.loads(conn.recv_bytes())
 
-    recv_fns = {p: make_recv(c) for p, c in recv_conns.items()}
-    send_fns = {p: make_send(c) for p, c in send_conns.items()}
-    while True:
-        try:
-            msg = cmd_conn.recv()
-        except EOFError:
-            return
-        if msg is None:
-            return
-        _tag, spec, blocks, tel_cfg = msg
-        sent[0] = 0
-        try:
-            result = _simulate_partition(
-                spec, part_id, blocks, recv_fns, send_fns,
-                tel_cfg=tel_cfg,
-                snap_fn=(
-                    (lambda state: cmd_conn.send(("snap", part_id, state)))
-                    if tel_cfg is not None and tel_cfg.get("stream_snaps")
-                    else None
-                ),
-            )
-            cmd_conn.send(("ok", result, sent[0]))
-        except Exception as exc:  # surfaced in the parent
-            import traceback
+    snap_fn = None
+    if tel_cfg is not None and tel_cfg.get("stream_snaps"):
+        def snap_fn(state):
+            result_conn.send(("snap", part_id, state))
+    try:
+        result = _simulate_partition(
+            spec, part_id, blocks,
+            {p: make_recv(c) for p, c in recv_conns.items()},
+            {p: make_send(c) for p, c in send_conns.items()},
+            tel_cfg=tel_cfg, snap_fn=snap_fn,
+        )
+        result_conn.send(("ok", result, sent[0]))
+    except Exception as exc:  # surfaced in the parent
+        import traceback
 
-            cmd_conn.send(("err", f"{type(exc).__name__}: {exc}",
-                           traceback.format_exc()))
-            # Exit, so this worker's pipes close and a peer still waiting
-            # on its batches fails too instead of blocking for ever.
-            return
+        result_conn.send(("err", f"{type(exc).__name__}: {exc}",
+                          traceback.format_exc()))
 
 
-class SpaceWorkerPool:
-    """A warm pool of ``P`` partition workers and the pipes between them.
+def _run_workers(
+    spec: SpaceSpec,
+    tel_cfg: Optional[Dict[str, Any]],
+    on_snapshot,
+) -> Tuple[FabricStats, SpaceRunInfo]:
+    """Fork one worker per partition, gather their results and join them.
 
-    Construction forks the workers (``multiprocessing``'s default start
-    method) and wires one duplex command pipe per worker plus one
-    simplex data pipe per ordered partition pair (full mesh -- any
-    geometry's boundary graph is a subgraph).  :meth:`run` streams a
-    :class:`SpaceSpec` to every worker and gathers the merged stats; the
-    workers survive between runs, so successive workloads skip
-    process/pipe setup entirely.  A worker that raises or dies fails the
-    run with a ``RuntimeError`` naming its partition; the pool then has
-    a dead worker, so every later run fails the same way.
-    Use as a context manager or call :meth:`close`.
+    Data pipes are wired only between partitions that share a boundary
+    channel; each worker also gets one simplex result pipe.  A worker
+    that raises or dies fails the run with a ``RuntimeError`` naming its
+    partition (an exception's traceback included), once every other
+    worker has reported or died too.
     """
+    import multiprocessing as mp
+    from multiprocessing.connection import wait as _conn_wait
 
-    def __init__(self, partitions: int):
-        if partitions < 2:
-            raise ValueError("a worker pool needs at least 2 partitions")
-        import multiprocessing as mp
-
-        ctx = mp.get_context()
-        self.partitions = partitions
-        self.runs = 0
-        self._procs: List[Any] = []
-        parts = range(partitions)
-        # data[src, dst] = (dst's receiving end, src's sending end)
-        data = {
-            (src, dst): ctx.Pipe(duplex=False)
-            for src in parts for dst in parts if src != dst
-        }
-        cmd = [ctx.Pipe(duplex=True) for _ in parts]
-        self._cmd_conns = [coord_end for coord_end, _ in cmd]
-        pool_ends = [end for pair in (*data.values(), *cmd) for end in pair]
+    ctx = mp.get_context()
+    topo = spec.topology()
+    blocks = topo.partition(spec.partitions)
+    owner = topo.node_owner(blocks)
+    parts = range(len(blocks))
+    # data[src, dst] = (dst's receiving end, src's sending end)
+    data = {
+        pair: ctx.Pipe(duplex=False)
+        for pair in sorted({(owner[ch.src_node], owner[ch.dst_node])
+                            for ch in topo.boundary_channels(blocks)})
+    }
+    # result_pipes[p] = (the coordinator's receiving end, p's sending end)
+    result_pipes = [ctx.Pipe(duplex=False) for _ in parts]
+    run_ends = [end for pair in (*data.values(), *result_pipes) for end in pair]
+    pending = {result_pipes[p][0]: p for p in parts}
+    procs: List[Any] = []
+    errors: List[str] = []
+    tracebacks: List[str] = []
+    results: Dict[int, Tuple] = {}
+    worker_bytes: Dict[int, int] = {}
+    try:
         for p in parts:
             proc = ctx.Process(
                 target=_space_worker,
+                name=f"space-partition-{p}",
                 args=(
-                    p, cmd[p][1],
-                    {src: data[src, p][0] for src in parts if src != p},
-                    {dst: data[p, dst][1] for dst in parts if dst != p},
-                    pool_ends,
+                    spec, p, blocks, tel_cfg,
+                    {src: ends[0] for (src, dst), ends in data.items()
+                     if dst == p},
+                    {dst: ends[1] for (src, dst), ends in data.items()
+                     if src == p},
+                    result_pipes[p][1], run_ends,
                 ),
                 daemon=True,
             )
             proc.start()
-            self._procs.append(proc)
-        # The workers hold their own ends now; keeping only the command
+            procs.append(proc)
+        # The workers hold their own ends now; keeping only the result
         # ends here lets a worker's exit close its pipes everywhere.
-        for end in pool_ends:
-            if end not in self._cmd_conns:
+        for end in run_ends:
+            if end not in pending:
                 end.close()
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        spec: SpaceSpec,
-        tel_cfg: Optional[Dict[str, Any]] = None,
-        on_snapshot=None,
-    ) -> Tuple[FabricStats, SpaceRunInfo]:
-        """Run ``spec`` across the pool.
-
-        ``tel_cfg`` (see :func:`_simulate_partition`) makes every worker
-        record into a local telemetry recorder; the shipped states are
-        folded into the coordinator's active recorder in partition
-        order.  ``on_snapshot(part_id, state)`` receives the live
-        mid-run snaps (implies streaming); each snap replaces the
-        worker's previous one.
-        """
-        from multiprocessing.connection import wait as _conn_wait
-
-        if spec.partitions != self.partitions:
-            raise ValueError(
-                f"pool has {self.partitions} workers; spec wants "
-                f"{spec.partitions} partitions"
-            )
-        topo = spec.topology()
-        blocks = topo.partition(self.partitions)
-        if len(blocks) != self.partitions:
-            raise ValueError(
-                f"{self.partitions} partitions over {topo.num_nodes} chips "
-                "leaves empty workers; lower --partitions"
-            )
-        if tel_cfg is not None and on_snapshot is not None:
-            tel_cfg = dict(tel_cfg, stream_snaps=True)
-        if not self._cmd_conns:
-            raise RuntimeError("the worker pool is closed")
-        errors = []
-        tracebacks = []
-        pending = {}  # command pipe -> partition, until its result arrives
-        for p, conn in enumerate(self._cmd_conns):
-            try:
-                conn.send(("run", spec, blocks, tel_cfg))
-            except ConnectionError:  # the worker is gone: EPIPE
-                errors.append(f"partition {p}: worker died")
-            else:
-                pending[conn] = p
-        results: Dict[int, Tuple] = {}
-        worker_bytes: Dict[int, int] = {}
         while pending:
             for conn in _conn_wait(list(pending)):
                 p = pending[conn]
                 try:
                     msg = conn.recv()
-                except (EOFError, ConnectionError):
-                    # EOF, or a reset when it died with a command unread.
+                except EOFError:
                     errors.append(f"partition {p}: worker died")
                     del pending[conn]
                     continue
@@ -524,64 +473,38 @@ class SpaceWorkerPool:
                 else:
                     results[p] = msg[1]
                     worker_bytes[p] = msg[2]
-        if errors:
-            raise RuntimeError(
-                "space workers failed: " + "; ".join(errors) + "\n\n"
-                + "\n".join(tracebacks)
-            )
-        self.runs += 1
-        ordered = [results[p] for p in range(self.partitions)]
-        payloads = [r[0] for r in ordered]
-        rounds_seen = [r[1] for r in ordered]
-        stalls = [r[2] for r in ordered]
-        flits = [r[3] for r in ordered]
-        if tel_cfg is not None and _telemetry.RECORDER is not None:
-            for r in ordered:
-                _telemetry.RECORDER.merge_state(r[4])
-        stats = merge_part_stats(
-            [payload_to_stats(p) for p in payloads], topo.num_ports, spec.costs
+    finally:
+        for proc in procs:
+            if pending:  # leaving early: nothing else would end it
+                proc.kill()
+            proc.join()
+        for end in run_ends:
+            end.close()
+    if errors:
+        raise RuntimeError(
+            "space workers failed: " + "; ".join(errors) + "\n\n"
+            + "\n".join(tracebacks)
         )
-        info = SpaceRunInfo(
-            partitions=self.partitions,
-            workers=self.partitions,
-            window=min(topo.window(blocks), spec.warmup_quanta + spec.quanta),
-            rounds=max(rounds_seen),
-            node_blocks=blocks,
-            windows_per_worker=rounds_seen,
-            pipe_stall_s=stalls,
-            boundary_flits=flits,
-            bytes_moved=[worker_bytes[p] for p in range(self.partitions)],
-        )
-        return stats, info
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Tell every worker to exit, reap (or terminate) its process,
-        and close the command pipes."""
-        for conn in self._cmd_conns:
-            try:
-                conn.send(None)
-            except OSError:
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5)
-        for conn in self._cmd_conns:
-            conn.close()
-        self._cmd_conns = []
-        self._procs = []
-
-    def __enter__(self) -> "SpaceWorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self):
-        if getattr(self, "_procs", None):
-            self.close()
+    ordered = [results[p] for p in parts]
+    if tel_cfg is not None and _telemetry.RECORDER is not None:
+        for r in ordered:
+            _telemetry.RECORDER.merge_state(r[4])
+    stats = merge_part_stats(
+        [r[0] for r in ordered], topo.num_ports, spec.costs
+    )
+    rounds_seen = [r[1] for r in ordered]
+    info = SpaceRunInfo(
+        partitions=spec.partitions,
+        workers=spec.partitions,
+        window=min(topo.window(blocks), spec.warmup_quanta + spec.quanta),
+        rounds=max(rounds_seen),
+        node_blocks=blocks,
+        windows_per_worker=rounds_seen,
+        pipe_stall_s=[r[2] for r in ordered],
+        boundary_flits=[r[3] for r in ordered],
+        bytes_moved=[worker_bytes[p] for p in parts],
+    )
+    return stats, info
 
 
 # ---------------------------------------------------------------------------
@@ -589,22 +512,21 @@ class SpaceWorkerPool:
 # ---------------------------------------------------------------------------
 def run_space(
     spec: SpaceSpec,
-    pool: Optional[SpaceWorkerPool] = None,
     on_snapshot=None,
 ) -> Tuple[FabricStats, SpaceRunInfo]:
     """Run ``spec`` space-partitioned; bit-identical to
     :func:`run_space_serial`.
 
     An active telemetry recorder is honored on *both* paths: each worker
-    records into a local recorder whose state ships back over the
-    command pipe and folds into the coordinator's, so a distributed run
+    records into a local recorder whose state ships back over its
+    result pipe and folds into the coordinator's, so a distributed run
     under telemetry is indistinguishable from a single-process one
     (journeys use shared-key tags, so even packets crossing partitions
     stitch back together).  Only ``partitions == 1`` stays in-process --
     silently, because one partition *is* a single-process run.
     ``on_snapshot(part_id, state)`` streams live mid-run worker states
-    (distributed runs only).  A supplied warm ``pool`` is used as-is;
-    otherwise a throwaway pool is created and torn down around the run.
+    (distributed runs only; each snap replaces the worker's previous
+    one).  Every worker process has exited when this returns or raises.
     """
     tel = _telemetry.RECORDER
     if spec.partitions == 1:
@@ -635,14 +557,9 @@ def run_space(
         tel_cfg = dict(tel.config())
         if tel.journeys.port_classes:
             tel_cfg["port_classes"] = list(tel.journeys.port_classes)
-    owned_pool = pool is None
-    if owned_pool:
-        pool = SpaceWorkerPool(spec.partitions)
-    try:
-        stats, info = pool.run(spec, tel_cfg=tel_cfg, on_snapshot=on_snapshot)
-    finally:
-        if owned_pool:
-            pool.close()
+        if on_snapshot is not None:
+            tel_cfg["stream_snaps"] = True
+    stats, info = _run_workers(spec, tel_cfg, on_snapshot)
     if tel is not None:
         # Every worker state is folded in; convert the partial
         # cross-partition journey entries into final histograms.

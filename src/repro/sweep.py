@@ -197,6 +197,9 @@ def run_sweep(
     ``workers > 1`` fans cells across a ``multiprocessing`` pool
     (chunksize 1, so short grids still spread over the pool); the row
     order always matches :func:`expand_grid` regardless of scheduling.
+    A space cell with ``partitions != 1`` starts its own worker
+    processes, which a pool process may not, so such a grid raises
+    ``ValueError`` before the pool starts.
     ``telemetry`` records each cell with the telemetry layer enabled and
     attaches its :meth:`~repro.telemetry.runtime.Telemetry.summary` to
     the row.  ``worlds > 1`` runs every cell as a ``worlds``-seed Monte
@@ -221,6 +224,17 @@ def run_sweep(
     if workers > 1 and len(cells) > 1:
         import multiprocessing as mp
 
+        # Pool processes are daemonic, and a daemonic process may not
+        # start the space engine's partition workers.
+        for cell, config, *_ in payloads:
+            if config.fidelity == "space" and config.partitions != 1:
+                named = dict(cell, partitions=config.partitions)
+                text = " ".join(f"{k}={v}" for k, v in sorted(named.items()))
+                raise ValueError(
+                    f"--workers {workers} cannot run space cell {text}: a pool "
+                    "process cannot start partition workers; use --workers 1 "
+                    "or partitions=1"
+                )
         with mp.Pool(processes=workers) as pool:
             rows = pool.map(_run_cell, payloads, chunksize=1)
     else:

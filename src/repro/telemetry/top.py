@@ -14,8 +14,8 @@ Two sources feed the table:
   partition) record into the process-global recorder, which the render
   loop reads directly -- histograms and counters are plain ints, so a
   concurrent read is safe and at worst one sample stale.
-* **Distributed space runs** stream whole worker states over the
-  command pipes (:class:`~repro.parallel.space_shard.SpaceWorkerPool`'s
+* **Distributed space runs** stream whole worker states over their
+  result pipes (:func:`~repro.parallel.space_shard.run_space`'s
   ``on_snapshot``).  The collector keeps the latest state per worker
   and each frame folds them into a scratch
   :class:`~repro.telemetry.runtime.Telemetry` -- the same associative

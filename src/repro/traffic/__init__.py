@@ -7,9 +7,9 @@ package provides those plus the adversarial workloads real switch cores
 are judged on -- bursty trains, hotspots (static and drifting), IMIX
 size mixes, on-off/MMPP and heavy-tailed arrivals, and recorded-trace
 replay -- all behind one declarative, schema-tagged
-:class:`~repro.traffic.spec.TrafficSpec` and one factory,
-:func:`build` (:mod:`repro.traffic.build`), that every engine and
-baseline constructs its sources through.
+:class:`~repro.traffic.spec.TrafficSpec` and one factory module,
+:mod:`repro.traffic.build`, that every engine and baseline constructs
+its sources through.
 
 Stochastic draws are counter-based (:mod:`repro.traffic.rng`), so each
 port's draw sequence is independent of every other port's: the
@@ -19,15 +19,7 @@ serial draws while polling ports in their own order.
 """
 
 from repro.traffic.arrivals import ArrivalProcess, IIDSlotArrivals, Saturated
-from repro.traffic.build import (
-    build,
-    fabric_source as build_fabric_source,
-    router_traffic as build_router_traffic,
-    shard_source,
-    size_distribution,
-    slot_arrivals,
-    wordlevel_source as build_wordlevel_source,
-)
+from repro.traffic.build import shard_source, size_distribution, slot_arrivals
 from repro.traffic.model import SpecModel, TrafficModel
 from repro.traffic.patterns import (
     DestinationPattern,
@@ -86,11 +78,7 @@ __all__ = [
     "TraceReplay",
     "iter_flows",
     "scan_trace",
-    # The one factory.
-    "build",
-    "build_fabric_source",
-    "build_router_traffic",
-    "build_wordlevel_source",
+    # The factory module's package-level names.
     "shard_source",
     "slot_arrivals",
     "size_distribution",

@@ -1,4 +1,4 @@
-"""``traffic.build``: the one factory every engine builds sources through.
+"""``traffic.build``: the source factories every engine builds through.
 
 Dispatch rule: the *legacy trio* -- a drift-free
 permutation/uniform/hotspot pattern with fixed sizes and saturated
@@ -127,13 +127,10 @@ def shard_source(spec: TrafficLike, seed: int = 0) -> dict:
 def fabric_source_for_shard(source_dict: dict, ports: int,
                             costs: CostModel) -> FabricModelSource:
     """Build a space partition's source from a ``SpaceSpec`` ``traffic``
-    entry."""
-    if "json" in source_dict:
-        spec = TrafficSpec.from_dict(json.loads(source_dict["json"]))
-    elif "spec" in source_dict:
-        spec = resolve_traffic(source_dict["spec"])
-    else:
-        raise ValueError("traffic source needs a 'json' or 'spec' entry")
+    entry (the ``"json"`` form :func:`shard_source` writes)."""
+    if "json" not in source_dict:
+        raise ValueError("traffic source needs a 'json' entry")
+    spec = TrafficSpec.from_dict(json.loads(source_dict["json"]))
     seed = int(source_dict.get("seed", 0))
     config = SimConfig(ports=ports, costs=costs, seed=seed)
     src = fabric_source(spec, config, force_counter=True)
@@ -317,22 +314,3 @@ def size_distribution(sizes: Any, rng=None):
     if sizes.kind == "uniform":
         return UniformSizes(rng, sizes.lo, sizes.hi)
     return BimodalSizes(rng, sizes.small, sizes.large, p_small=sizes.p_small)
-
-
-# ---------------------------------------------------------------------------
-# The one entry point.
-# ---------------------------------------------------------------------------
-def build(spec: TrafficLike, config: SimConfig, fidelity: Optional[str] = None):
-    """Build the source object for ``config``'s (or ``fidelity``'s) engine.
-
-    fabric -> PortSource, router -> (workload, factory, offered_load),
-    wordlevel -> WordSource.
-    """
-    fidelity = fidelity or config.fidelity
-    if fidelity == "fabric":
-        return fabric_source(spec, config)
-    if fidelity == "router":
-        return router_traffic(spec, config)
-    if fidelity == "wordlevel":
-        return wordlevel_source(spec, config)
-    raise ValueError(f"unknown fidelity {fidelity!r}")

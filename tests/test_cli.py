@@ -99,6 +99,9 @@ class TestBadInput:
                          "--workers", id="sweep-workers-0"),
             pytest.param(["sweep", "--grid", "ports=4", "--workers", "-2"],
                          "--workers", id="sweep-workers-negative"),
+            pytest.param(["sweep", "--fidelity", "space", "--grid", "ports=16",
+                          "partitions=1,2", "--workers", "2", "--quanta", "100"],
+                         "partitions=2", id="sweep-workers-space-partitions"),
         ],
     )
     def test_exits_2_naming_the_input(self, argv, named, capsys, tmp_path):

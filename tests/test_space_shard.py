@@ -9,10 +9,11 @@ so any grouping of partitions folds to the same totals.
 
 from __future__ import annotations
 
+import multiprocessing
+import pickle
 import warnings
 from collections import deque
 from pathlib import Path
-from typing import Dict, List
 
 import pytest
 from hypothesis import given, settings
@@ -20,23 +21,10 @@ from hypothesis import strategies as st
 
 from repro.config import CostModel, SimConfig
 from repro.core.fabricsim import FabricStats
-from repro.core.spacetopo import (
-    PartitionSim,
-    build_topology,
-    clos_topology,
-    merge_part_stats,
-    part_payload,
-    payload_to_stats,
-)
-from repro.engines import WorkloadSpec, run_config
+from repro.core.spacetopo import PartitionSim, clos_topology, merge_part_stats
+from repro.engines import SpaceEngine, WorkloadSpec, run_config
 from repro.faults import FaultEvent, FaultPlan
-from repro.parallel import (
-    SpaceRunInfo,
-    SpaceSpec,
-    SpaceWorkerPool,
-    run_space,
-    run_space_serial,
-)
+from repro.parallel import SpaceRunInfo, SpaceSpec, run_space, run_space_serial
 from repro.parallel.space_shard import _simulate_partition
 from repro.telemetry import runtime
 from repro.traffic.build import shard_source
@@ -55,15 +43,14 @@ def assert_stats_identical(a: FabricStats, b: FabricStats) -> None:
 #: Every counter-based source kind: the direct permutation kind, every
 #: traffic preset, the legacy uniform spec (which the ``traffic`` kind
 #: forces onto the counter model) at two sizes, and trace replay.  The
-#: imix preset appears twice: by name (``"spec"`` entry) and packed as
-#: JSON by ``shard_source`` (``"json"`` entry), the two ways a source is
-#: named.
+#: imix preset appears twice: named as a preset and packed as a
+#: ``TrafficSpec``, at two seeds.
 SOURCES = {
     "permutation": {"kind": "permutation", "words": 64, "shift": 3},
     "uniform": shard_source(
         spec_from_legacy(pattern="uniform", packet_bytes=192), seed=11
     ),
-    "imix": {"kind": "traffic", "spec": "imix", "seed": 5},
+    "imix": shard_source("imix", seed=5),
     "imix_packed": shard_source(PRESETS["imix"], seed=11),
     **{
         name: shard_source(PRESETS[name], seed=11)
@@ -92,45 +79,16 @@ def spec_for(k: int, partitions: int, source_key: str, latency: int = 2,
 # ---------------------------------------------------------------------------
 # The in-process harness: the window protocol without processes.
 # ---------------------------------------------------------------------------
-def _toposort_partitions(topo, blocks: List[List[int]]) -> List[int]:
-    """Partition order where every boundary producer precedes its
-    consumers; raises on cyclic partition graphs (those need the real
-    worker pool)."""
-    owner = topo.node_owner(blocks)
-    parts = len(blocks)
-    deps: Dict[int, set] = {p: set() for p in range(parts)}
-    for ch in topo.channels:
-        a, b = owner[ch.src_node], owner[ch.dst_node]
-        if a != b:
-            deps[b].add(a)
-    order: List[int] = []
-    ready = [p for p in range(parts) if not deps[p]]
-    while ready:
-        p = ready.pop()
-        order.append(p)
-        for q in range(parts):
-            if p in deps[q]:
-                deps[q].discard(p)
-                if not deps[q]:
-                    ready.append(q)
-    if len(order) != parts:
-        raise ValueError(
-            "cyclic partition graph: in-process execution needs a "
-            "feed-forward topology (use the worker pool)"
-        )
-    return order
-
-
 def _run_partitions_inprocess(spec: SpaceSpec):
     """Run every partition's :func:`_simulate_partition` in this
     process over deque mailboxes; returns ``(topo, blocks, {part_id:
     result})``.
 
-    Each partition runs its whole timeline in one go, producers first.
-    That is sound only on a feed-forward partition graph like the
-    Clos's (ingress -> middle -> egress), where every in-peer's batches
-    exist before their consumer starts; an empty mailbox means the
-    window protocol was violated.
+    Each partition runs its whole timeline in one go, in partition
+    order.  Every Clos channel runs from a lower node id to a higher one
+    (ingress -> middle -> egress) and blocks are contiguous, so every
+    in-peer's batches exist before their consumer starts; an empty
+    mailbox means the window protocol was violated.
     """
     topo = spec.topology()
     blocks = topo.partition(spec.partitions)
@@ -152,7 +110,7 @@ def _run_partitions_inprocess(spec: SpaceSpec):
         return _recv
 
     results = {}
-    for part_id in _toposort_partitions(topo, blocks):
+    for part_id in parts:
         recv_fns = {src: recv_fn(src, part_id) for src in parts
                     if src != part_id}
         send_fns = {dst: mailboxes[part_id, dst].append for dst in parts
@@ -165,13 +123,13 @@ def _run_partitions_inprocess(spec: SpaceSpec):
 
 def run_space_inprocess(spec: SpaceSpec):
     """The token-window protocol with every partition in one process:
-    the pool workers' :func:`_simulate_partition` with mailboxes for
-    pipes, so it pins the protocol (window sizing, batch ordering,
-    unequal partition sizes) without multiprocessing nondeterminism."""
+    the workers' :func:`_simulate_partition` with mailboxes for pipes,
+    so it pins the protocol (window sizing, batch ordering, unequal
+    partition sizes) without multiprocessing nondeterminism."""
     topo, blocks, results = _run_partitions_inprocess(spec)
     ordered = [results[p] for p in range(len(blocks))]
     stats = merge_part_stats(
-        [payload_to_stats(r[0]) for r in ordered], topo.num_ports, spec.costs
+        [r[0] for r in ordered], topo.num_ports, spec.costs
     )
     info = SpaceRunInfo(
         partitions=len(blocks),
@@ -232,10 +190,6 @@ class TestTopology:
         with pytest.raises(ValueError):
             clos_topology(4, latency=0)
 
-    def test_unknown_geometry(self):
-        with pytest.raises(ValueError):
-            build_topology("mesh", 4)
-
 
 # ---------------------------------------------------------------------------
 # Bit-identity: partitioned == serial, every supported cell.
@@ -291,24 +245,14 @@ class TestBitIdentity:
         got, _ = run_space_inprocess(spec)
         assert_stats_identical(ref, got)
 
-    def test_worker_pool_matches_serial_and_stays_warm(self):
-        spec = spec_for(4, 4, "permutation", latency=3, quanta=250, warmup=30)
-        ref = run_space_serial(spec)
-        with SpaceWorkerPool(4) as pool:
-            got1, info1 = run_space(spec, pool=pool)
-            # Second, different workload through the same warm workers.
-            spec2 = spec_for(4, 4, "uniform", latency=3, quanta=250, warmup=30)
-            got2, _ = run_space(spec2, pool=pool)
-            assert pool.runs == 2
-        assert_stats_identical(ref, got1)
-        assert not info1.serial_fallback
-        assert info1.workers == 4
-        assert_stats_identical(run_space_serial(spec2), got2)
-
-    def test_pool_rejects_mismatched_partition_count(self):
-        with SpaceWorkerPool(2) as pool:
-            with pytest.raises(ValueError, match="partitions"):
-                pool.run(spec_for(4, 3, "permutation"))
+    def test_workers_match_serial(self):
+        for source_key in ("permutation", "uniform"):
+            spec = spec_for(4, 4, source_key, latency=3, quanta=250, warmup=30)
+            got, info = run_space(spec)
+            assert multiprocessing.active_children() == []
+            assert_stats_identical(run_space_serial(spec), got)
+            assert not info.serial_fallback
+            assert info.workers == 4
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +362,7 @@ class TestMergeAssociativity:
         """Run the window protocol in-process and keep the raw
         per-partition PartStats (before the merge folds them)."""
         topo, blocks, results = _run_partitions_inprocess(spec)
-        return topo, [
-            payload_to_stats(results[p][0]) for p in range(len(blocks))
-        ]
+        return topo, [results[p][0] for p in range(len(blocks))]
 
     @staticmethod
     def _combine(a, b):
@@ -487,13 +429,14 @@ class TestMergeAssociativity:
             merge_part_stats([a, b], 4, CostModel.default())
 
     def test_payload_roundtrip(self):
+        # A worker returns its PartStats over the result pipe as it is.
         spec = spec_for(2, 1, "permutation", quanta=50, warmup=5)
         topo = spec.topology()
         sim = PartitionSim(topo, range(topo.num_nodes), costs=spec.costs)
         from repro.parallel.space_shard import make_space_source
 
         sim.advance(make_space_source(spec), 0, 55, 5)
-        restored = payload_to_stats(part_payload(sim.stats))
+        restored = pickle.loads(pickle.dumps(sim.stats, pickle.HIGHEST_PROTOCOL))
         assert restored == sim.stats
 
 
@@ -579,6 +522,25 @@ class TestSpaceEngine:
         assert sorted(tel.workers) == [0, 1, 2]
         assert tel.journeys.completed > 0
 
+    def test_live_snapshots_stream_from_every_worker(self):
+        # ``repro top`` wires a collector into ``on_snapshot``: a P=2 run
+        # under telemetry streams mid-run states from both workers, and
+        # streaming does not change the result.
+        wl = WorkloadSpec(pattern="uniform", quanta=200)
+        snaps = []
+        with runtime.capture():
+            engine = SpaceEngine(SimConfig(ports=16, fidelity="space",
+                                           partitions=2))
+            engine.on_snapshot = lambda part, state: snaps.append(
+                (part, state["worker"], state["meta"]["partition"]))
+            got = engine.run(wl)
+        assert {part for part, _, _ in snaps} == {0, 1}
+        assert all(part == worker == meta for part, worker, meta in snaps)
+        assert not got.extra["space_shard"]["serial_fallback"]
+        ref = run_config(SimConfig(ports=16, fidelity="space", partitions=1), wl)
+        assert (got.cycles, got.delivered_words, got.per_port_packets) == (
+            ref.cycles, ref.delivered_words, ref.per_port_packets)
+
     def test_telemetry_tables_identical_across_partitions(self):
         # The merged stage/dimension tables and the detailed-journey
         # reservoir must not depend on the partition count.
@@ -627,10 +589,9 @@ PIN_LINK_DOWN = FaultPlan(events=(
 #: case -> (cycles, delivered_words, delivered_packets, blocked_events,
 #: idle_quanta, per_port_packets) at seed 1 over 120 measured quanta.
 #: ``n<ports>-<traffic>-lat<link latency>`` is a serial ``run_config``
-#: with the default warm-up (``-link_down`` adds :data:`PIN_LINK_DOWN`);
-#: ``torus5-imix-lat2`` is a k=5 torus ``SpaceSpec`` with 20 warm-up
-#: quanta.  Computed by the stepper that kept one arrival FIFO per
-#: channel; only a deliberate change to the model may re-pin them.
+#: with the default warm-up (``-link_down`` adds :data:`PIN_LINK_DOWN`).
+#: Computed by the stepper that kept one arrival FIFO per channel; only
+#: a deliberate change to the model may re-pin them.
 PINNED = {
     "n16-uniform1024-lat1": (36719, 311296, 1216, 1224, 0, [
         80, 68, 68, 73, 72, 76, 85, 72, 81, 89, 66, 83, 81, 69, 83, 70
@@ -686,9 +647,6 @@ PINNED = {
         2, 10, 7, 6, 3, 9, 8, 6, 0, 10, 3, 8, 10, 2, 6, 4, 1, 5, 10, 9,
         7, 8, 10, 7
     ]),
-    "torus5-imix-lat2": (33364, 50944, 649, 1292, 0, [
-        40, 43, 41, 35, 31, 46, 44, 52, 43, 49, 46, 38, 41, 48, 52
-    ]),
     "n16-uniform1024-lat2-link_down": (36720, 313600, 1225, 1183, 0, [
         79, 68, 69, 74, 73, 78, 83, 78, 76, 88, 67, 88, 84, 68, 79, 73
     ]),
@@ -702,15 +660,6 @@ PINNED = {
 
 
 def _pinned_counters(case):
-    if case.startswith("torus"):
-        spec = SpaceSpec(
-            k=5, geometry="torus", latency=2, partitions=1,
-            source=SpaceSpec.pack_source(shard_source("imix", seed=1)),
-            quanta=120, warmup_quanta=20,
-        )
-        s = run_space_serial(spec)
-        return (s.cycles, s.delivered_words, s.delivered_packets,
-                s.blocked_events, s.idle_quanta, list(s.per_port_packets))
     ports, traffic, latency, *fault = case.split("-")
     config = SimConfig(fidelity="space", ports=int(ports[1:]),
                        link_latency=int(latency[3:]), seed=1)

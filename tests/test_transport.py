@@ -3,33 +3,27 @@
 The contract under test (DESIGN.md §15): the pipe workers move the
 token-window protocol bit-identically to the single-process reference
 at every partition count; a worker that dies fails the run loudly,
-naming its partition, instead of hanging it; the removed transport
-knobs stay removed; the torus geometry pins its channel table; and the
+naming its partition, instead of hanging it, and no worker process
+outlives the run; an impossible partition count is refused before any
+process starts; the removed transport knobs stay removed; and the
 fault guard admits exactly the plans the engine can realize.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import signal
 import threading
 import time
 
 import pytest
 
 from repro.config import SimConfig
-from repro.core.spacetopo import build_topology, torus_topology
+from repro.core.spacetopo import clos_topology
 from repro.engines import WorkloadSpec, run_config
 from repro.faults import FaultEvent, FaultPlan
-from repro.parallel import (
-    SpaceSpec,
-    SpaceWorkerPool,
-    auto_partitions,
-    run_space,
-    run_space_serial,
-)
+from repro.parallel import SpaceSpec, auto_partitions, run_space, run_space_serial
 from repro.sweep import build_cell
+from repro.telemetry import runtime
 from repro.traffic.build import shard_source
 from repro.traffic.spec import TrafficSpec, spec_from_legacy
 
@@ -39,11 +33,10 @@ def _result_key(res):
             tuple(res.per_port_packets))
 
 
-def spec_for(partitions: int, k: int = 4, geometry: str = "clos",
-             quanta: int = 120, warmup: int = 20, **kw) -> SpaceSpec:
+def spec_for(partitions: int, k: int = 4, quanta: int = 120,
+             warmup: int = 20, **kw) -> SpaceSpec:
     return SpaceSpec(
         k=k,
-        geometry=geometry,
         latency=2,
         partitions=partitions,
         source=SpaceSpec.pack_source(
@@ -65,6 +58,7 @@ class TestBackendIdentity:
         spec = spec_for(partitions)
         ref = run_space_serial(spec)
         got, info = run_space(spec)
+        assert multiprocessing.active_children() == []
         assert ref.counters() == got.counters()
         if partitions > 1:
             assert not info.serial_fallback
@@ -74,9 +68,11 @@ class TestBackendIdentity:
         with pytest.raises(TypeError):
             SimConfig(transport="pipe")
         with pytest.raises(TypeError):
-            SpaceWorkerPool(2, transport="pipe")
-        with pytest.raises(TypeError):
             run_space(spec_for(2), transport="pipe")
+        with pytest.raises(TypeError):
+            run_space(spec_for(2), pool=None)
+        with pytest.raises(TypeError):
+            SpaceSpec(geometry="torus")
         with pytest.raises(ValueError, match="transport"):
             build_cell({"transport": "pipe"})
 
@@ -99,49 +95,79 @@ def _long_run_spec() -> SpaceSpec:
     )
 
 
-class TestDeadWorker:
-    #: ``unread_command``: the victim is stopped before the run and
-    #: killed with the run command still unread in its pipe.
-    @pytest.mark.parametrize("when",
-                             ["before_run", "mid_run", "unread_command"])
-    @pytest.mark.parametrize("victim", [0, 1])
-    def test_dead_worker_fails_the_run_naming_it(self, victim, when):
-        pool = SpaceWorkerPool(2)
-        proc = pool._procs[victim]
-        outcome = {}
+def _start_run(spec: SpaceSpec, on_snapshot=None):
+    """``run_space(spec, on_snapshot)`` on a thread, under telemetry
+    when ``on_snapshot`` is given: ``(thread, outcome)``, where
+    ``outcome`` gets the ``"result"`` or the ``"error"``."""
+    outcome = {}
 
-        def run():
-            try:
-                outcome["result"] = pool.run(_long_run_spec())
-            except Exception as exc:
-                outcome["error"] = exc
-
+    def run():
         try:
-            if when == "before_run":
-                proc.kill()
-                proc.join(DEAD_WORKER_BOUND_S)
-            elif when == "unread_command":
-                os.kill(proc.pid, signal.SIGSTOP)
-            thread = threading.Thread(target=run, daemon=True)
-            thread.start()
-            if when != "before_run":
-                time.sleep(0.3)
-                proc.kill()
+            if on_snapshot is None:
+                outcome["result"] = run_space(spec)
+            else:
+                with runtime.capture():
+                    outcome["result"] = run_space(spec, on_snapshot=on_snapshot)
+        except Exception as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, outcome
+
+
+def _kill_leftover_workers():
+    """Kill and reap any worker a failed assertion left running."""
+    for child in multiprocessing.active_children():
+        child.kill()
+        child.join(DEAD_WORKER_BOUND_S)
+
+
+class TestDeadWorker:
+    @pytest.mark.parametrize("victim", [0, 1], ids=["0-mid_run", "1-mid_run"])
+    def test_dead_worker_fails_the_run_naming_it(self, victim):
+        thread, outcome = _start_run(_long_run_spec())
+        name = f"space-partition-{victim}"
+        try:
+            deadline = time.monotonic() + DEAD_WORKER_BOUND_S
+            proc = None
+            while proc is None and time.monotonic() < deadline:
+                proc = next((child for child in multiprocessing.active_children()
+                             if child.name == name), None)
+            assert proc is not None, f"no worker named {name} started"
+            time.sleep(0.3)
+            assert thread.is_alive(), "the run finished before the kill"
+            proc.kill()
             thread.join(DEAD_WORKER_BOUND_S)
             assert not thread.is_alive(), (
                 f"run still blocked {DEAD_WORKER_BOUND_S:.0f} s after "
                 f"worker {victim} died"
             )
-            assert "result" not in outcome, "the run finished before the kill"
             err = outcome["error"]
             assert isinstance(err, RuntimeError)
             assert f"partition {victim}: worker died" in str(err)
+            assert multiprocessing.active_children() == []
         finally:
-            for worker in pool._procs:
-                worker.kill()
-            pool.close()
-        assert multiprocessing.active_children() == []
+            _kill_leftover_workers()
 
+    def test_coordinator_error_kills_the_workers(self):
+        # A live-snapshot callback that raises ends the run with its own
+        # error at the first snap; the workers still running are killed,
+        # not waited on.
+        def broken_collector(part_id, state):
+            raise KeyError("collector failed")
+
+        thread, outcome = _start_run(_long_run_spec(), broken_collector)
+        try:
+            thread.join(DEAD_WORKER_BOUND_S)
+            assert not thread.is_alive(), (
+                f"run still blocked {DEAD_WORKER_BOUND_S:.0f} s after its "
+                "snapshot callback raised"
+            )
+            assert isinstance(outcome["error"], KeyError)
+            assert multiprocessing.active_children() == []
+        finally:
+            _kill_leftover_workers()
 
     def test_worker_error_mid_run_fails_the_run(self, tmp_path):
         # At P=3 on k=4 only partition 0 (the ingress chips) reads the
@@ -159,39 +185,27 @@ class TestDeadWorker:
         )
         with pytest.raises(ValueError, match="malformed"):
             run_space_serial(spec)
-        pool = SpaceWorkerPool(3)
-        outcome = {}
-
-        def run():
-            try:
-                outcome["result"] = pool.run(spec)
-            except Exception as exc:
-                outcome["error"] = exc
-
+        thread, outcome = _start_run(spec)
         try:
-            thread = threading.Thread(target=run, daemon=True)
-            thread.start()
             thread.join(DEAD_WORKER_BOUND_S)
             assert not thread.is_alive(), (
                 f"run still blocked {DEAD_WORKER_BOUND_S:.0f} s after "
                 "partition 0 raised"
             )
             assert "partition 0: ValueError" in str(outcome["error"])
+            assert multiprocessing.active_children() == []
         finally:
-            for worker in pool._procs:
-                worker.kill()
-            pool.close()
-        assert multiprocessing.active_children() == []
+            _kill_leftover_workers()
 
 
 # ---------------------------------------------------------------------------
-# Adaptive partition count.
+# Partition counts: adaptive, and refused before any worker starts.
 # ---------------------------------------------------------------------------
 class TestAutoPartitions:
     def test_bounded_by_preference_and_cores(self, monkeypatch):
         import os
 
-        topo = build_topology("clos", 8)
+        topo = clos_topology(8)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert auto_partitions(topo) == topo.preferred_partitions == 8
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -215,55 +229,22 @@ class TestAutoPartitions:
         with pytest.raises(ValueError, match="partitions"):
             SimConfig(partitions=-1)
 
+    def test_impossible_count_starts_no_process(self, monkeypatch):
+        # 7 partitions over the 6 chips of a k=2 Clos would leave a
+        # worker empty: refused before any process is started.
+        started = []
+        start = multiprocessing.process.BaseProcess.start
 
-# ---------------------------------------------------------------------------
-# Torus geometry.
-# ---------------------------------------------------------------------------
-class TestTorus:
-    def test_golden_channel_table_k4(self):
-        topo = torus_topology(4, latency=3)
-        assert topo.num_nodes == 4
-        assert topo.num_ports == 8
-        assert topo.preferred_partitions == 4
-        got = [
-            (ch.cid, ch.src_node, ch.src_leg, ch.dst_node, ch.dst_leg,
-             ch.latency)
-            for ch in topo.channels
-        ]
-        assert got == [
-            (0, 0, 0, 1, 1, 3),
-            (1, 0, 1, 3, 0, 3),
-            (2, 1, 0, 2, 1, 3),
-            (3, 1, 1, 0, 0, 3),
-            (4, 2, 0, 3, 1, 3),
-            (5, 2, 1, 1, 0, 3),
-            (6, 3, 0, 0, 1, 3),
-            (7, 3, 1, 2, 0, 3),
-        ]
+        def recording_start(proc):
+            started.append(proc.name)
+            start(proc)
 
-    def test_route_shortest_path_prefers_plus_direction(self):
-        topo = torus_topology(4)
-        # dest ports 4 and 5 live on node 2: local delivery on node 2,
-        # and an antipodal tie at node 0 resolves to the + direction.
-        assert topo.route(2, 4) == 2
-        assert topo.route(2, 5) == 3
-        assert topo.route(0, 4) == 0
-        assert topo.route(1, 4) == 0
-        assert topo.route(3, 4) == 1
-
-    def test_build_topology_dispatch(self):
-        assert build_topology("torus", 5).geometry == "torus"
-        with pytest.raises(ValueError, match="torus"):
-            build_topology("mesh", 4)
-        with pytest.raises(ValueError, match=">= 3"):
-            torus_topology(2)
-
-    def test_torus_distributed_matches_serial(self):
-        spec = spec_for(2, k=5, geometry="torus")
-        ref = run_space_serial(spec)
-        got, info = run_space(spec)
-        assert ref.counters() == got.counters()
-        assert not info.serial_fallback
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            recording_start)
+        with pytest.raises(ValueError, match="7 partitions over 6 chips"):
+            run_space(SpaceSpec(k=2, partitions=7))
+        assert started == []
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +253,7 @@ class TestTorus:
 def _channel_for(owner_equal: bool, partitions: int):
     """A clos k=4 channel whose endpoints share (or straddle) partition
     blocks at the given partition count."""
-    topo = build_topology("clos", 4)
+    topo = clos_topology(4)
     owner = topo.node_owner(topo.partition(partitions))
     for ch in topo.channels:
         if (owner[ch.src_node] == owner[ch.dst_node]) == owner_equal:
