@@ -45,6 +45,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -366,9 +367,16 @@ SPACE_SCENARIOS: Dict[str, List[Dict[str, Any]]] = {
 }
 
 
+#: Serial and partitioned runs alternate this many times per space row,
+#: and each side's wall is the median of its runs, so one run that a
+#: busy host slowed cannot decide a gated row.
+_SPACE_REPEATS = 3
+
+
 def _bench_space_scenario(sc: Dict[str, Any]) -> Dict[str, Any]:
     """Time one scenario's partitioned run against the serial
-    reference; the two must be bit-identical."""
+    reference, each the median of :data:`_SPACE_REPEATS` alternating
+    runs; every run must be bit-identical to the first serial one."""
     from repro.parallel.space_shard import (
         SpaceSpec, run_space, run_space_serial,
     )
@@ -381,12 +389,19 @@ def _bench_space_scenario(sc: Dict[str, Any]) -> Dict[str, Any]:
         quanta=sc["quanta"],
         warmup_quanta=sc["warmup"],
     )
-    t0 = time.perf_counter()
-    baseline = run_space_serial(spec)
-    baseline_wall = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    fast, info = run_space(spec)
-    fast_wall = time.perf_counter() - t0
+    baseline_walls: List[float] = []
+    fast_walls: List[float] = []
+    counters = []
+    for _ in range(_SPACE_REPEATS):
+        t0 = time.perf_counter()
+        baseline = run_space_serial(spec)
+        baseline_walls.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        fast, info = run_space(spec)
+        fast_walls.append(time.perf_counter() - t0)
+        counters += [baseline.counters(), fast.counters()]
+    baseline_wall = statistics.median(baseline_walls)
+    fast_wall = statistics.median(fast_walls)
     cpus = os.cpu_count() or 1  # the count auto_partitions uses
     return {
         "scenario": sc["name"],
@@ -400,7 +415,9 @@ def _bench_space_scenario(sc: Dict[str, Any]) -> Dict[str, Any]:
         "baseline_wall_s": baseline_wall,
         "fast_wall_s": fast_wall,
         "speedup": baseline_wall / fast_wall if fast_wall > 0 else None,
-        "stats_match": baseline.counters() == fast.counters(),
+        "baseline_walls_s": baseline_walls,
+        "fast_walls_s": fast_walls,
+        "stats_match": all(c == counters[0] for c in counters),
         "gbps": fast.gbps,
         "delivered_words": fast.delivered_words,
         "space": {

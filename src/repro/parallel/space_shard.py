@@ -2,7 +2,7 @@
 
 This module shards one fabric's topology in *space*.  A
 :class:`~repro.core.spacetopo.SpaceTopology` (a Clos of k-port Rotating
-Crossbar chips) is cut into ``P`` partitions of whole chips; each worker
+Crossbar chips) is cut into ``P`` partitions of whole chips; each
 process owns one partition and advances it locally for ``L`` quanta
 (``L`` = the minimum latency of any inter-partition channel) before
 exchanging one *window* of boundary traffic with its peers -- the
@@ -27,19 +27,24 @@ associative :func:`~repro.core.spacetopo.merge_part_stats` fold;
 property tests in ``tests/test_space_shard.py`` pin P ∈ {1, 2, 4, 5}
 against serial across chip sizes and traffic families.
 
-Workers are *one-shot*: :func:`run_space` forks one process per
-partition for each run, hands it the :class:`SpaceSpec` and the node
-blocks as process arguments, and joins every one before it returns or
-raises.  Boundary batches travel over one simplex pipe per partition
-pair that shares a boundary channel (the Clos feeds forward, so P = 2
-needs one), pickled explicitly so the bytes moved are counted.  A
-worker that finished its window blocks only on the specific peers
-feeding it.  Every worker advances exactly one window per round and
-ships one batch per out-peer per round -- firesim's per-link token
-discipline.  A worker's live telemetry snaps and its result come back
-over its own simplex result pipe.  Each worker holds only its own pipe
-ends, so a dead worker's pipes close everywhere and its peers and the
-coordinator fail with an error instead of waiting on it.
+Workers are *one-shot*: :func:`run_space` forks one process for every
+partition but the last for each run, hands it the :class:`SpaceSpec`,
+the node blocks and the topology as process arguments, and joins every
+one before it returns or raises.  The last partition holds the Clos's
+egress chips, which only receive, so the coordinator steps it itself
+through the same :func:`_simulate_partition` the workers run, and
+services the workers' result pipes whenever it waits for a batch: P
+partitions run on P processes.  Boundary batches travel over one
+simplex pipe per partition pair that shares a boundary channel (the
+Clos feeds forward, so P = 2 needs one), pickled explicitly so the
+bytes moved are counted.  A partition that finished its window blocks
+only on the specific peers feeding it.  Every partition advances
+exactly one window per round and ships one batch per out-peer per
+round -- firesim's per-link token discipline.  A worker's live
+telemetry snaps and its result come back over its own simplex result
+pipe.  Each worker holds only its own pipe ends, so a dead worker's
+pipes close everywhere and its peers and the coordinator fail with an
+error instead of waiting on it.
 
 ``partitions=0`` in the engine/CLI layer picks P adaptively
 (:func:`auto_partitions`: ``min(middle-stage chips, cpu_count)``).
@@ -53,6 +58,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import CostModel
+from repro.core.allocator import compiled_allocator
 from repro.core.fabricsim import FabricStats, saturated_permutation
 from repro.core.spacetopo import (
     PartitionSim,
@@ -215,6 +221,7 @@ def _simulate_partition(
     send_fns: Dict[int, Any],
     tel_cfg: Optional[Dict[str, Any]] = None,
     snap_fn=None,
+    topo: Optional[SpaceTopology] = None,
 ) -> Tuple:
     """Run one partition's token-window rounds.
 
@@ -222,8 +229,10 @@ def _simulate_partition(
     ``send_fns[peer](batch)`` ships one.  Returns ``(PartStats, windows,
     pipe-stall seconds, boundary flits sent)`` -- plus the worker-local
     telemetry state when ``tel_cfg`` asked for recording.  The same
-    function drives the pipe workers and the in-process harness the
-    tests use, which fakes both callables.
+    function drives the pipe workers, the coordinator's own partition
+    and the in-process harness the tests use, which fakes both
+    callables.  ``topo`` is ``spec.topology()`` when the caller already
+    built it.
 
     ``tel_cfg`` (from :meth:`Telemetry.config` plus ``port_classes``)
     installs a fresh *worker-local* recorder for the duration: journeys
@@ -233,7 +242,8 @@ def _simulate_partition(
     point-in-time state every few rounds (each snap *replaces* the
     worker's previous one -- consumers keep the latest per worker).
     """
-    topo = spec.topology()
+    if topo is None:
+        topo = spec.topology()
     owner = topo.node_owner(blocks)
     prev_recorder = _telemetry.RECORDER
     tel = None
@@ -345,8 +355,8 @@ def _run_partition_rounds(
     return sim.stats, rounds, stall, flits_sent, state
 
 
-def _space_worker(spec, part_id, blocks, tel_cfg, recv_conns, send_conns,
-                  result_conn, run_ends):
+def _space_worker(spec, topo, part_id, blocks, tel_cfg, recv_conns,
+                  send_conns, result_conn, run_ends):
     """One partition's process: run its rounds once and report over
     ``result_conn`` -- live telemetry snaps as ``("snap", part_id,
     state)`` messages ahead of the terminal ``("ok", result,
@@ -385,7 +395,7 @@ def _space_worker(spec, part_id, blocks, tel_cfg, recv_conns, send_conns,
             spec, part_id, blocks,
             {p: make_recv(c) for p, c in recv_conns.items()},
             {p: make_send(c) for p, c in send_conns.items()},
-            tel_cfg=tel_cfg, snap_fn=snap_fn,
+            tel_cfg=tel_cfg, snap_fn=snap_fn, topo=topo,
         )
         result_conn.send(("ok", result, sent[0]))
     except Exception as exc:  # surfaced in the parent
@@ -400,22 +410,31 @@ def _run_workers(
     tel_cfg: Optional[Dict[str, Any]],
     on_snapshot,
 ) -> Tuple[FabricStats, SpaceRunInfo]:
-    """Fork one worker per partition, gather their results and join them.
+    """Fork a worker for every partition but the last, step the last
+    one here, gather the workers' results and join them.
 
     Data pipes are wired only between partitions that share a boundary
-    channel; each worker also gets one simplex result pipe.  A worker
-    that raises or dies fails the run with a ``RuntimeError`` naming its
-    partition (an exception's traceback included), once every other
-    worker has reported or died too.
+    channel; each worker also gets one simplex result pipe, which this
+    process reads whenever its own partition waits for a batch.  A
+    partition that raises or a worker that dies fails the run with a
+    ``RuntimeError`` naming the partition (an exception's traceback
+    included), once every worker has reported or died too.
     """
     import multiprocessing as mp
+    import traceback
     from multiprocessing.connection import wait as _conn_wait
 
     ctx = mp.get_context()
     topo = spec.topology()
+    # Built here, before the fork, so no worker builds them again.
+    compiled_allocator(topo.k)
     blocks = topo.partition(spec.partitions)
     owner = topo.node_owner(blocks)
     parts = range(len(blocks))
+    # The last block holds the egress chips and only receives: stepping
+    # it here never blocks on a send, and each wait for a batch also
+    # reads the workers' result pipes, so no worker blocks on this one.
+    own = parts[-1]
     # data[src, dst] = (dst's receiving end, src's sending end)
     data = {
         pair: ctx.Pipe(duplex=False)
@@ -423,21 +442,69 @@ def _run_workers(
                             for ch in topo.boundary_channels(blocks)})
     }
     # result_pipes[p] = (the coordinator's receiving end, p's sending end)
-    result_pipes = [ctx.Pipe(duplex=False) for _ in parts]
+    result_pipes = [ctx.Pipe(duplex=False) for _ in parts[:-1]]
     run_ends = [end for pair in (*data.values(), *result_pipes) for end in pair]
-    pending = {result_pipes[p][0]: p for p in parts}
+    pending = {result_pipes[p][0]: p for p in parts[:-1]}
+    own_recv = {src: ends[0] for (src, dst), ends in data.items() if dst == own}
+    kept = [*pending, *own_recv.values()]
     procs: List[Any] = []
     errors: List[str] = []
     tracebacks: List[str] = []
     results: Dict[int, Tuple] = {}
-    worker_bytes: Dict[int, int] = {}
+    bytes_sent: Dict[int, int] = {own: 0}
+    collector_failed: List[BaseException] = []
+
+    def collect(part_id, state):
+        try:
+            on_snapshot(part_id, state)
+        except BaseException as exc:
+            collector_failed.append(exc)
+            raise
+
+    def service(conns):
+        """Take one message from each ready result pipe."""
+        for conn in conns:
+            p = pending[conn]
+            try:
+                msg = conn.recv()
+            except EOFError:
+                errors.append(f"partition {p}: worker died")
+                del pending[conn]
+                continue
+            if msg[0] == "snap":
+                if on_snapshot is not None:
+                    collect(msg[1], msg[2])
+                continue
+            del pending[conn]
+            if msg[0] != "ok":
+                errors.append(f"partition {p}: {msg[1]}")
+                tracebacks.append(f"partition {p}:\n{msg[2]}")
+            else:
+                results[p] = msg[1]
+                bytes_sent[p] = msg[2]
+
+    def make_recv(conn):
+        def _recv():
+            while True:
+                ready = _conn_wait([conn, *pending])
+                service([c for c in ready if c is not conn])
+                if conn in ready:
+                    return pickle.loads(conn.recv_bytes())
+
+        return _recv
+
+    snap_fn = None
+    if tel_cfg is not None and tel_cfg.get("stream_snaps"):
+        def snap_fn(state):
+            collect(own, state)
+
     try:
-        for p in parts:
+        for p in parts[:-1]:
             proc = ctx.Process(
                 target=_space_worker,
                 name=f"space-partition-{p}",
                 args=(
-                    spec, p, blocks, tel_cfg,
+                    spec, topo, p, blocks, tel_cfg,
                     {src: ends[0] for (src, dst), ends in data.items()
                      if dst == p},
                     {dst: ends[1] for (src, dst), ends in data.items()
@@ -449,35 +516,34 @@ def _run_workers(
             proc.start()
             procs.append(proc)
         # The workers hold their own ends now; keeping only the result
-        # ends here lets a worker's exit close its pipes everywhere.
+        # ends and this partition's own here lets a worker's exit close
+        # its pipes everywhere.
         for end in run_ends:
-            if end not in pending:
+            if end not in kept:
                 end.close()
+        try:
+            results[own] = _simulate_partition(
+                spec, own, blocks,
+                {p: make_recv(c) for p, c in own_recv.items()}, {},
+                tel_cfg=tel_cfg, snap_fn=snap_fn, topo=topo,
+            )
+        except Exception as exc:
+            if collector_failed:
+                raise
+            errors.append(f"partition {own}: {type(exc).__name__}: {exc}")
+            tracebacks.append(f"partition {own}:\n{traceback.format_exc()}")
+        # A peer still sending to a partition that failed gets a broken
+        # pipe instead of blocking on a full one.
+        for end in own_recv.values():
+            end.close()
         while pending:
-            for conn in _conn_wait(list(pending)):
-                p = pending[conn]
-                try:
-                    msg = conn.recv()
-                except EOFError:
-                    errors.append(f"partition {p}: worker died")
-                    del pending[conn]
-                    continue
-                if msg[0] == "snap":
-                    if on_snapshot is not None:
-                        on_snapshot(msg[1], msg[2])
-                    continue
-                del pending[conn]
-                if msg[0] != "ok":
-                    errors.append(f"partition {p}: {msg[1]}")
-                    tracebacks.append(f"partition {p}:\n{msg[2]}")
-                else:
-                    results[p] = msg[1]
-                    worker_bytes[p] = msg[2]
+            service(_conn_wait(list(pending)))
     finally:
         for proc in procs:
             if pending:  # leaving early: nothing else would end it
                 proc.kill()
             proc.join()
+            proc.close()  # its sentinel pipe, not left to the collector
         for end in run_ends:
             end.close()
     if errors:
@@ -502,7 +568,7 @@ def _run_workers(
         windows_per_worker=rounds_seen,
         pipe_stall_s=[r[2] for r in ordered],
         boundary_flits=[r[3] for r in ordered],
-        bytes_moved=[worker_bytes[p] for p in parts],
+        bytes_moved=[bytes_sent[p] for p in parts],
     )
     return stats, info
 

@@ -126,12 +126,7 @@ def render_top(tel: runtime.Telemetry, title: str, elapsed: float,
 
 def main(args) -> int:
     """Entry point behind ``python -m repro top``."""
-    from .traced import (
-        DEFAULT_SNAPSHOT_INTERVAL,
-        SPECS,
-        _spec_config,
-        _spec_workload,
-    )
+    from .traced import DEFAULT_SNAPSHOT_INTERVAL, SPECS, _configure
 
     name = args.experiment
     if name not in SPECS:
@@ -142,8 +137,8 @@ def main(args) -> int:
     engine = getattr(args, "engine", None)
     partitions = getattr(args, "partitions", None)
     try:
-        config = _spec_config(spec, args.seed, engine, partitions)
-        workload = _spec_workload(spec, args.quick, None, engine)
+        config, workload = _configure(spec, args.seed, args.quick, None,
+                                      engine, partitions)
     except (TypeError, ValueError) as exc:
         print(f"cannot configure {name}: {exc}", file=sys.stderr)
         return 2

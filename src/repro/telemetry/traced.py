@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from repro.config import SimConfig
-from repro.engines import RunResult, WorkloadSpec, run_config
+from repro.engines import RunResult, SpaceEngine, WorkloadSpec, run_config
 
 from . import runtime
 from .export import (
@@ -118,6 +118,19 @@ def _spec_workload(spec: TraceSpec, quick: bool,
             )
         workload = workload.replace(packets=packets)
     return workload
+
+
+def _configure(spec: TraceSpec, seed: int, quick: bool,
+               packets: Optional[int], engine: Optional[str],
+               partitions: Optional[int]) -> Tuple[SimConfig, WorkloadSpec]:
+    """The config and workload of one run, refused (``ValueError``)
+    before anything starts when no engine could run them -- a space
+    partition count the Clos cannot fill, say."""
+    config = _spec_config(spec, seed, engine, partitions)
+    workload = _spec_workload(spec, quick, packets, engine)
+    if config.fidelity == "space":
+        SpaceEngine(config)._spec(workload)
+    return config, workload
 
 
 def run_traced(
@@ -338,6 +351,12 @@ def main(args) -> int:
     )
     engine = getattr(args, "engine", None)
     partitions = getattr(args, "partitions", None)
+    try:
+        _configure(SPECS[name], args.seed, args.quick, args.packets, engine,
+                   partitions)
+    except (TypeError, ValueError) as exc:
+        print(f"cannot configure {name}: {exc}", file=sys.stderr)
+        return 2
     result, tel, wall = run_traced(
         name, quick=args.quick, packets=args.packets, seed=args.seed,
         snapshot_interval=snapshot_interval,

@@ -20,14 +20,17 @@ protocol.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Tuple, runtime_checkable
+from bisect import bisect_right
+from typing import Callable, List, Optional, Protocol, Tuple, runtime_checkable
 
 from repro import seeds
 from repro.traffic.rng import (
-    draw_float,
-    draw_int,
-    draw_u64,
+    _A,
+    _B,
+    _C,
+    _M64,
     geometric_length,
+    mix64,
     pareto_length,
 )
 from repro.traffic.spec import ArrivalSpec, PatternSpec, SizeSpec, TrafficSpec
@@ -39,6 +42,9 @@ _S_ARRIVAL = 2
 _S_DURATION = 3
 _S_BURST = 4
 _STRIDE = 8
+
+#: ``draw_float``'s divisor.
+_TWO64 = float(1 << 64)
 
 
 @runtime_checkable
@@ -52,12 +58,198 @@ class TrafficModel(Protocol):
         ...
 
 
+def _streams(seed: int, n: int, sub: int) -> List[int]:
+    """Per port, the value draw 0 of stream ``port * _STRIDE + sub``
+    feeds the finalizer: ``draw_u64(seed, stream, k)`` is ``mix64(base
+    + k * _C)``.  The draw closures below keep each port's *next* value
+    and step it by ``_C`` (mod 2**64) with every draw they consume."""
+    return [(seed * _A + (port * _STRIDE + sub) * _B + 1) & _M64
+            for port in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Destination patterns: ``dest(port) -> int``, one closure per kind.
+# ---------------------------------------------------------------------------
+def _dest_fn(pat: PatternSpec, n: int, seed: int) -> Callable[[int], int]:
+    if pat.kind == "permutation":
+        return [(port + pat.shift) % n for port in range(n)].__getitem__
+    xs = _streams(seed, n, _S_PATTERN)
+    if pat.kind == "uniform":
+        return _uniform_fn(xs, n, pat.exclude_self)
+    if pat.kind == "hotspot":
+        return _hotspot_fn(xs, n, pat)
+    return _bursty_fn(xs, _streams(seed, n, _S_BURST), n, pat)
+
+
+def _uniform_fn(xs: List[int], n: int, exclude_self: bool):
+    """The admission hot path: one draw, the finalizer inlined (the
+    value ``draw_int(seed, stream, k, n - 1)`` would give, mapped around
+    the port itself when ``exclude_self``)."""
+    m = n - 1 if exclude_self else n
+
+    def uniform(port: int) -> int:
+        x = xs[port]
+        xs[port] = (x + _C) & _M64
+        x = ((x ^ (x >> 30)) * _B) & _M64
+        x = ((x ^ (x >> 27)) * _C) & _M64
+        d = (x ^ (x >> 31)) % m
+        if exclude_self and d >= port:
+            return d + 1
+        return d
+
+    return uniform
+
+
+def _hotspot_fn(xs: List[int], n: int, pat: PatternSpec):
+    """One draw when the packet goes hot, two when it spills (the
+    second picks a uniform port); with ``drift_packets`` the hot port
+    advances by one every that many packets the port offers."""
+    hot_port, p_hot, drift = pat.hot_port, pat.p_hot, pat.drift_packets
+    offered = [0] * n
+
+    def hotspot(port: int) -> int:
+        hot = hot_port
+        if drift:
+            o = offered[port]
+            offered[port] = o + 1
+            hot = (hot + o // drift) % n
+        x = xs[port]
+        x2 = (x + _C) & _M64
+        if mix64(x) / _TWO64 < p_hot:
+            xs[port] = x2
+            return hot
+        xs[port] = (x2 + _C) & _M64
+        return mix64(x2) % n
+
+    return hotspot
+
+
+def _bursty_fn(xs: List[int], bursts: List[int], n: int, pat: PatternSpec):
+    """Geometric trains sharing one destination.  The burst and pattern
+    streams share one counter: while a train runs, each packet draws a
+    burst value, and one below ``1 / mean_burst`` starts a new train
+    with the next uniform draw (a port's first packet starts one
+    without the burst draw)."""
+    uniform = _uniform_fn(xs, n, pat.exclude_self)
+    new_train = 1.0 / pat.mean_burst
+    current: List[Optional[int]] = [None] * n
+
+    def bursty(port: int) -> int:
+        cur = current[port]
+        if cur is not None:
+            x = bursts[port]
+            bursts[port] = (x + _C) & _M64
+            xs[port] = (xs[port] + _C) & _M64
+            if mix64(x) / _TWO64 >= new_train:
+                return cur
+        bursts[port] = (bursts[port] + _C) & _M64
+        cur = current[port] = uniform(port)
+        return cur
+
+    return bursty
+
+
+# ---------------------------------------------------------------------------
+# Packet sizes: an ``int`` for fixed sizes, else ``size(port) -> int``.
+# ---------------------------------------------------------------------------
+def _size_fn(s: SizeSpec, n: int, seed: int):
+    if s.kind == "fixed":
+        return s.bytes
+    xs = _streams(seed, n, _S_SIZE)
+    if s.kind == "imix":
+        # The first cumulative weight above u picks the size; u can
+        # round up to the total, which the repeated last size covers.
+        total = sum(s.IMIX_WEIGHTS)
+        bounds = []
+        acc = 0.0
+        for w in s.IMIX_WEIGHTS:
+            acc += w
+            bounds.append(acc)
+        picks = s.IMIX_SIZES + s.IMIX_SIZES[-1:]
+
+        def imix(port: int) -> int:
+            x = xs[port]
+            xs[port] = (x + _C) & _M64
+            x = ((x ^ (x >> 30)) * _B) & _M64
+            x = ((x ^ (x >> 27)) * _C) & _M64
+            return picks[bisect_right(bounds, (x ^ (x >> 31)) / _TWO64 * total)]
+
+        return imix
+    if s.kind == "uniform":
+        lo, span = s.lo // 4, s.hi // 4 - s.lo // 4 + 1
+
+        def uniform(port: int) -> int:
+            x = xs[port]
+            xs[port] = (x + _C) & _M64
+            return (lo + mix64(x) % span) * 4
+
+        return uniform
+    small, large, p_small = s.small, s.large, s.p_small
+
+    def bimodal(port: int) -> int:
+        x = xs[port]
+        xs[port] = (x + _C) & _M64
+        return small if mix64(x) / _TWO64 < p_small else large
+
+    return bimodal
+
+
+# ---------------------------------------------------------------------------
+# Arrival gates: ``offers(port) -> bool``.
+# ---------------------------------------------------------------------------
+def _gate_fn(a: ArrivalSpec, n: int, seed: int) -> Callable[[int], bool]:
+    xs = _streams(seed, n, _S_ARRIVAL)
+    p = a.p
+    if a.kind == "bernoulli":
+        def bernoulli(port: int) -> bool:
+            x = xs[port]
+            xs[port] = (x + _C) & _M64
+            return mix64(x) / _TWO64 < p
+
+        return bernoulli
+    # onoff: a two-state machine per port, starting off, so the first
+    # poll flips it on and draws the on period's length.
+    durations = _streams(seed, n, _S_DURATION)
+    on = [False] * n
+    left = [0] * n
+    mean_on, mean_off, alpha, heavy = a.mean_on, a.mean_off, a.alpha, a.heavy
+
+    def onoff(port: int) -> bool:
+        while left[port] == 0:
+            state = on[port] = not on[port]
+            mean = mean_on if state else mean_off
+            x = durations[port]
+            durations[port] = (x + _C) & _M64
+            u = mix64(x) / _TWO64
+            left[port] = (
+                pareto_length(u, mean, alpha) if heavy
+                else geometric_length(u, mean)
+            )
+        left[port] -= 1
+        if not on[port]:
+            return False
+        if p >= 1.0:
+            return True
+        x = xs[port]
+        xs[port] = (x + _C) & _M64
+        return mix64(x) / _TWO64 < p
+
+    return onoff
+
+
 class SpecModel:
     """Counter-based realization of a synthetic :class:`TrafficSpec`.
 
     ``gate_arrivals=False`` strips the arrival process (every poll
     offers): the router engine's line-card path paces arrivals in
     simulated time itself and only needs the pattern/size draws.
+
+    The pattern, size and arrival kinds are resolved once, here:
+    ``next_packet`` is a closure over one draw function per kind, each
+    holding its ports' stream values, and it draws exactly what
+    :func:`~repro.traffic.rng.draw_u64` / ``draw_float`` / ``draw_int``
+    give on the same streams and counters (``tests/test_traffic.py``
+    holds it to them).
     """
 
     def __init__(
@@ -87,112 +279,25 @@ class SpecModel:
             and spec.sizes.kind == "fixed"
             and not self.gate
         )
-        # Per-port counters -- the entire mutable state.
-        self._pat = [0] * n  #: pattern draws consumed
-        self._size = [0] * n  #: size draws consumed
-        self._arr = [0] * n  #: arrival draws consumed
-        self._dur = [0] * n  #: on/off duration draws consumed
-        self._offered = [0] * n  #: packets offered (drives hotspot drift)
-        self._cur: list = [None] * n  #: bursty: current train destination
-        self._on = [False] * n  #: onoff: current state (starts off->draw)
-        self._left = [0] * n  #: onoff: polls left in the current state
+        dest = _dest_fn(pat, n, self.seed)
+        size = _size_fn(spec.sizes, n, self.seed)
+        if isinstance(size, int):
+            nbytes = size
 
-    # -- draws ----------------------------------------------------------
-    def _f(self, port: int, sub: int, counter_list) -> float:
-        k = counter_list[port]
-        counter_list[port] = k + 1
-        return draw_float(self.seed, port * _STRIDE + sub, k)
+            def draw(port: int) -> Tuple[int, int]:
+                return dest(port), nbytes
+        else:
+            def draw(port: int) -> Tuple[int, int]:
+                return dest(port), size(port)
+        if self.gate:
+            offers = _gate_fn(spec.arrivals, n, self.seed)
 
-    def _i(self, port: int, sub: int, counter_list, n: int) -> int:
-        k = counter_list[port]
-        counter_list[port] = k + 1
-        return draw_int(self.seed, port * _STRIDE + sub, k, n)
-
-    # -- arrival process ------------------------------------------------
-    def _offers(self, port: int) -> bool:
-        """Whether a gated arrival process offers a packet at this poll."""
-        a = self.spec.arrivals
-        if a.kind == "bernoulli":
-            return self._f(port, _S_ARRIVAL, self._arr) < a.p
-        # onoff: advance the two-state machine by one poll.
-        while self._left[port] == 0:
-            self._on[port] = not self._on[port]
-            mean = a.mean_on if self._on[port] else a.mean_off
-            u = self._f(port, _S_DURATION, self._dur)
-            self._left[port] = (
-                pareto_length(u, mean, a.alpha)
-                if a.heavy
-                else geometric_length(u, mean)
-            )
-        self._left[port] -= 1
-        if not self._on[port]:
-            return False
-        if a.p >= 1.0:
-            return True
-        return self._f(port, _S_ARRIVAL, self._arr) < a.p
-
-    # -- destination pattern --------------------------------------------
-    def _uniform_dest(self, port: int, sub: int, counters, exclude_self: bool) -> int:
-        # The admission hot path: one counter bump and one draw_u64 (the
-        # same value _i's draw_int would give; n >= 2 keeps n - 1 >= 1).
-        k = counters[port]
-        counters[port] = k + 1
-        u = draw_u64(self.seed, port * _STRIDE + sub, k)
-        if not exclude_self:
-            return u % self.n
-        d = u % (self.n - 1)
-        return d if d < port else d + 1
-
-    def _next_dest(self, port: int) -> int:
-        p = self.spec.pattern
-        if p.kind == "permutation":
-            return (port + p.shift) % self.n
-        if p.kind == "uniform":
-            return self._uniform_dest(port, _S_PATTERN, self._pat, p.exclude_self)
-        if p.kind == "hotspot":
-            hot = p.hot_port
-            if p.drift_packets:
-                hot = (hot + self._offered[port] // p.drift_packets) % self.n
-            if self._f(port, _S_PATTERN, self._pat) < p.p_hot:
-                return hot
-            return self._i(port, _S_PATTERN, self._pat, self.n)
-        # bursty: geometric trains sharing one destination.
-        cur = self._cur[port]
-        if cur is None or self._f(port, _S_BURST, self._pat) < 1.0 / p.mean_burst:
-            cur = self._uniform_dest(port, _S_PATTERN, self._pat, p.exclude_self)
-            self._cur[port] = cur
-        return cur
-
-    # -- packet sizes ---------------------------------------------------
-    def _next_size(self, port: int) -> int:
-        s = self.spec.sizes
-        if s.kind == "fixed":
-            return s.bytes
-        if s.kind == "imix":
-            u = self._f(port, _S_SIZE, self._size) * sum(s.IMIX_WEIGHTS)
-            acc = 0.0
-            for size, w in zip(s.IMIX_SIZES, s.IMIX_WEIGHTS):
-                acc += w
-                if u < acc:
-                    return size
-            return s.IMIX_SIZES[-1]
-        if s.kind == "uniform":
-            span = s.hi // 4 - s.lo // 4 + 1
-            return (s.lo // 4 + self._i(port, _S_SIZE, self._size, span)) * 4
-        return (
-            s.small
-            if self._f(port, _S_SIZE, self._size) < s.p_small
-            else s.large
-        )
-
-    # -- the TrafficModel protocol --------------------------------------
-    def next_packet(self, port: int) -> Optional[Tuple[int, int]]:
-        if self.gate and not self._offers(port):
-            return None
-        dest = self._next_dest(port)
-        size = self._next_size(port)
-        self._offered[port] += 1
-        return dest, size
+            def next_packet(port: int) -> Optional[Tuple[int, int]]:
+                return draw(port) if offers(port) else None
+        else:
+            next_packet = draw
+        #: ``(destination port, size bytes)`` or None for no arrival.
+        self.next_packet = next_packet
 
     # -- convenience ----------------------------------------------------
     @property

@@ -102,6 +102,14 @@ class TestBadInput:
             pytest.param(["sweep", "--fidelity", "space", "--grid", "ports=16",
                           "partitions=1,2", "--workers", "2", "--quanta", "100"],
                          "partitions=2", id="sweep-workers-space-partitions"),
+            pytest.param(["trace", "scaling", "--engine", "space",
+                          "--partitions", "64", "--quick"],
+                         "64 partitions over 12 chips",
+                         id="trace-space-partitions-64"),
+            pytest.param(["top", "scaling", "--engine", "space",
+                          "--partitions", "64", "--quick"],
+                         "64 partitions over 12 chips",
+                         id="top-space-partitions-64"),
         ],
     )
     def test_exits_2_naming_the_input(self, argv, named, capsys, tmp_path):

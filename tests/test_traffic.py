@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SimConfig
+from repro.seeds import spec_seed
 from repro.traffic.arrivals import ArrivalProcess, Saturated
 from repro.traffic.build import fabric_source
 from repro.traffic.model import SpecModel
@@ -14,8 +15,24 @@ from repro.traffic.patterns import (
     HotspotDestinations,
     UniformDestinations,
 )
+from repro.traffic.rng import (
+    draw_float,
+    draw_int,
+    draw_u64,
+    geometric_length,
+    pareto_length,
+)
 from repro.traffic.sizes import BimodalSizes, FixedSize, IMix, UniformSizes
-from repro.traffic.spec import ArrivalSpec, PatternSpec, TrafficSpec, spec_from_legacy
+from repro.traffic.spec import (
+    ARRIVAL_KINDS,
+    PATTERN_KINDS,
+    SIZE_KINDS,
+    ArrivalSpec,
+    PatternSpec,
+    SizeSpec,
+    TrafficSpec,
+    spec_from_legacy,
+)
 from repro.traffic.workload import PacketFactory, Workload
 
 
@@ -258,3 +275,143 @@ class TestPacketFactory:
             a = owned.make(0, i % n, 4 * w)
             b = shared.make(0, i % n, 4 * w)
             assert a == b
+
+
+# ---------------------------------------------------------------------------
+# SpecModel draws what the one-line counter functions give.
+# ---------------------------------------------------------------------------
+class _DrawReference:
+    """:class:`SpecModel`'s contract spelled out poll by poll with
+    ``draw_u64`` / ``draw_float`` / ``draw_int``: stream ``port * 8 +
+    sub``, one counter per port per draw family (the burst and pattern
+    streams share the pattern counter)."""
+
+    def __init__(self, spec, n, seed, gate_arrivals):
+        self.spec, self.n, self.seed = spec, n, spec_seed(seed)
+        self.gate = gate_arrivals and spec.arrivals.kind != "saturated"
+        self.used = {}
+        self.offered = [0] * n
+        self.cur = [None] * n
+        self.on = [False] * n
+        self.left = [0] * n
+
+    def _k(self, port, family):
+        k = self.used.get((port, family), 0)
+        self.used[port, family] = k + 1
+        return k
+
+    def _float(self, port, sub, family):
+        return draw_float(self.seed, port * 8 + sub, self._k(port, family))
+
+    def _int(self, port, sub, family, n):
+        return draw_int(self.seed, port * 8 + sub, self._k(port, family), n)
+
+    def _uniform(self, port, exclude_self):
+        if not exclude_self:
+            return self._int(port, 0, "pattern", self.n)
+        d = draw_u64(self.seed, port * 8, self._k(port, "pattern")) % (self.n - 1)
+        return d if d < port else d + 1
+
+    def _offers(self, port):
+        a = self.spec.arrivals
+        if a.kind == "bernoulli":
+            return self._float(port, 2, "arrival") < a.p
+        while self.left[port] == 0:  # onoff: a duration draw per flip
+            self.on[port] = not self.on[port]
+            mean = a.mean_on if self.on[port] else a.mean_off
+            u = self._float(port, 3, "duration")
+            self.left[port] = (pareto_length(u, mean, a.alpha) if a.heavy
+                               else geometric_length(u, mean))
+        self.left[port] -= 1
+        if not self.on[port]:
+            return False
+        return a.p >= 1.0 or self._float(port, 2, "arrival") < a.p
+
+    def _dest(self, port):
+        p = self.spec.pattern
+        if p.kind == "permutation":
+            return (port + p.shift) % self.n
+        if p.kind == "uniform":
+            return self._uniform(port, p.exclude_self)
+        if p.kind == "hotspot":  # one draw when hot, two when it spills
+            hot = p.hot_port
+            if p.drift_packets:
+                hot = (hot + self.offered[port] // p.drift_packets) % self.n
+            if self._float(port, 0, "pattern") < p.p_hot:
+                return hot
+            return self._int(port, 0, "pattern", self.n)
+        # bursty: a burst draw while a train runs, a uniform one per train
+        if (self.cur[port] is None
+                or self._float(port, 4, "pattern") < 1.0 / p.mean_burst):
+            self.cur[port] = self._uniform(port, p.exclude_self)
+        return self.cur[port]
+
+    def _size(self, port):
+        s = self.spec.sizes
+        if s.kind == "fixed":
+            return s.bytes
+        if s.kind == "imix":
+            u = self._float(port, 1, "size") * sum(s.IMIX_WEIGHTS)
+            acc = 0.0
+            for size, w in zip(s.IMIX_SIZES, s.IMIX_WEIGHTS):
+                acc += w
+                if u < acc:
+                    return size
+            return s.IMIX_SIZES[-1]
+        if s.kind == "uniform":
+            span = s.hi // 4 - s.lo // 4 + 1
+            return (s.lo // 4 + self._int(port, 1, "size", span)) * 4
+        return s.small if self._float(port, 1, "size") < s.p_small else s.large
+
+    def next_packet(self, port):
+        if self.gate and not self._offers(port):
+            return None
+        dest, size = self._dest(port), self._size(port)
+        self.offered[port] += 1
+        return dest, size
+
+
+@st.composite
+def _spec_for_kinds(draw, pattern, sizes, arrivals):
+    """``(spec, ports)`` with every parameter of the three kinds drawn."""
+    n = draw(st.integers(2, 64))
+    nbytes = st.integers(5, 400).map(lambda words: 4 * words)
+    unit = st.floats(0.0, 1.0)
+    lo, hi = sorted((draw(nbytes), draw(nbytes)))
+    spec = TrafficSpec(
+        pattern=PatternSpec(
+            kind=pattern, shift=draw(st.integers(0, 2 * n)),
+            exclude_self=draw(st.booleans()),
+            hot_port=draw(st.integers(0, n - 1)), p_hot=draw(unit),
+            drift_packets=draw(st.integers(0, 5)),
+            mean_burst=draw(st.floats(1.0, 12.0)),
+        ),
+        sizes=SizeSpec(
+            kind=sizes, bytes=draw(nbytes), lo=lo, hi=hi,
+            small=draw(nbytes), large=draw(nbytes), p_small=draw(unit),
+        ),
+        arrivals=ArrivalSpec(
+            kind=arrivals, p=draw(st.sampled_from([1.0, 0.0]) | unit),
+            mean_on=draw(st.floats(1.0, 20.0)),
+            mean_off=draw(st.floats(1.0, 20.0)),
+            heavy=draw(st.booleans()), alpha=draw(st.floats(1.05, 3.0)),
+        ),
+    )
+    return spec, n
+
+
+class TestSpecModelDraws:
+    @pytest.mark.parametrize("arrivals", ARRIVAL_KINDS)
+    @pytest.mark.parametrize("sizes", SIZE_KINDS)
+    @pytest.mark.parametrize("pattern", PATTERN_KINDS)
+    @given(data=st.data(), seed=st.integers(0, 2**64 - 1),
+           gate=st.booleans(), order=st.randoms(use_true_random=False))
+    @settings(max_examples=6, deadline=None)
+    def test_polls_match_the_counter_draws(self, pattern, sizes, arrivals,
+                                           data, seed, gate, order):
+        spec, n = data.draw(_spec_for_kinds(pattern, sizes, arrivals))
+        model = SpecModel(spec, n, seed=seed, gate_arrivals=gate)
+        ref = _DrawReference(spec, n, seed, gate)
+        for _ in range(240):
+            port = order.randrange(n)
+            assert model.next_packet(port) == ref.next_packet(port)

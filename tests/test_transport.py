@@ -12,6 +12,7 @@ fault guard admits exactly the plans the engine can realize.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 import time
 
@@ -86,9 +87,11 @@ DEAD_WORKER_BOUND_S = 20.0
 
 
 def _long_run_spec() -> SpaceSpec:
-    """A 64-port P=2 run that takes seconds, so a kill lands mid-run."""
+    """A 64-port P=3 run that takes seconds, so a kill lands mid-run.
+    Partitions 0 and 1 run in worker processes; the coordinator steps
+    partition 2."""
     return SpaceSpec(
-        k=8, latency=4, partitions=2, quanta=20_000, warmup_quanta=50,
+        k=8, latency=4, partitions=3, quanta=20_000, warmup_quanta=50,
         source=SpaceSpec.pack_source(shard_source(
             spec_from_legacy(pattern="uniform", packet_bytes=1024), seed=3
         )),
@@ -197,6 +200,19 @@ class TestDeadWorker:
         finally:
             _kill_leftover_workers()
 
+    def test_pipe_ends_closed_before_it_raises(self):
+        # run_space closes every pipe end it holds -- the workers' result
+        # ends and its own partition's receiving ends -- itself, so none
+        # stays open while the error's traceback keeps its frame alive.
+        spec = SpaceSpec(k=4, latency=2, partitions=3, quanta=40,
+                         warmup_quanta=0,
+                         source=SpaceSpec.pack_source({"kind": "zipf"}))
+        before = len(os.listdir("/dev/fd"))
+        with pytest.raises(RuntimeError, match="zipf") as err:
+            run_space(spec)
+        assert err.value.__traceback__ is not None
+        assert len(os.listdir("/dev/fd")) == before
+
 
 # ---------------------------------------------------------------------------
 # Partition counts: adaptive, and refused before any worker starts.
@@ -245,6 +261,28 @@ class TestAutoPartitions:
             run_space(SpaceSpec(k=2, partitions=7))
         assert started == []
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("partitions", [2, 3])
+    def test_coordinator_steps_the_last_partition(self, monkeypatch,
+                                                  partitions):
+        # P partitions run on P processes: the coordinator forks a
+        # worker for every partition but the last and steps that one.
+        started = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def recording_start(proc):
+            started.append(proc.name)
+            start(proc)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            recording_start)
+        spec = spec_for(partitions)
+        got, info = run_space(spec)
+        assert started == [f"space-partition-{p}"
+                           for p in range(partitions - 1)]
+        assert multiprocessing.active_children() == []
+        assert info.workers == partitions
+        assert got.counters() == run_space_serial(spec).counters()
 
 
 # ---------------------------------------------------------------------------
