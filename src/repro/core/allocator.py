@@ -272,27 +272,32 @@ class CompiledAllocator:
     def _batch_tables(self):
         """Hot-path variants of :meth:`lookup_tensors`, cached.
 
-        Returns ``(cand, hopsp, sentinel)``.  ``cand`` is the candidate
-        tensor flattened to ``[n * n, C]``, row ``src * n + dst``, with
-        padding slots set to all-ones; ``sentinel`` is a spare bit kept
-        permanently set in the ``used`` mask, so all-ones slots are
-        never free.  Two layouts, picked by geometry:
+        Returns ``(base, cands, hops, outs, sentinel)``.  Every table is
+        a tuple of contiguous 1-D columns, one per candidate slot,
+        indexed by ``src * (n + 1) + dst + 1``: entry ``src * (n + 1)``
+        of each input's block stands for "no request" (``dst == -1``),
+        so a lane's index is its request plus 1 plus ``base[src]`` (an
+        ``[n, 1]`` column) and a column gathers with ``take``.  Padding
+        slots and the no-request entries hold all-ones masks;
+        ``sentinel`` is a spare bit kept permanently set in the ``used``
+        mask, so all-ones slots are never free.  Two layouts, picked by
+        geometry:
 
         * **merged** (``networks * 2 * n + n + 1 <= 56``: n <= 18 on one
           network, n <= 11 on two) -- each candidate also holds its
           destination's ``out`` link at bit ``networks * 2 * n + dst``
           and its hop count in the top byte (bits 56..63; hops <= n fit).
-          One extra all-ones row ``n * n`` stands for "no request", and
-          ``hopsp`` is None.  The sentinel sits just above the ``out``
-          bits.
-        * **split** (every other geometry up to 64 link bits) -- ``cand``
-          holds link bits only, ``hopsp`` is the matching ``[n * n, C]``
-          hop tensor, and :meth:`batch_grants` tracks claimed outputs
-          and requests in masks of their own.  When the links use all 64
-          bits there is no spare sentinel bit (``sentinel`` is 0);
-          padding is still safe because every (src, dst) pair has at
-          least one real candidate ordered before its padding (enforced
-          here).
+          ``hops`` and ``outs`` are None.  The sentinel sits just above
+          the ``out`` bits.
+        * **split** (every other geometry up to 64 link bits) -- ``cands``
+          hold link bits only, ``hops`` the matching hop counts, and
+          ``outs`` (one column) each entry's destination bit, with bit
+          ``n`` for "no request": :meth:`batch_grants` keeps that bit
+          set in its claimed-outputs mask, so an input without a request
+          is never granted.  When the links use all 64 bits there is no
+          spare sentinel bit (``sentinel`` is 0); padding is still safe
+          because every (src, dst) pair has at least one real candidate
+          ordered before its padding (enforced here).
         """
         if self._batch is None:
             import numpy as np
@@ -301,6 +306,18 @@ class CompiledAllocator:
             n = self.ring.n
             bits = self.networks * 2 * n
             all_ones = np.uint64(0xFFFFFFFFFFFFFFFF)
+            base = np.arange(0, n * (n + 1), n + 1, dtype=np.int64)[:, None]
+
+            def columns(table, fill):
+                # [n, n, C] -> C columns over the [n, n + 1] index, the
+                # no-request entry first in each input's block.
+                padded = np.full((n, n + 1, table.shape[2]), fill, table.dtype)
+                padded[:, 1:] = table
+                return tuple(
+                    np.ascontiguousarray(padded[..., c].ravel())
+                    for c in range(table.shape[2])
+                )
+
             if bits + n + 1 <= 56:
                 out_bit = np.uint64(1) << np.arange(
                     bits, bits + n, dtype=np.uint64
@@ -310,10 +327,10 @@ class CompiledAllocator:
                     | out_bit[None, :, None]
                     | hops_t.astype(np.uint64) << np.uint64(56)
                 )
-                cand = np.where(valid_t, cand, all_ones).reshape(n * n, -1)
-                no_request = np.full((1, cand.shape[1]), all_ones)
                 self._batch = (
-                    np.concatenate([cand, no_request]),
+                    base,
+                    columns(np.where(valid_t, cand, all_ones), all_ones),
+                    None,
                     None,
                     np.uint64(1 << (bits + n)),
                 )
@@ -323,9 +340,14 @@ class CompiledAllocator:
                         "batch path needs a spare link bit or at least one "
                         "candidate per (src, dst) pair"
                     )
+                outs = np.ones((n, n, 1), dtype=np.uint64) << np.arange(
+                    n, dtype=np.uint64
+                )[None, :, None]
                 self._batch = (
-                    np.where(valid_t, mask_t, all_ones).reshape(n * n, -1),
-                    hops_t.reshape(n * n, -1),
+                    base,
+                    columns(np.where(valid_t, mask_t, all_ones), all_ones),
+                    columns(hops_t, 0),
+                    columns(outs, np.uint64(1) << np.uint64(n))[0],
                     np.uint64(1 << bits) if bits < 64 else np.uint64(0),
                 )
         return self._batch
@@ -344,6 +366,12 @@ class CompiledAllocator:
         not granted).  Row ``w`` equals the grants :meth:`allocate`
         makes on that world's request tuple -- the bit-identity contract
         the many-worlds engine's world-0 check rests on.
+
+        The rule runs port-major: both results are transposed views of
+        ``[n, W]`` arrays, so each input's lanes are one contiguous row
+        of the token-order loop, and a ``dests`` that is itself the
+        transpose of an ``[n, W]`` array (the many-worlds lanes) is read
+        without a copy.
         """
         import numpy as np
 
@@ -352,85 +380,96 @@ class CompiledAllocator:
             raise ValueError(f"expected {n} request lanes, got {dests.shape[1]}")
         if not 0 <= token < n:
             raise ValueError(f"token {token} out of range")
-        if dests.max(initial=-1) >= n:
+        base, cands, hops, outs, sentinel = self._batch_tables()
+        w = dests.shape[0]
+        idx = np.empty((n, w), dtype=np.int64)
+        np.add(dests.T, 1, out=idx)
+        # One pass checks both ends: -1 <= dest < n, i.e. 0 <= dest + 1
+        # <= n, with anything below -1 wrapping high as unsigned.
+        if idx.view(np.uint64).max(initial=0) > n:
             raise ValueError("request destination out of range")
-        cand, hopsp, sentinel = self._batch_tables()
+        idx += base
+        cand = [col.take(idx) for col in cands]
         # ``used`` starts with the sentinel bit set, so all-ones slots
         # are never free -- no valid_t in the hot loops.
-        used = np.full(dests.shape[0], sentinel, dtype=np.uint64)
-        if hopsp is None:
-            return self._merged_grants(dests, token, cand, used)
-        return self._split_grants(dests, token, cand, hopsp, used)
+        used = np.full(w, sentinel, dtype=np.uint64)
+        order = self._visit[token]
+        if hops is None:
+            granted, hop = self._merged_grants(order, cand, used)
+        else:
+            granted, hop = self._split_grants(
+                order, cand, [col.take(idx) for col in hops], outs.take(idx),
+                used,
+            )
+        return granted.T, hop.T
 
-    def _merged_grants(self, dests, token, cand, used):
+    def _merged_grants(self, order, cand, used):
         """:meth:`batch_grants` on the merged layout: ``used`` holds the
         claimed ``out`` links beside the ring segments, so one free test
-        per candidate covers "requested", "output free" and "path free"."""
+        per candidate covers "requested", "output free" and "path free".
+
+        Per input, a first-free scan from the last candidate to the
+        first, so the lowest-index free one (the scalar rule's order) is
+        the one kept, written into that input's row of ``chosen``
+        (0 when none is free); ``cc & used`` is nonzero exactly when
+        ``cc`` collides."""
         import numpy as np
 
-        n = self.ring.n
-        zero = np.uint64(0)
-        # Gather every lane's candidates once up front ([W, n, C]); a
-        # lane with no request reads the all-ones row ``n * n``.
-        cand_all = cand[np.where(dests >= 0, np.arange(n) * n + dests, n * n)]
+        chosen = np.empty(cand[0].shape, dtype=np.uint64)
+        hit = np.empty(used.shape, dtype=np.uint64)
+        free = np.empty(used.shape, dtype=bool)
         link_mask = np.uint64((1 << 56) - 1)  # strips the hop byte
-        chosen = np.zeros(dests.shape, dtype=np.uint64)
-        for offset in range(n):
-            src = (token + offset) % n
-            # First-free candidate scan: last candidate first, so the
-            # lowest-index free one (the scalar rule's order) is kept.
-            # ``cc & used`` is nonzero exactly when ``cc`` collides.
-            pick = zero
-            for c in range(cand_all.shape[2] - 1, -1, -1):
-                cc = cand_all[:, src, c]
-                pick = np.where(cc & used, pick, cc)
-            chosen[:, src] = pick
-            used |= pick & link_mask
+        last = cand[-1]
+        for src in order:
+            pick = chosen[src]
+            cc = last[src]
+            np.bitwise_and(cc, used, hit)
+            np.logical_not(hit, free)
+            np.multiply(cc, free, pick)
+            for c in cand[-2::-1]:
+                cc = c[src]
+                np.bitwise_and(cc, used, hit)
+                np.logical_not(hit, free)
+                np.copyto(pick, cc, where=free)
+            np.bitwise_and(pick, link_mask, hit)
+            np.bitwise_or(used, hit, used)
         # A granted candidate always holds its ``out`` bit, so 0 is
         # exactly "not granted" (and 0 hops).
-        return chosen != zero, (chosen >> np.uint64(56)).astype(np.int64)
+        return chosen != 0, (chosen >> np.uint64(56)).view(np.int64)
 
-    def _split_grants(self, dests, token, cand, hopsp, used):
-        """:meth:`batch_grants` on the split layout: claimed outputs and
-        requests in masks of their own, hop counts gathered beside the
-        link masks."""
+    def _split_grants(self, order, cand, hopc, bit, used):
+        """:meth:`batch_grants` on the split layout: claimed outputs in a
+        mask of their own (bit ``n`` stands for "no request" and is
+        always claimed), hop counts gathered beside the link masks."""
         import numpy as np
 
         n = self.ring.n
-        zero = np.uint64(0)
-        req_all = dests >= 0
-        d_all = np.where(req_all, dests, 0)
-        # Gather every lane's candidate masks and hops once up front
-        # ([W, n, C]) through a flat index; the offset loop below then
-        # only slices views out of them.
-        flat = np.arange(n)[None, :] * n + d_all
-        cand_all = cand[flat]
-        hops_all = hopsp[flat]
-        bit_all = np.uint64(1) << d_all.astype(np.uint64)
-        claimed = np.zeros(dests.shape[0], dtype=np.uint64)  # output bitmask
-        granted = np.zeros(dests.shape, dtype=bool)
-        hops = np.zeros(dests.shape, dtype=np.int64)
-        for offset in range(n):
-            src = (token + offset) % n
-            # First-free candidate scan, lowest index first (the scalar
-            # rule's candidate order) -- plain ufuncs beat argmax + fancy
-            # indexing at these widths.
-            sel = cand_all[:, src, 0]
-            hsel = hops_all[:, src, 0]
-            any_free = (sel & used) == zero
-            for c in range(1, cand_all.shape[2]):
-                cc = cand_all[:, src, c]
-                fc = (cc & used) == zero
-                take = ~any_free & fc
-                sel = np.where(take, cc, sel)
-                hsel = np.where(take, hops_all[:, src, c], hsel)
-                any_free |= fc
-            bit = bit_all[:, src]
-            g = req_all[:, src] & ((claimed & bit) == zero) & any_free
-            used |= np.where(g, sel, zero)
-            claimed |= np.where(g, bit, zero)
-            granted[:, src] = g
-            hops[:, src] = np.where(g, hsel, 0)
+        claimed = np.full(used.shape, np.uint64(1) << np.uint64(n))
+        granted = np.empty(cand[0].shape, dtype=bool)
+        hops = np.zeros(cand[0].shape, dtype=np.int64)
+        sel = np.empty(used.shape, dtype=np.uint64)
+        hit = np.empty(used.shape, dtype=np.uint64)
+        ok = np.empty(used.shape, dtype=bool)
+        free = np.empty(used.shape, dtype=bool)
+        for src in order:
+            g = granted[src]
+            np.bitwise_and(bit[src], claimed, hit)
+            np.logical_not(hit, ok)  # requesting, output unclaimed
+            g[...] = False
+            sel[...] = 0
+            # First-free scan, last candidate first, as in the merged
+            # loop; a candidate may have no link bits (src == dst), so
+            # the grant is tracked in ``g`` rather than read off ``sel``.
+            for c in range(len(cand) - 1, -1, -1):
+                cc = cand[c][src]
+                np.bitwise_and(cc, used, hit)
+                np.logical_not(hit, free)
+                np.logical_and(free, ok, free)
+                np.copyto(sel, cc, where=free)
+                np.copyto(hops[src], hopc[c][src], where=free)
+                np.logical_or(g, free, g)
+            np.bitwise_or(used, sel, used)
+            np.bitwise_or(claimed, bit[src], claimed, where=g)
         return granted, hops
 
 

@@ -4,24 +4,25 @@ A Monte Carlo sweep over seeds has, until now, meant ``n_worlds`` full
 scalar runs -- one Python quantum loop each -- so confidence intervals
 at useful scale (hundreds to thousands of seeds) were unaffordable.
 This module advances ``n_worlds`` *independent* runs in lock-step:
-queue state, traffic counters, and per-world statistics live in numpy
-arrays of shape ``(n_worlds, ...)``, and each routing quantum is one
-vectorized step (refill -> batch allocation -> stats scatter) instead
-of ``n_worlds`` interpreter loops.
+queue state, traffic streams, and per-world statistics live in numpy
+arrays of shape ``(ports, n_worlds)`` (or ``(n_worlds,)``), and each
+routing quantum is one vectorized step (refill -> batch allocation ->
+stats fold) instead of ``n_worlds`` interpreter loops.
 
 What makes this exact rather than approximate:
 
 * every traffic draw is counter-based (:mod:`repro.traffic.rng`): a
-  pure function of ``(seed, stream, counter)``, so a ``[n_worlds]``
-  lane of seeds plus ``[n_worlds, ports]`` counter arrays reproduces
-  each world's scalar draw stream bit-for-bit (:class:`VecSpecModel`);
+  pure function of ``(seed, stream, counter)``, so ``[ports,
+  n_worlds]`` arrays of stream values reproduce each world's scalar
+  draw stream bit-for-bit (:class:`VecSpecModel`);
 * the allocation rule is shared lookup tensors
   (:meth:`~repro.core.allocator.CompiledAllocator.lookup_tensors`)
   indexed per world: the token is global (all worlds rotate in
   lock-step from quantum 0), so one ``[n, n, C]`` tensor serves every
   world (:meth:`~repro.core.allocator.CompiledAllocator.batch_grants`);
 * packets are single-fragment whenever the size distribution fits one
-  quantum, so a world x port queue slot is just (valid, dest, words).
+  quantum, so a port x world queue slot is just (dest, words), with
+  dest -1 when it is empty.
 
 Correctness contract (the same one every fast path in this repo
 honors): **world 0 is bit-identical to the scalar fabric engine** with
@@ -40,7 +41,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -63,13 +64,14 @@ from repro.traffic.model import (
     _S_DURATION,
     _S_PATTERN,
     _S_SIZE,
-    _STRIDE,
+    _TWO64,
 )
-from repro.traffic.rng import draw_float, geometric_length, pareto_length
+from repro.traffic.model import _streams as _port_streams
+from repro.traffic.rng import _A as _A_INT
+from repro.traffic.rng import _B as _B_INT
+from repro.traffic.rng import _C as _C_INT
+from repro.traffic.rng import geometric_length, pareto_length
 from repro.traffic.spec import TrafficSpec, resolve_traffic
-
-#: Schema tag on :meth:`ManyWorldsResult.to_dict`.
-RESULT_SCHEMA = "repro-manyworlds/1"
 
 #: Metrics an envelope is computed over by default.
 ENVELOPE_METRICS = ("gbps", "mpps", "delivered_packets", "delivered_words")
@@ -77,38 +79,77 @@ ENVELOPE_METRICS = ("gbps", "mpps", "delivered_packets", "delivered_words")
 # ---------------------------------------------------------------------------
 # Vectorized counter-based randomness (repro.traffic.rng over world lanes).
 # ---------------------------------------------------------------------------
-_M64 = (1 << 64) - 1
-_A = np.uint64(0x9E3779B97F4A7C15)
-_B_INT = 0xBF58476D1CE4E5B9
-_C = np.uint64(0x94D049BB133111EB)
-_MIX_B = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_C = np.uint64(0x94D049BB133111EB)
+_A = np.uint64(_A_INT)
+_B = np.uint64(_B_INT)
+_C = np.uint64(_C_INT)
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """:func:`repro.traffic.rng.mix64` over a uint64 array."""
-    x = (x ^ (x >> _S30)) * _MIX_B
-    x = (x ^ (x >> _S27)) * _MIX_C
-    return x ^ (x >> _S31)
+def _mix64(xs: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """:func:`repro.traffic.rng.mix64` of every element of ``xs``, into
+    ``out`` (``tmp`` is scratch of the same shape)."""
+    np.right_shift(xs, _S30, tmp)
+    np.bitwise_xor(xs, tmp, out)
+    np.multiply(out, _B, out)
+    np.right_shift(out, _S27, tmp)
+    np.bitwise_xor(out, tmp, out)
+    np.multiply(out, _C, out)
+    np.right_shift(out, _S31, tmp)
+    np.bitwise_xor(out, tmp, out)
+    return out
+
+
+def _threshold(pred: Callable[[int], bool]) -> int:
+    """The least raw draw ``x`` in ``[0, 2**64]`` at which ``pred`` fails.
+
+    ``pred`` is one of the scalar model's own float tests on a raw
+    64-bit draw (``x / 2**64 < p``, IMIX's ``x / 2**64 * total <
+    bound``).  Each is monotone in ``x`` -- ``float(x)``, the exact
+    division by a power of two and a multiplication by a positive
+    constant never decrease -- so ``x < T`` holds exactly when ``pred(x)``
+    does, and a lane's draw is tested with one integer compare instead
+    of a float conversion.  Found by bisection, once per spec.
+    """
+    lo, hi = 0, 1 << 64
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if pred(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _below(p: float) -> np.uint64:
+    """The integer threshold of the scalar test ``x / 2**64 < p``."""
+    return np.uint64(_threshold(lambda x: x / _TWO64 < p))
+
+
+def _lanes(flags: np.ndarray) -> np.ndarray:
+    """A bool lane array as a poll mask: -1 where set, 0 elsewhere."""
+    return np.negative(flags, dtype=np.int64)
 
 
 class VecSpecModel:
     """:class:`~repro.traffic.model.SpecModel` over ``n_worlds`` lanes.
 
-    Same spec, same per-port draw streams and counters -- but the
-    counters are ``[n_worlds, ports]`` arrays and a poll is one masked
-    column operation.  Lane ``w`` consumes exactly the draws the scalar
-    model seeded ``seeds[w]`` consumes (the draw-count bookkeeping in
-    each ``_*_col`` helper mirrors the scalar branch structure, including
-    the quirks: hotspot consumes 1 draw when hot else 2, bursty's burst
-    draw is short-circuited away while no train is active, on/off
-    duration draws happen only at state flips).
+    Same spec, same per-port draw streams -- but every stream value is a
+    lane of an ``[n, n_worlds]`` uint64 array (port-major, like the
+    engine's queue lanes), stepped by ``_C`` on exactly the lanes whose
+    scalar model consumes a draw, and a poll is a handful of whole-array
+    operations.  The pattern, size and arrival kinds are resolved once,
+    here, into one draw method each; the scalar model's float tests
+    become integer thresholds (:func:`_threshold`), and the finalizer
+    runs in place in scratch buffers.  Lane ``w`` consumes exactly the
+    draws the scalar model seeded ``seeds[w]`` consumes, including the
+    quirks: hotspot consumes 1 draw when hot else 2, bursty's burst draw
+    is short-circuited away while no train is active, on/off duration
+    draws happen only at state flips.
 
     The one scalar escape hatch: on/off *durations* go through
     ``math.log`` / ``**`` in the scalar model, and numpy's
     transcendentals are not guaranteed ULP-identical to libm's -- so the
-    rare worlds needing a new duration this poll (one draw per on/off
+    rare lanes needing a new duration this poll (one draw per on/off
     period) take a per-element Python loop through the exact scalar
     functions.
     """
@@ -126,170 +167,233 @@ class VecSpecModel:
         self.spec = spec
         self.n = n
         self.seeds = np.array([spec_seed(s) for s in seeds], dtype=np.uint64)
-        self.w = len(seeds)
+        self.w = w = len(seeds)
         self.gate = spec.arrivals.kind != "saturated"
-        w = self.w
-        # Per-(world, port) counters -- the entire mutable state, int64
-        # (cast to uint64 at draw time; they never approach 2**63).
-        self._pat = np.zeros((w, n), dtype=np.int64)
-        self._size = np.zeros((w, n), dtype=np.int64)
-        self._arr = np.zeros((w, n), dtype=np.int64)
-        self._dur = np.zeros((w, n), dtype=np.int64)
-        self._offered = np.zeros((w, n), dtype=np.int64)
-        self._cur = np.full((w, n), -1, dtype=np.int64)  #: bursty train (-1 = None)
-        self._on = np.zeros((w, n), dtype=bool)
-        self._left = np.zeros((w, n), dtype=np.int64)
-        # Whole-grid draw machinery: precompute the seed term per world
-        # and the (stream * _B + 1) term per (port, sub-stream), so one
-        # [w, n] grid draw is a handful of array ops instead of n column
-        # loops (the step loop's cost is numpy call count, not data).
-        self._seed_term = (self.seeds * _A)[:, None]  # [w, 1]
-        self._cols = np.arange(n, dtype=np.int64)[None, :]  # [1, n]
+        self._shape = shape = (n, w)
+        self._port = np.arange(n, dtype=np.int64)[:, None]
+        self._inc = np.empty(shape, dtype=np.uint64)  #: _C where a lane draws
+        self._tmp = np.empty(shape, dtype=np.uint64)  #: finalizer scratch
+        self._quo = np.empty(shape, dtype=np.uint64)  #: modulo scratch
+        self._dest = self._dest_fn(pat)
+        self._size = self._size_fn(spec.sizes)
+        self._gate = self._gate_fn(spec.arrivals) if self.gate else None
 
-        def bases(sub: int) -> np.ndarray:
-            return np.array(
-                [((p * _STRIDE + sub) * _B_INT + 1) & _M64 for p in range(n)],
-                dtype=np.uint64,
-            )[None, :]
+    # -- draw machinery -------------------------------------------------
+    def _streams(self, sub: int) -> np.ndarray:
+        """Per lane, the value draw 0 of stream ``port * _STRIDE + sub``
+        feeds the finalizer: the scalar model's per-port values at seed
+        0 plus each world's seed term."""
+        base = np.array(_port_streams(0, self.n, sub), dtype=np.uint64)
+        return base[:, None] + self.seeds[None, :] * _A
 
-        self._base_pat = bases(_S_PATTERN)
-        self._base_size = bases(_S_SIZE)
-        self._base_arr = bases(_S_ARRIVAL)
-        self._base_burst = bases(_S_BURST)
+    def _mix(self, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:func:`repro.traffic.rng.mix64` of every lane of ``xs``, into
+        ``out``."""
+        return _mix64(xs, out, self._tmp)
 
-    # -- whole-grid draws ----------------------------------------------
-    def _grid_u64(self, base: np.ndarray, k: np.ndarray) -> np.ndarray:
-        """draw_u64 over the full (world, port) grid: ``k`` is the per-
-        lane counter, ``base`` one of the per-column stream terms."""
-        return _mix64(self._seed_term + k.astype(np.uint64) * _C + base)
+    def _mod(self, u: np.ndarray, m: int) -> np.ndarray:
+        """``u % m`` in place, as int64 lanes (a floor division by a
+        scalar is several times cheaper than numpy's uint64 ``%``)."""
+        m = np.uint64(m)
+        q = self._quo
+        np.floor_divide(u, m, q)
+        np.multiply(q, m, q)
+        np.subtract(u, q, u)
+        return u.view(np.int64)
 
-    def _grid_float(self, base: np.ndarray, k: np.ndarray) -> np.ndarray:
-        return self._grid_u64(base, k) / np.float64(1 << 64)
-
-    def _grid_int(self, base: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
-        return (self._grid_u64(base, k) % np.uint64(n)).astype(np.int64)
-
-    # -- arrival gate ---------------------------------------------------
-    def _offers_grid(self, m: np.ndarray) -> np.ndarray:
-        """Arrival gate over the grid under poll mask ``m``; returned
-        lanes are meaningful only where ``m`` (counters advance exactly
-        on the lanes the scalar model would consume draws for)."""
-        a = self.spec.arrivals
-        if not self.gate:
-            return m
-        if a.kind == "bernoulli":
-            u = self._grid_float(self._base_arr, self._arr)
-            self._arr += m
-            return u < a.p
-        # onoff: flip state + draw a fresh duration where exhausted.
-        # Durations go through math.log/** in the scalar model, whose
-        # libm results numpy does not promise to match ULP-for-ULP, so
-        # the (rare: once per on/off period) lanes needing a new duration
-        # run the exact scalar functions.
-        need = m & (self._left == 0)
-        if need.any():
-            for w, p in zip(*(idx.tolist() for idx in np.nonzero(need))):
-                on = not self._on[w, p]
-                self._on[w, p] = on
-                mean = a.mean_on if on else a.mean_off
-                k = int(self._dur[w, p])
-                self._dur[w, p] = k + 1
-                u = draw_float(int(self.seeds[w]), p * _STRIDE + _S_DURATION, k)
-                self._left[w, p] = (
-                    pareto_length(u, mean, a.alpha)
-                    if a.heavy
-                    else geometric_length(u, mean)
-                )
-        self._left -= m
-        on = self._on
-        if a.p >= 1.0:
-            return on
-        u = self._grid_float(self._base_arr, self._arr)
-        self._arr += m & on
-        return on & (u < a.p)
-
-    # -- destinations ---------------------------------------------------
-    def _uniform_dest_grid(self, k: np.ndarray, exclude_self: bool) -> np.ndarray:
+    def _uniform_fn(self, exclude_self: bool):
+        """``uniform(x)``: the uniform destination drawn from stream
+        values ``x``, mapped around the port itself when
+        ``exclude_self`` (through a per-port table)."""
+        n = self.n
+        u = np.empty(self._shape, dtype=np.uint64)
         if not exclude_self:
-            return self._grid_int(self._base_pat, k, self.n)
-        d = self._grid_int(self._base_pat, k, self.n - 1)
-        return d + (d >= self._cols)
+            return lambda x: self._mod(self._mix(x, u), n)
+        skip = np.array(
+            [[d + (d >= p) for d in range(n - 1)] for p in range(n)],
+            dtype=np.int64,
+        ).ravel()
+        row = self._port * (n - 1)
 
-    def _dest_grid(self, mo: np.ndarray) -> np.ndarray:
-        pat = self.spec.pattern
+        def uniform(x):
+            d = self._mod(self._mix(x, u), n - 1)
+            return skip.take(np.add(d, row, out=d))
+
+        return uniform
+
+    # -- destinations: dest(got, inc) -----------------------------------
+    def _dest_fn(self, pat):
+        n = self.n
         if pat.kind == "permutation":
-            return np.broadcast_to((self._cols + pat.shift) % self.n, mo.shape)
+            fixed = np.broadcast_to((self._port + pat.shift) % n, self._shape)
+            return lambda got, inc: fixed
+        xs = self._streams(_S_PATTERN)
         if pat.kind == "uniform":
-            d = self._uniform_dest_grid(self._pat, pat.exclude_self)
-            self._pat += mo
-            return d
-        if pat.kind == "hotspot":
-            if pat.drift_packets:
-                hot = (pat.hot_port + self._offered // pat.drift_packets) % self.n
-            else:
-                hot = pat.hot_port
-            is_hot = self._grid_float(self._base_pat, self._pat) < pat.p_hot
-            spill = self._grid_int(self._base_pat, self._pat + 1, self.n)
-            # Scalar consumption: 1 draw on the hot branch, 2 otherwise.
-            self._pat += np.where(is_hot, 1, 2) * mo
-            return np.where(is_hot, hot, spill)
-        # bursty: the burst-continuation draw exists only while a train
-        # is active (the scalar `cur is None or ...` short-circuit).
-        has_train = self._cur >= 0
-        u_b = self._grid_float(self._base_burst, self._pat)
-        burst_drawn = mo & has_train
-        trigger = mo & (~has_train | (u_b < 1.0 / pat.mean_burst))
-        fresh = self._uniform_dest_grid(
-            self._pat + burst_drawn, pat.exclude_self
-        )
-        self._pat += burst_drawn
-        self._pat += trigger
-        self._cur = np.where(trigger, fresh, self._cur)
-        return self._cur
+            uniform = self._uniform_fn(pat.exclude_self)
 
-    # -- packet sizes ---------------------------------------------------
-    def _size_grid(self, mo: np.ndarray) -> np.ndarray:
-        s = self.spec.sizes
+            def dest(got, inc):
+                d = uniform(xs)
+                np.add(xs, inc, xs)
+                return d
+
+            return dest
+        if pat.kind == "hotspot":
+            t_hot = _below(pat.p_hot)
+            spill = self._uniform_fn(False)
+            u = np.empty(self._shape, dtype=np.uint64)
+            offered = np.zeros(self._shape, dtype=np.int64)
+
+            def hotspot(got, inc):
+                hot = pat.hot_port
+                if pat.drift_packets:
+                    hot = (hot + offered // pat.drift_packets) % n
+                    offered[...] -= got
+                is_hot = self._mix(xs, u) < t_hot
+                d = np.where(is_hot, hot, spill(xs + _C))
+                # Scalar consumption: 1 draw on the hot branch, 2 otherwise.
+                np.add(xs, inc, xs)
+                np.add(xs, np.where(is_hot, np.uint64(0), inc), xs)
+                return d
+
+            return hotspot
+        # bursty: the burst and pattern streams share one counter, so a
+        # lane's burst stream value is its pattern value plus a per-port
+        # constant; the burst draw exists only while a train is active
+        # (the scalar `cur is None or ...` short-circuit).
+        burst = self._streams(_S_BURST) - xs
+        t_new = _below(1.0 / pat.mean_burst)
+        uniform = self._uniform_fn(pat.exclude_self)
+        u = np.empty(self._shape, dtype=np.uint64)
+        cur = np.full(self._shape, -1, dtype=np.int64)
+
+        def bursty(got, inc):
+            has_train = cur >= 0
+            drawn = np.where(has_train, inc, np.uint64(0))
+            keeps = has_train & (self._mix(xs + burst, u) >= t_new)
+            trigger = (got != 0) & ~keeps
+            fresh = uniform(xs + drawn)
+            np.add(xs, drawn, xs)
+            np.add(xs, np.where(trigger, inc, np.uint64(0)), xs)
+            np.copyto(cur, fresh, where=trigger)
+            return cur
+
+        return bursty
+
+    # -- packet sizes: size(inc) ----------------------------------------
+    def _size_fn(self, s):
         if s.kind == "fixed":
-            return np.broadcast_to(np.int64(s.bytes), mo.shape)
-        if s.kind == "imix":
-            u = self._grid_float(self._base_size, self._size) * float(
-                sum(s.IMIX_WEIGHTS)
-            )
-            self._size += mo
-            w0, w1 = s.IMIX_WEIGHTS[0], s.IMIX_WEIGHTS[0] + s.IMIX_WEIGHTS[1]
-            return np.where(
-                u < w0,
-                s.IMIX_SIZES[0],
-                np.where(u < w1, s.IMIX_SIZES[1], s.IMIX_SIZES[2]),
-            ).astype(np.int64)
+            nbytes = np.int64(s.bytes)
+            return lambda inc: nbytes
+        xs = self._streams(_S_SIZE)
+        u = np.empty(self._shape, dtype=np.uint64)
         if s.kind == "uniform":
-            span = s.hi // 4 - s.lo // 4 + 1
-            d = self._grid_int(self._base_size, self._size, span)
-            self._size += mo
-            return (s.lo // 4 + d) * 4
-        u = self._grid_float(self._base_size, self._size)
-        self._size += mo
-        return np.where(u < s.p_small, s.small, s.large).astype(np.int64)
+            lo, span = s.lo // 4, s.hi // 4 - s.lo // 4 + 1
+
+            def uniform(inc):
+                d = self._mod(self._mix(xs, u), span)
+                np.add(xs, inc, xs)
+                return (d + lo) * 4
+
+            return uniform
+        if s.kind == "imix":
+            # The scalar model's bisect over cumulative weights, as two
+            # thresholds: below the first -> size 0, below the second ->
+            # size 1, else size 2 (u rounding up to the total included).
+            total = sum(s.IMIX_WEIGHTS)
+            w0, w1 = s.IMIX_WEIGHTS[:2]
+            t0, t1 = (
+                np.uint64(_threshold(lambda x, b=b: x / _TWO64 * total < b))
+                for b in (w0, w0 + w1)
+            )
+            sizes = np.array(s.IMIX_SIZES, dtype=np.int64)
+            pick = np.empty(self._shape, dtype=np.intp)
+            past = np.empty(self._shape, dtype=bool)
+
+            def imix(inc):
+                self._mix(xs, u)
+                np.add(xs, inc, xs)
+                np.greater_equal(u, t0, past)
+                np.add(past, u >= t1, pick, dtype=np.intp)
+                return sizes.take(pick)
+
+            return imix
+        t_small = _below(s.p_small)
+        small, large = np.int64(s.small), np.int64(s.large)
+
+        def bimodal(inc):
+            is_small = self._mix(xs, u) < t_small
+            np.add(xs, inc, xs)
+            return np.where(is_small, small, large)
+
+        return bimodal
+
+    # -- arrival gates: got = gate(need) --------------------------------
+    def _gate_fn(self, a):
+        xs = self._streams(_S_ARRIVAL)
+        u = np.empty(self._shape, dtype=np.uint64)
+        t_p = _below(a.p)
+        if a.kind == "bernoulli":
+            def bernoulli(need):
+                self._mix(xs, u)
+                np.add(xs, need.view(np.uint64) & _C, xs)
+                return need & _lanes(u < t_p)
+
+            return bernoulli
+        # onoff: flip state + draw a fresh duration where exhausted.
+        durations = self._streams(_S_DURATION)
+        on = np.zeros(self._shape, dtype=bool)
+        left = np.zeros(self._shape, dtype=np.int64)
+
+        if a.heavy:
+            def length(v, mean):
+                return pareto_length(v, mean, a.alpha)
+        else:
+            length = geometric_length
+
+        def onoff(need):
+            polled = need != 0
+            # Durations go through math.log/** in the scalar model, whose
+            # libm results numpy does not promise to match ULP-for-ULP, so
+            # the (rare: once per on/off period) lanes needing a new
+            # duration run the exact scalar functions.
+            flips = np.nonzero(polled & (left == 0))
+            if flips[0].size:
+                state = ~on[flips]
+                on[flips] = state
+                xs_dur = durations[flips]
+                durations[flips] = xs_dur + _C
+                drawn = _mix64(
+                    xs_dur, np.empty_like(xs_dur), np.empty_like(xs_dur)
+                )
+                means = np.where(state, a.mean_on, a.mean_off).tolist()
+                left[flips] = [
+                    length(x / _TWO64, mean)
+                    for x, mean in zip(drawn.tolist(), means)
+                ]
+            left[polled] -= 1
+            if a.p >= 1.0:
+                return need & _lanes(on)
+            drawn = need & _lanes(on)
+            self._mix(xs, u)
+            np.add(xs, drawn.view(np.uint64) & _C, xs)
+            return drawn & _lanes(u < t_p)
+
+        return onoff
 
     # -- the vector poll -----------------------------------------------
     def poll(self, need: np.ndarray):
-        """One ``next_packet`` per (world, port) where ``need``.
+        """One ``next_packet`` per (port, world) lane where ``need``.
 
-        Returns ``(offered, dest, nbytes)``: a bool ``[w, n]`` mask of
-        lanes that produced a packet this poll, with destination and
-        size valid (and possibly read-only views) where the mask holds.
+        ``need`` is an int64 ``[n, w]`` mask, -1 on the lanes that poll
+        and 0 elsewhere (the engine's ``q_dest >> 63``).  Returns
+        ``(got, dest, nbytes)``: ``got`` is the same kind of mask for
+        the lanes that produced a packet, and destination and size
+        (possibly read-only or broadcast views) are valid where it is
+        set.
         """
-        # Saturated arrivals offer on every poll -- skip the gate (and
-        # the [w, n] mask op) entirely.
-        mo = need if not self.gate else need & self._offers_grid(need)
-        if not mo.any():
-            z = np.zeros((self.w, self.n), dtype=np.int64)
-            return mo, z, z
-        dest = self._dest_grid(mo)
-        nbytes = self._size_grid(mo)
-        self._offered += mo
-        return mo, dest, nbytes
+        got = need if self._gate is None else self._gate(need)
+        inc = np.bitwise_and(got.view(np.uint64), _C, self._inc)
+        return got, self._dest(got, inc), self._size(inc)
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +488,23 @@ def run_scalar_world(
 # ---------------------------------------------------------------------------
 # The vectorized engine.
 # ---------------------------------------------------------------------------
+#: Measured quanta whose grant counts are binned per ``bincount``.
+_GRANT_BLOCK = 64
+
 class _VecWorlds:
-    """State and step loop for ``n_worlds`` lock-step fabric runs."""
+    """State and step loop for ``n_worlds`` lock-step fabric runs.
+
+    Every lane array is ``[ports, worlds]`` (port-major), so one input's
+    lanes are one contiguous row of the batch rule's token-order loop.
+    """
 
     def __init__(self, config: SimConfig, workload: WorkloadSpec, n_worlds: int):
         spec = resolve_traffic(workload.effective_traffic())
         self.config = config
         self.costs = costs = config.cost_model()
         self.n = n = config.ports
-        self.w = n_worlds
-        self.seeds = [world_seed(config.seed, w) for w in range(n_worlds)]
+        self.w = w = n_worlds
+        self.seeds = [world_seed(config.seed, i) for i in range(n_worlds)]
         self.model = VecSpecModel(spec, n, self.seeds)
         self.compiled = compiled_allocator(n, config.networks)
         self.compiled.lookup_tensors()  # build (and range-check) eagerly
@@ -406,74 +517,108 @@ class _VecWorlds:
         self.idle_cycles = idle_quantum_cycles(timing)
         self.word_bytes = costs.word_bytes
         self.token = 0  # scalar: every world rotates in lock-step
-        w = n_worlds
-        # Queue lanes: one head-of-line fragment per (world, port).
-        self.q_valid = np.zeros((w, n), dtype=bool)
-        self.q_dest = np.zeros((w, n), dtype=np.int64)
-        self.q_words = np.zeros((w, n), dtype=np.int64)
-        # Per-world statistics (FabricStats counters as arrays).
-        self.quanta = np.zeros(w, dtype=np.int64)
-        self.idle_quanta = np.zeros(w, dtype=np.int64)
-        self.cycles = np.zeros(w, dtype=np.int64)
-        self.delivered_words = np.zeros(w, dtype=np.int64)
-        self.delivered_packets = np.zeros(w, dtype=np.int64)
-        self.blocked_events = np.zeros(w, dtype=np.int64)
-        self.per_port_words = np.zeros((w, n), dtype=np.int64)
-        self.per_port_packets = np.zeros((w, n), dtype=np.int64)
+        # Queue lanes: one head-of-line fragment per (port, world).  An
+        # empty lane has dest -1 (the batch rule's "no request") and 0
+        # words, so refill and grant update them with arithmetic.
+        self.q_dest = np.full((n, w), -1, dtype=np.int64)
+        self.q_words = np.zeros((n, w), dtype=np.int64)
+        self._empty = np.empty((n, w), dtype=np.int64)
+        # Statistics, folded so that nothing grows with the quantum
+        # count: per-lane sums, per-world sums of quantum bodies, and the
+        # grant counts of the last < _GRANT_BLOCK measured quanta.
+        self.quanta = 0
+        self.per_port_words = np.zeros((n, w), dtype=np.int64)
+        self.per_port_packets = np.zeros((n, w), dtype=np.int64)
+        #: Sum over measured quanta of the next quantum's ``empty`` mask
+        #: (-1 per empty lane): a lane still full after a quantum was
+        #: denied in it, so ``quanta * n`` plus this sum counts denials.
+        self._empties = np.zeros((n, w), dtype=np.int64)
+        self._bodies = np.zeros(w, dtype=np.int64)
+        self._body = np.empty((n, w), dtype=np.int64)
+        self._grants = np.empty((_GRANT_BLOCK, w), dtype=np.int64)
+        self._pending = 0
         self.grant_histogram = np.zeros((w, n + 1), dtype=np.int64)
-        self._rows = np.arange(w)
+        self._bin = np.arange(w, dtype=np.int64) * (n + 1)
 
-    def _step(self, measure: bool) -> None:
-        # Refill: one source poll per empty (world, port) lane -- the
-        # scalar loop's per-quantum _refill pass.
-        need = ~self.q_valid
-        if need.any():
-            got, dest, nbytes = self.model.poll(need)
-            if got.any():
-                words = (nbytes + self.word_bytes - 1) // self.word_bytes
-                self.q_valid |= got
-                np.copyto(self.q_dest, dest, where=got)
-                np.copyto(self.q_words, words, where=got)
-        dests = np.where(self.q_valid, self.q_dest, -1)
-        busy = self.q_valid.any(axis=1)
-        granted, hops = self.compiled.batch_grants(dests, self.token)
-        body = ((self.q_words + hops) * granted).max(axis=1)
+    def _bin_grants(self) -> None:
+        """Fold the pending grant counts into ``grant_histogram``."""
+        k = self._pending
+        if k:
+            idx = (self._grants[:k] + self._bin).ravel()
+            self.grant_histogram += np.bincount(
+                idx, minlength=self.grant_histogram.size
+            ).reshape(self.grant_histogram.shape)
+            self._pending = 0
+
+    def _step(self, measure: bool, held: bool) -> None:
+        # Refill: one source poll per empty lane -- the scalar loop's
+        # per-quantum _refill pass.  ``empty`` is -1 on empty lanes.
+        q_dest, q_words = self.q_dest, self.q_words
+        empty = np.right_shift(q_dest, 63, self._empty)
+        if held:
+            # The previous quantum was measured: its denied requests are
+            # the lanes still full now.
+            self._empties += empty
+        got, dest, nbytes = self.model.poll(empty)
+        q_dest += (dest + 1) & got
+        q_words += (nbytes + (self.word_bytes - 1)) // self.word_bytes & got
+        granted, hops = self.compiled.batch_grants(q_dest.T, self.token)
+        granted, hops = granted.T, hops.T
+        sent = q_words * granted
         if measure:
-            ng = granted.sum(axis=1)
             self.quanta += 1
-            self.idle_quanta += ~busy
-            self.cycles += np.where(busy, self.ctl + body, self.idle_cycles)
-            self.blocked_events += self.q_valid.sum(axis=1) - ng
-            np.add.at(
-                self.grant_histogram, (self._rows[busy], ng[busy]), 1
-            )
-            gw = self.q_words * granted
-            self.delivered_words += gw.sum(axis=1)
-            self.per_port_words += gw
-            self.delivered_packets += ng
+            self.per_port_words += sent
             self.per_port_packets += granted
-        self.q_valid &= ~granted
+            body = np.add(sent, hops, self._body)
+            self._bodies += body.max(axis=0)
+            granted.sum(axis=0, out=self._grants[self._pending])
+            self._pending += 1
+            if self._pending == _GRANT_BLOCK:
+                self._bin_grants()
+        q_words -= sent
+        q_dest -= (q_dest + 1) * granted
         self.token = (self.token + 1) % self.n
 
     def run(self, quanta: int, warmup_quanta: int) -> None:
         for i in range(warmup_quanta + quanta):
-            self._step(measure=i >= warmup_quanta)
+            self._step(measure=i >= warmup_quanta, held=i > warmup_quanta)
+        if quanta:
+            self._empties += np.right_shift(self.q_dest, 63)
+        self._bin_grants()
 
     def stats(self) -> List[FabricStats]:
         """Per-world :class:`FabricStats` (so gbps/mpps float semantics
-        match the scalar engine exactly)."""
+        match the scalar engine exactly).
+
+        A quantum is idle exactly when it grants nothing (the first
+        requesting input in token order always wins), so the grant
+        histogram's bin 0 counts idle quanta; the scalar engine bins
+        busy quanta only.  Cycles are then ``busy * ctl + sum(bodies) +
+        idle * idle_cycles``, and denied requests the lanes a quantum
+        left full."""
+        hist = self.grant_histogram.copy()
+        idle = hist[:, 0].copy()
+        hist[:, 0] = 0
+        busy = self.quanta - idle
+        cycles = busy * self.ctl + self._bodies + idle * self.idle_cycles
+        blocked = self.quanta * self.n + self._empties.sum(axis=0)
+        words = self.per_port_words.sum(axis=0)
+        packets = self.per_port_packets.sum(axis=0)
+        ppw = self.per_port_words.T.tolist()
+        ppp = self.per_port_packets.T.tolist()
+        hist = hist.tolist()
         out = []
         for w in range(self.w):
             st = FabricStats(num_ports=self.n, costs=self.costs)
-            st.quanta = int(self.quanta[w])
-            st.idle_quanta = int(self.idle_quanta[w])
-            st.cycles = int(self.cycles[w])
-            st.delivered_words = int(self.delivered_words[w])
-            st.delivered_packets = int(self.delivered_packets[w])
-            st.blocked_events = int(self.blocked_events[w])
-            st.per_port_words = [int(v) for v in self.per_port_words[w]]
-            st.per_port_packets = [int(v) for v in self.per_port_packets[w]]
-            st.grant_histogram = [int(v) for v in self.grant_histogram[w]]
+            st.quanta = self.quanta
+            st.idle_quanta = int(idle[w])
+            st.cycles = int(cycles[w])
+            st.delivered_words = int(words[w])
+            st.delivered_packets = int(packets[w])
+            st.blocked_events = int(blocked[w])
+            st.per_port_words = ppw[w]
+            st.per_port_packets = ppp[w]
+            st.grant_histogram = hist[w]
             out.append(st)
         return out
 
@@ -559,28 +704,6 @@ class ManyWorldsResult:
                 "mean_grants_per_quantum": st.mean_grants_per_quantum,
             },
         )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": RESULT_SCHEMA,
-            "n_worlds": self.n_worlds,
-            "vectorized": self.vectorized,
-            "fallback_reason": self.fallback_reason,
-            "elapsed_s": self.elapsed_s,
-            "base_seed": self.config.seed,
-            "envelopes": self.envelopes(),
-            "worlds": [
-                {
-                    "seed": seed,
-                    "gbps": st.gbps,
-                    "mpps": st.mpps,
-                    "cycles": st.cycles,
-                    "delivered_packets": st.delivered_packets,
-                    "delivered_words": st.delivered_words,
-                }
-                for seed, st in zip(self.seeds, self.stats)
-            ],
-        }
 
 
 def _world_under_telemetry(config: SimConfig, world: int, run_fn):

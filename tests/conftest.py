@@ -6,10 +6,18 @@ where the fabric engine, the Clos chips and the router build their
 :class:`~repro.core.allocator.Allocator`, so a whole engine run can be
 repeated on the reference rule and compared with the normal run field
 for field.
+
+``no_leaked_connections`` fails a test that lets a ``multiprocessing``
+connection be garbage-collected with its handle still open: CPython's
+``Connection.__del__`` closes the descriptor without a
+``ResourceWarning``, so ``-W error::ResourceWarning`` alone cannot see
+a leaked pipe end.
 """
 
 import contextlib
+import gc
 import importlib
+from multiprocessing.connection import _ConnectionBase
 
 import pytest
 
@@ -54,3 +62,24 @@ def reference_rule(monkeypatch):
             yield ReferenceAllocator
 
     return active
+
+
+@pytest.fixture
+def no_leaked_connections(monkeypatch):
+    """Record every connection collected while still open; after the
+    test (and a ``gc.collect()``), fail listing them."""
+    leaked = []
+    close_on_del = _ConnectionBase.__del__
+
+    def __del__(conn):
+        if conn._handle is not None:
+            leaked.append(
+                f"{type(conn).__name__}(handle={conn._handle}, "
+                f"readable={conn.readable}, writable={conn.writable})"
+            )
+        close_on_del(conn)
+
+    monkeypatch.setattr(_ConnectionBase, "__del__", __del__)
+    yield
+    gc.collect()
+    assert not leaked, "connections collected while open: " + ", ".join(leaked)

@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import SimConfig
@@ -22,6 +22,7 @@ from repro.core.ring import RingGeometry
 from repro.engines import RunResult, WorkloadSpec
 from repro.parallel.manyworlds import (
     ManyWorldsResult,
+    _threshold,
     envelope,
     run_scalar_world,
     run_worlds,
@@ -29,6 +30,14 @@ from repro.parallel.manyworlds import (
     supports,
 )
 from repro.seeds import world_seed
+from repro.traffic.model import _TWO64
+from repro.traffic.spec import (
+    PRESETS,
+    ArrivalSpec,
+    PatternSpec,
+    SizeSpec,
+    TrafficSpec,
+)
 
 
 def _assert_worlds_match_scalar(mw: ManyWorldsResult, config, workload,
@@ -97,6 +106,61 @@ def test_every_world_matches_its_scalar_run():
     _assert_worlds_match_scalar(mw, config, workload, worlds=range(5))
 
 
+#: Every draw kind the vector model resolves: each preset, plus the
+#: pattern/size/arrival kinds no preset combines.
+DRAW_KIND_SPECS = {
+    **{name: name for name in sorted(PRESETS)},
+    "hotspot": TrafficSpec(
+        pattern=PatternSpec(kind="hotspot", p_hot=0.7),
+        sizes=SizeSpec(kind="fixed", bytes=1024),
+    ),
+    "bimodal_bernoulli": TrafficSpec(
+        pattern=PatternSpec(kind="uniform"),
+        sizes=SizeSpec(kind="bimodal"),
+        arrivals=ArrivalSpec(kind="bernoulli", p=0.6),
+    ),
+    "uniform_sizes_permutation": TrafficSpec(
+        pattern=PatternSpec(kind="permutation"),
+        sizes=SizeSpec(kind="uniform", lo=64, hi=1024),
+    ),
+}
+
+
+@pytest.mark.parametrize("ports", [4, 16])
+@pytest.mark.parametrize("kind", sorted(DRAW_KIND_SPECS))
+def test_every_draw_kind_matches_scalar(kind, ports):
+    """Each pattern, size and arrival kind's vector draws reproduce the
+    scalar model's, in every world, counter for counter."""
+    config = SimConfig(seed=12345, ports=ports)
+    workload = WorkloadSpec(traffic=DRAW_KIND_SPECS[kind], quanta=150)
+    assert supports(config, workload) is None
+    mw = run_worlds(config, workload, 3)
+    assert mw.vectorized
+    _assert_worlds_match_scalar(mw, config, workload, worlds=range(3))
+
+
+@given(
+    scale=st.sampled_from([1, 12]),
+    bound=st.floats(min_value=0.0, max_value=12.0),
+    xs=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=8),
+)
+@example(scale=12, bound=7, xs=[])  # the IMIX bounds
+@example(scale=12, bound=11, xs=[])
+@settings(max_examples=60, deadline=None)
+def test_threshold_is_the_scalar_float_test(scale, bound, xs):
+    """``x < T`` holds exactly when the scalar model's float test
+    (``x / 2**64 * scale < bound``; ``scale`` 1 is a probability test)
+    does: around the threshold and at arbitrary raw draws."""
+
+    def pred(x):
+        return x / _TWO64 * scale < bound
+
+    t = _threshold(pred)
+    for x in [t - 1, t, t + 1] + xs:
+        if 0 <= x < 2**64:
+            assert (x < t) == pred(x), (p, scale, x, t)
+
+
 def test_networks2_unpacked_table_world0_identity():
     """networks=2 at n=16 needs all 64 mask bits (the split batch
     layout, with no spare sentinel bit)."""
@@ -106,6 +170,26 @@ def test_networks2_unpacked_table_world0_identity():
     mw = run_worlds(config, workload, 2)
     assert mw.vectorized
     _assert_worlds_match_scalar(mw, config, workload, worlds=(0,))
+
+
+def test_memory_does_not_grow_with_quanta():
+    """The engine folds its statistics as it goes: ten times the quanta
+    must not need more memory (no ``[quanta, worlds]`` buffers)."""
+    import tracemalloc
+
+    config = SimConfig(seed=5, ports=16)
+
+    def peak(quanta):
+        tracemalloc.start()
+        try:
+            run_worlds(config, WorkloadSpec(traffic="imix", quanta=quanta), 64)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_worlds(config, WorkloadSpec(traffic="imix", quanta=10), 64)  # warm
+    short, long = peak(400), peak(4000)
+    assert long <= 1.25 * short, (short, long)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +251,17 @@ def test_batch_grants_rejects_bad_inputs():
         compiled.batch_grants(np.array([[0, 1, 2, 3]]), 7)  # bad token
 
 
+def test_batch_grants_rejects_requests_below_minus_one():
+    """-1 is the one "no request"; a lower value is refused rather than
+    read through the previous input's block of the batch tables."""
+    for n in (4, 19):  # the merged and the split layout
+        compiled = CompiledAllocator(RingGeometry(n))
+        dests = np.full((2, n), -1)
+        dests[1, 1] = -2
+        with pytest.raises(ValueError):
+            compiled.batch_grants(dests, 0)
+
+
 # ---------------------------------------------------------------------------
 # Reduction statistics.
 # ---------------------------------------------------------------------------
@@ -220,9 +315,8 @@ def test_world_seeds_and_world_result_shape():
     assert res.config.seed == 42
     assert res.gbps == mw.stats[0].gbps
     assert res.delivered_packets == mw.stats[0].delivered_packets
-    d = mw.to_dict()
-    assert d["n_worlds"] == 3 and len(d["worlds"]) == 3
-    assert set(d["envelopes"]) == {"gbps", "mpps", "delivered_packets",
+    assert mw.n_worlds == 3 and len(mw.stats) == 3
+    assert set(mw.envelopes()) == {"gbps", "mpps", "delivered_packets",
                                    "delivered_words"}
 
 

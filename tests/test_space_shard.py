@@ -30,6 +30,10 @@ from repro.telemetry import runtime
 from repro.traffic.build import shard_source
 from repro.traffic.spec import PRESETS, TrafficSpec, spec_from_legacy
 
+#: Every pipe end a run opens must be closed, not left to the collector.
+pytestmark = pytest.mark.usefixtures("no_leaked_connections")
+
+
 #: The bundled 4-port trace; at k=4 its ports 0-3 feed one ingress chip.
 EXAMPLE_TRACE = str(
     Path(__file__).resolve().parent.parent / "examples/traces/imix_1k.csv"

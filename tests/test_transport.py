@@ -29,6 +29,10 @@ from repro.traffic.build import shard_source
 from repro.traffic.spec import TrafficSpec, spec_from_legacy
 
 
+#: Every pipe end a run opens must be closed, not left to the collector.
+pytestmark = pytest.mark.usefixtures("no_leaked_connections")
+
+
 def _result_key(res):
     return (res.cycles, res.delivered_packets, res.delivered_words,
             tuple(res.per_port_packets))
