@@ -97,7 +97,6 @@ def _baseline_envelope(
         "ports": ports,
         "vectorized": mw.vectorized,
         "fallback_reason": mw.fallback_reason,
-        "elapsed_s": mw.elapsed_s,
         "envelopes": mw.envelopes(),
         "world0_identical": identical,
         "world0_gbps": w0.gbps,

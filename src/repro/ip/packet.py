@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.ip.checksum import incremental_update, internet_checksum, verify_checksum
+from repro.ip.checksum import incremental_update, internet_checksum
 
 #: IPv4 header without options, in 32-bit words.
 HEADER_WORDS_IPV4 = 5
@@ -133,7 +133,19 @@ class IPv4Packet:
         return self
 
     def checksum_ok(self) -> bool:
-        return verify_checksum(self.header_halfwords())
+        """``verify_checksum(self.header_halfwords())``, summed in place."""
+        src = self.src
+        dst = self.dst
+        total = (
+            (0x4500 | self.tos) + HEADER_BYTES_IPV4 + 4 * len(self.payload)
+            + self.ident + (self.flags << 13 | self.frag_offset)
+            + (self.ttl << 8 | self.protocol) + self.checksum
+            + (src >> 16 & 0xFFFF) + (src & 0xFFFF)
+            + (dst >> 16 & 0xFFFF) + (dst & 0xFFFF)
+        )
+        while total > 0xFFFF:
+            total = (total & 0xFFFF) + (total >> 16)
+        return total == 0xFFFF
 
     def decrement_ttl(self) -> None:
         """TTL-1 with the RFC 1624 incremental checksum patch."""

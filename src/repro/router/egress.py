@@ -29,6 +29,7 @@ class EgressProcessor:
         stats = router.stats
         have = self._have
         get = Get(router.egress_queues[self.port])
+        drains = {}  # packet words -> its drain Timeout (see ingress)
         tel = _telemetry.RECORDER
         port_s = f"port{self.port}"
         while True:
@@ -55,7 +56,10 @@ class EgressProcessor:
                     continue
             # Stream the complete packet to the line card: 1 word/cycle.
             words = pkt.total_words
-            yield Timeout(words, BUSY)
+            drain = drains.get(words)
+            if drain is None:
+                drain = drains[words] = Timeout(words, BUSY)
+            yield drain
             now = sim.now
             pkt.departure_cycle = now
             if tel is not None:

@@ -88,6 +88,7 @@ class RotatingCrossbarFabric:
         transform = router.transform
         # The control phases' cycles; each quantum adds its longest body.
         control = quantum_cycles(0, 0, timing, router.pipelined, costs=router.costs)
+        quanta = {}  # quantum duration -> its Timeout (see ingress)
         tel = _telemetry.RECORDER
 
         while True:
@@ -144,7 +145,10 @@ class RotatingCrossbarFabric:
                      tuple(sorted((g.src, g.dst) for g in alloc.grants.values()))),
                 )
                 tel.registry.count("fabric.xbar_configs")
-            yield Timeout(duration, BUSY)
+            quantum = quanta.get(duration)
+            if quantum is None:
+                quantum = quanta[duration] = Timeout(duration, BUSY)
+            yield quantum
 
             for grant in alloc.grants.values():
                 ok, frag = sim.try_get(router.input_queues[grant.src])

@@ -7,28 +7,29 @@ and (in the compute extension) verify the transformed payload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.ip.packet import IPv4Packet
 from repro.raw import costs
 
 
-@dataclass
 class QuantumFragment:
     """One routing quantum's worth of one packet."""
 
-    dest: int
-    words: int
-    index: int
-    count: int
-    packet: IPv4Packet
+    __slots__ = ("dest", "words", "index", "count", "packet")
 
-    def __post_init__(self):
-        if self.words < 1:
+    def __init__(
+        self, dest: int, words: int, index: int, count: int, packet: IPv4Packet
+    ):
+        if words < 1:
             raise ValueError("fragment must carry at least one word")
-        if not 0 <= self.index < self.count:
+        if not 0 <= index < count:
             raise ValueError("fragment index out of range")
+        self.dest = dest
+        self.words = words
+        self.index = index
+        self.count = count
+        self.packet = packet
 
     @property
     def is_last(self) -> bool:
@@ -42,6 +43,9 @@ def fragment_packet(
 ) -> List[QuantumFragment]:
     """Split a packet into crossbar quanta (thesis section 4.3)."""
     total = packet.total_words
+    if total <= max_quantum_words:
+        # Every IMIX size fits one quantum.
+        return [QuantumFragment(dest, total, 0, 1, packet)]
     count = (total + max_quantum_words - 1) // max_quantum_words
     frags = []
     remaining = total

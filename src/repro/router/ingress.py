@@ -58,6 +58,9 @@ class IngressProcessor:
         fabric_wake = router.fabric_wake
         lookup_cycles = router.costs.lookup_cycles
         header = Timeout(router.costs.ingress_header_cycles, BUSY)
+        # One stream Timeout per packet length: the kernel reads a
+        # Timeout's delay and state when it is yielded and keeps nothing.
+        streams = {}
         supply = self.supply
         line = Get(self.line_in) if supply is None else None
         tel = _telemetry.RECORDER
@@ -84,7 +87,10 @@ class IngressProcessor:
             # Stream the packet in from the line (1 word/cycle); the
             # route lookup runs on the Lookup Processor concurrently and
             # only extends the critical path when it outlasts the payload.
-            yield Timeout(max(words, lookup_cycles), BUSY)
+            stream = streams.get(words)
+            if stream is None:
+                stream = streams[words] = Timeout(max(words, lookup_cycles), BUSY)
+            yield stream
             yield header
 
             # Functional header path: these really run on the packet.

@@ -34,15 +34,17 @@ Scheduler internals (see DESIGN.md "Kernel internals"): events live in a
 bounded-horizon calendar wheel -- almost every event in this kernel is
 0-3 cycles out (link latencies, per-word costs), so a bucket append/pop
 replaces the global ``heapq`` -- with a far-future heap backing store
-for long sleeps.  Commands dispatch on a small integer class tag instead
-of an ``isinstance`` chain, and a channel never has more than one
-pending ``service`` event per cycle.
+for long sleeps.  A small heap of the cycles whose bucket is occupied
+gives the next event time, so a sparse schedule skips its empty cycles
+instead of testing each one.  Commands dispatch on a small integer class
+tag instead of an ``isinstance`` chain, and a channel never has more
+than one pending ``service`` event per cycle.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Deque, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.sim.channel import Channel
@@ -325,7 +327,11 @@ class Simulator:
         # last WHEEL_CYCLES cycles -- so heap spills always precede the
         # bucket's entries.
         self._wheel: List[List[tuple]] = [[] for _ in range(WHEEL_CYCLES)]
-        self._wheel_count = 0
+        # Heap of the cycles whose bucket is occupied: a cycle is pushed
+        # when its bucket goes from empty to non-empty and popped when
+        # run() drains that bucket.  Every pending wheel cycle lies in
+        # [now, now + WHEEL_CYCLES), so a bucket only ever holds one.
+        self._times: List[int] = []
         self._far: List[tuple] = []
         self._seq = 0
         # Runnable queue: same (kind, payload, value) tuples as wheel
@@ -361,11 +367,13 @@ class Simulator:
     # ------------------------------------------------------------------
     def _schedule(self, time: int, kind: int, payload, value=None) -> None:
         if time - self.now < WHEEL_CYCLES:
-            self._wheel[time % WHEEL_CYCLES].append((kind, payload, value))
-            self._wheel_count += 1
+            bucket = self._wheel[time % WHEEL_CYCLES]
+            if not bucket:
+                heappush(self._times, time)
+            bucket.append((kind, payload, value))
         else:
             self._seq += 1
-            heapq.heappush(self._far, (time, self._seq, kind, payload, value))
+            heappush(self._far, (time, self._seq, kind, payload, value))
 
     def _schedule_service(self, ch: Channel, time: int) -> None:
         """Schedule a channel service, skipping exact duplicates (several
@@ -543,13 +551,13 @@ class Simulator:
                 proc._block_state = RX_BLOCK
                 ready_at = items[0][0]
                 if ready_at - now < WHEEL_CYCLES:
-                    self._wheel[ready_at % WHEEL_CYCLES].append(
-                        (_EV_RESUME, sm, None)
-                    )
-                    self._wheel_count += 1
+                    bucket = self._wheel[ready_at % WHEEL_CYCLES]
+                    if not bucket:
+                        heappush(self._times, ready_at)
+                    bucket.append((_EV_RESUME, sm, None))
                 else:
                     self._seq += 1
-                    heapq.heappush(
+                    heappush(
                         self._far, (ready_at, self._seq, _EV_RESUME, sm, None)
                     )
                 return False
@@ -604,11 +612,13 @@ class Simulator:
                             else (_EV_RESUME, g, None)
                         )
                         if ready_at - now < WHEEL_CYCLES:
-                            self._wheel[ready_at % WHEEL_CYCLES].append(ev)
-                            self._wheel_count += 1
+                            bucket = self._wheel[ready_at % WHEEL_CYCLES]
+                            if not bucket:
+                                heappush(self._times, ready_at)
+                            bucket.append(ev)
                         else:
                             self._seq += 1
-                            heapq.heappush(
+                            heappush(
                                 self._far, (ready_at, self._seq) + ev
                             )
                     else:
@@ -626,13 +636,13 @@ class Simulator:
                         trace.record(proc.trace_key, sm.state, now, now + gap)
                     t = now + gap
                     if gap < WHEEL_CYCLES:
-                        self._wheel[t % WHEEL_CYCLES].append(
-                            (_EV_RESUME, sm, None)
-                        )
-                        self._wheel_count += 1
+                        bucket = self._wheel[t % WHEEL_CYCLES]
+                        if not bucket:
+                            heappush(self._times, t)
+                        bucket.append((_EV_RESUME, sm, None))
                     else:
                         self._seq += 1
-                        heapq.heappush(
+                        heappush(
                             self._far, (t, self._seq, _EV_RESUME, sm, None)
                         )
                     return False
@@ -665,13 +675,13 @@ class Simulator:
                     proc._block_start = now
                     proc._block_state = RX_BLOCK
                     if ready_at - now < WHEEL_CYCLES:
-                        self._wheel[ready_at % WHEEL_CYCLES].append(
-                            (_EV_RESUME, sm, None)
-                        )
-                        self._wheel_count += 1
+                        bucket = self._wheel[ready_at % WHEEL_CYCLES]
+                        if not bucket:
+                            heappush(self._times, ready_at)
+                        bucket.append((_EV_RESUME, sm, None))
                     else:
                         self._seq += 1
-                        heapq.heappush(
+                        heappush(
                             self._far, (ready_at, self._seq, _EV_RESUME, sm, None)
                         )
                     return False
@@ -702,11 +712,13 @@ class Simulator:
                                 else (_EV_RESUME, g, None)
                             )
                             if ready_at - now < WHEEL_CYCLES:
-                                self._wheel[ready_at % WHEEL_CYCLES].append(ev)
-                                self._wheel_count += 1
+                                bucket = self._wheel[ready_at % WHEEL_CYCLES]
+                                if not bucket:
+                                    heappush(self._times, ready_at)
+                                bucket.append(ev)
                             else:
                                 self._seq += 1
-                                heapq.heappush(
+                                heappush(
                                     self._far, (ready_at, self._seq) + ev
                                 )
                         else:
@@ -755,13 +767,13 @@ class Simulator:
                         proc._block_state = RX_BLOCK
                         ready_at = head[0]
                         if ready_at - now < WHEEL_CYCLES:
-                            self._wheel[ready_at % WHEEL_CYCLES].append(
-                                (_EV_RESUME, sm, None)
-                            )
-                            self._wheel_count += 1
+                            bucket = self._wheel[ready_at % WHEEL_CYCLES]
+                            if not bucket:
+                                heappush(self._times, ready_at)
+                            bucket.append((_EV_RESUME, sm, None))
                         else:
                             self._seq += 1
-                            heapq.heappush(
+                            heappush(
                                 self._far,
                                 (ready_at, self._seq, _EV_RESUME, sm, None),
                             )
@@ -793,11 +805,13 @@ class Simulator:
                                 else (_EV_RESUME, g, None)
                             )
                             if ready_at - now < WHEEL_CYCLES:
-                                self._wheel[ready_at % WHEEL_CYCLES].append(ev)
-                                self._wheel_count += 1
+                                bucket = self._wheel[ready_at % WHEEL_CYCLES]
+                                if not bucket:
+                                    heappush(self._times, ready_at)
+                                bucket.append(ev)
                             else:
                                 self._seq += 1
-                                heapq.heappush(
+                                heappush(
                                     self._far, (ready_at, self._seq) + ev
                                 )
                         else:
@@ -907,12 +921,22 @@ class Simulator:
                 self._mark_blocked(proc, RX_BLOCK, ch)
                 return
 
-            if kind == 0:  # Timeout
+            if kind == 0:  # Timeout (_record and _schedule, inlined)
                 delay = cmd.delay
                 if delay == 0:
                     continue
-                self._record(proc, cmd.state, now, now + delay)
-                self._schedule(now + delay, _EV_RESUME, proc)
+                t = now + delay
+                trace = self.trace
+                if trace is not None and proc.trace_key is not None:
+                    trace.record(proc.trace_key, cmd.state, now, t)
+                if delay < WHEEL_CYCLES:
+                    bucket = self._wheel[t % WHEEL_CYCLES]
+                    if not bucket:
+                        heappush(self._times, t)
+                    bucket.append((_EV_RESUME, proc, None))
+                else:
+                    self._seq += 1
+                    heappush(self._far, (t, self._seq, _EV_RESUME, proc, None))
                 return
 
             if kind == 5:  # RouteBurst
@@ -975,6 +999,7 @@ class Simulator:
         self._drained_blocked = []
         ready = self._ready
         wheel = self._wheel
+        times = self._times
         far = self._far
         trace = self.trace
         tel = self._tel
@@ -1018,13 +1043,10 @@ class Simulator:
                         elif self._advance_get(item):
                             self._step(proc, item.values)
 
-                # Find the next event time: scan the wheel (the next
-                # event is almost always 1-3 cycles out), then let a
-                # nearer far-heap entry override it.
-                if self._wheel_count:
-                    t = self.now
-                    while not wheel[t % WHEEL_CYCLES]:
-                        t += 1
+                # The next event time: the earliest occupied bucket, or a
+                # nearer far-heap entry.
+                if times:
+                    t = times[0]
                     if far and far[0][0] < t:
                         t = far[0][0]
                 elif far:
@@ -1039,12 +1061,13 @@ class Simulator:
                 self.now = t
                 bucket = wheel[t % WHEEL_CYCLES]
                 if bucket:
+                    # Occupied, so t is in times, and it is the least.
                     wheel[t % WHEEL_CYCLES] = []
-                    self._wheel_count -= len(bucket)
+                    heappop(times)
                 if far and far[0][0] == t:
                     spill = []
                     while far and far[0][0] == t:
-                        _, _, kind, payload, value = heapq.heappop(far)
+                        _, _, kind, payload, value = heappop(far)
                         spill.append((kind, payload, value))
                     # Far entries were scheduled >= WHEEL_CYCLES before
                     # t, wheel entries within the last WHEEL_CYCLES, so
@@ -1060,8 +1083,8 @@ class Simulator:
                     prof.bucket_events += n
                     if n > prof.bucket_peak:
                         prof.bucket_peak = n
-                    if self._wheel_count > prof.wheel_peak:
-                        prof.wheel_peak = self._wheel_count
+                    if len(times) > prof.slot_peak:
+                        prof.slot_peak = len(times)
 
                 for ev in bucket:
                     ep += 1

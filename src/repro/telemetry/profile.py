@@ -2,9 +2,10 @@
 
 Collected by gated instrumentation inside ``sim/kernel.py``: per-command
 dispatch counts (the burst vs word-at-a-time mix), calendar-wheel bucket
-occupancy, and far-heap spill traffic.  Wall-clock events/sec is computed
-by the caller (``traced.run_traced``) and reported to the terminal only —
-it never enters exported JSON, which must be deterministic.
+occupancy, the most occupied buckets pending at once, and far-heap spill
+traffic.  Wall-clock events/sec is computed by the caller
+(``traced.run_traced``) and reported to the terminal only — it never
+enters exported JSON, which must be deterministic.
 """
 
 from __future__ import annotations
@@ -22,16 +23,17 @@ class KernelProfile:
     """Counters filled in by the kernel when telemetry is enabled."""
 
     __slots__ = ("cmd_counts", "bucket_drains", "bucket_events",
-                 "bucket_peak", "wheel_peak", "far_spills")
+                 "bucket_peak", "slot_peak", "far_spills")
 
     def __init__(self):
         self.cmd_counts: List[int] = [0] * len(CMD_NAMES)
         #: Calendar-wheel buckets drained / total events they held.
         self.bucket_drains = 0
         self.bucket_events = 0
-        #: Largest single bucket and largest wheel population observed.
+        #: Largest single bucket, and the most occupied buckets (distinct
+        #: pending wheel cycles) observed at once.
         self.bucket_peak = 0
-        self.wheel_peak = 0
+        self.slot_peak = 0
         #: Events that spilled to (and later merged back from) the far heap.
         self.far_spills = 0
 
@@ -55,7 +57,7 @@ class KernelProfile:
             "bucket_drains": self.bucket_drains,
             "bucket_events": self.bucket_events,
             "bucket_peak": self.bucket_peak,
-            "wheel_peak": self.wheel_peak,
+            "slot_peak": self.slot_peak,
             "far_spills": self.far_spills,
         }
 
@@ -69,8 +71,8 @@ class KernelProfile:
         self.far_spills += state["far_spills"]
         if state["bucket_peak"] > self.bucket_peak:
             self.bucket_peak = state["bucket_peak"]
-        if state["wheel_peak"] > self.wheel_peak:
-            self.wheel_peak = state["wheel_peak"]
+        if state["slot_peak"] > self.slot_peak:
+            self.slot_peak = state["slot_peak"]
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -85,7 +87,7 @@ class KernelProfile:
                 "bucket_events": self.bucket_events,
                 "mean_bucket_occupancy": self.mean_bucket_occupancy,
                 "bucket_peak": self.bucket_peak,
-                "wheel_peak": self.wheel_peak,
+                "slot_peak": self.slot_peak,
                 "far_spills": self.far_spills,
             },
         }

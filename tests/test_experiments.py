@@ -19,6 +19,7 @@ from repro.experiments import (
     lookup_ext,
     multicast_ext,
     multichip,
+    resilience,
     scaling,
     table6_1,
 )
@@ -189,3 +190,13 @@ class TestCompute:
         assert result.measured("byteswap_relative") == pytest.approx(1.0, abs=0.01)
         assert result.measured("xor_cipher_relative") == pytest.approx(0.5, abs=0.02)
         assert result.measured("cipher_roundtrip_ok") is True
+
+
+class TestResilience:
+    def test_quick_table_is_byte_identical_across_runs(self, tmp_path):
+        """The committed table holds simulated numbers only, so a rerun
+        (the chaos CI step) rewrites it byte for byte."""
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            resilience.run_quick(out=str(path))
+        assert paths[0].read_bytes() == paths[1].read_bytes()

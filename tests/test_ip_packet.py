@@ -9,10 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ip.addr import ip_to_int
-from repro.ip.checksum import internet_checksum
+from repro.ip.checksum import internet_checksum, verify_checksum
 from repro.ip.packet import HEADER_WORDS_IPV4, IPv4Packet
 
 addr = st.integers(min_value=0, max_value=0xFFFFFFFF)
+#: A header field, in or out of its range (a negative or wide value too).
+field = st.one_of(st.integers(0, 0xFF), st.integers(-(2**20), 2**40))
 
 
 class TestSynthesize:
@@ -223,3 +225,62 @@ class TestHeaderOps:
         dup = pkt.copy()
         dup.decrement_ttl()
         assert pkt.ttl == dup.ttl + 1
+
+    @given(
+        src=st.one_of(addr, field),
+        dst=st.one_of(addr, field),
+        ident=field,
+        ttl=field,
+        protocol=field,
+        tos=field,
+        flags=field,
+        frag_offset=field,
+        checksum=st.one_of(st.integers(0, 0xFFFF), field, st.none()),
+        nwords=st.integers(0, 40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_checksum_ok_is_the_halfword_list_check(
+        self, src, dst, ident, ttl, protocol, tos, flags, frag_offset, checksum,
+        nwords,
+    ):
+        pkt = IPv4Packet(
+            src=src, dst=dst, ttl=ttl, protocol=protocol, ident=ident, tos=tos,
+            flags=flags, frag_offset=frag_offset, payload=(0,) * nwords,
+        )
+        total = sum(pkt.header_halfwords(zero_checksum=True))
+        if checksum is None and total >= 0:
+            # The checksum the list form accepts, even for out-of-range
+            # fields, so a wrong in-place sum or fold cannot pass as False.
+            while total > 0xFFFF:
+                total = (total & 0xFFFF) + (total >> 16)
+            pkt.checksum = ~total & 0xFFFF
+            assert verify_checksum(pkt.header_halfwords())
+        elif checksum is not None:
+            pkt.checksum = checksum
+        assert pkt.checksum_ok() == verify_checksum(pkt.header_halfwords())
+
+    @given(
+        src=addr,
+        dst=addr,
+        ident=st.integers(0, 0xFFFF),
+        ttl=st.integers(0, 0xFF),
+        protocol=st.integers(0, 0xFF),
+        tos=st.integers(0, 0xFF),
+        flags=st.integers(0, 7),
+        frag_offset=st.integers(0, 0x1FFF),
+        nwords=st.integers(0, 40),
+        bit=st.one_of(st.none(), st.integers(0, 31)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_checksum_ok_catches_a_flipped_dst_bit(
+        self, src, dst, ident, ttl, protocol, tos, flags, frag_offset, nwords, bit
+    ):
+        """A valid header, then what the ``corrupt`` fault does to it in flight."""
+        pkt = IPv4Packet(
+            src=src, dst=dst, ttl=ttl, protocol=protocol, ident=ident, tos=tos,
+            flags=flags, frag_offset=frag_offset, payload=(0,) * nwords,
+        ).fill_checksum()
+        if bit is not None:
+            pkt.dst ^= 1 << bit
+        assert pkt.checksum_ok() == verify_checksum(pkt.header_halfwords())
+        assert pkt.checksum_ok() == (bit is None)
