@@ -19,8 +19,10 @@ import networkx as nx
 import numpy as np
 
 from repro.core.phases import quantum_cycles
-from repro.raw import costs
+from repro.config import CostModel
 from repro.viz.tables import format_table
+
+costs = CostModel.default()
 
 # Iridium-like geometry.
 PLANES = 6
@@ -71,11 +73,11 @@ def hop_forwarding_us(packet_bytes: int) -> float:
     words = costs.bytes_to_words(packet_bytes)
     cycles = (
         words  # ingress streaming
-        + costs.INGRESS_HEADER_CYCLES
+        + costs.ingress_header_cycles
         + quantum_cycles(words, expansion=2)  # crossbar
         + words  # egress streaming
     )
-    return cycles / costs.CLOCK_HZ * 1e6
+    return cycles / costs.clock_hz * 1e6
 
 
 def main() -> None:

@@ -841,6 +841,15 @@ def main(
     only validates the existing results file."""
     path = Path(out) if out is not None else DEFAULT_RESULTS_PATH
     engines = list(engines) if engines else None
+    known = [*BUDGETS[mode], "fabric-large", "manyworlds", "space"]
+    unknown = [e for e in engines or () if e not in known]
+    if unknown:
+        print(
+            f"bad --engine: unknown engine(s) {', '.join(map(repr, unknown))}; "
+            f"expected {', '.join(known)}",
+            file=sys.stderr,
+        )
+        return 2
     fabric_large = engines is not None and "fabric-large" in engines
     manyworlds = engines is not None and "manyworlds" in engines
     space = engines is not None and "space" in engines

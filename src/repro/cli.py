@@ -170,6 +170,19 @@ def _readable(path: str) -> str:
         raise argparse.ArgumentTypeError(f"cannot read {path!r}: {exc.strerror}")
 
 
+def _plan_file(path: str) -> str:
+    """argparse type: a fault-plan JSON file that loads."""
+    from repro.faults.plan import FaultPlan
+
+    try:
+        FaultPlan.from_json(path)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path!r}: {exc.strerror}")
+    except (ValueError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(f"bad fault plan {path!r}: {exc}")
+    return path
+
+
 def _cmd_list() -> int:
     width = max(len(name) for name in REGISTRY)
     for name, (desc, _, _) in REGISTRY.items():
@@ -250,11 +263,14 @@ def _cmd_sweep(args) -> int:
     )
     try:
         grid = parse_grid(args.grid)
-        # A trace that cannot be read fails here, before any cell runs.
+        # A trace or plan that cannot be read fails here, before any
+        # cell runs.
         for value in filter(None, [args.traffic, *grid.get("traffic", ())]):
             spec = resolve_traffic(value)
             if spec.kind == "replay":
                 _readable(spec.trace)
+        for value in grid.get("fault_plan", ()):
+            _plan_file(str(value))
         table = run_sweep(
             grid,
             workers=args.workers,
@@ -452,6 +468,7 @@ def main(argv=None) -> int:
     sweep.add_argument(
         "--grid",
         nargs="+",
+        action="extend",
         required=True,
         metavar="KEY=V1[,V2...]",
         help="grid axes over SimConfig / WorkloadSpec / CostModel fields "
@@ -515,6 +532,7 @@ def main(argv=None) -> int:
     )
     sweep.add_argument(
         "--fault-plan",
+        type=_plan_file,
         default=None,
         metavar="PLAN.json",
         help="arm this fault plan in every cell (cells can still sweep "
@@ -543,6 +561,7 @@ def main(argv=None) -> int:
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument(
         "--plan",
+        type=_plan_file,
         default=None,
         metavar="PLAN.json",
         help="also run this fault-plan file as an extra scenario",

@@ -1,19 +1,17 @@
 """Injectable configuration values: :class:`CostModel` and :class:`SimConfig`.
 
-Historically the thesis's chapter-3 cycle costs lived as module-level
-constants in :mod:`repro.raw.costs`, which made scaling studies
-(frequency, FIFO-depth, quantum-size, control-overhead sweeps) a matter
-of monkeypatching globals -- impossible to run concurrently.  This
-module turns the cost model into a frozen, picklable dataclass that is
-threaded *explicitly* through every engine, and pairs it with
-:class:`SimConfig`, the complete description of one simulated router
-(ports, quantum size, clock, FIFO depths, engine fidelity, seed).
+The thesis's chapter-3 cycle costs are a frozen, picklable dataclass
+that is threaded *explicitly* through every engine, so scaling studies
+(frequency, FIFO-depth, quantum-size, control-overhead sweeps) vary a
+value instead of monkeypatching module globals, and can run
+concurrently.  :class:`SimConfig` pairs it with the complete
+description of one simulated router (ports, quantum size, clock, FIFO
+depths, engine fidelity, seed).
 
-``CostModel()`` (equivalently ``CostModel.default()``) reproduces every
-historical constant exactly; :mod:`repro.raw.costs` remains as a thin
-compatibility shim re-exporting those defaults.  Because both classes
-are plain frozen values they pickle cleanly, which is what lets
-:mod:`repro.sweep` fan a grid of configurations across
+``CostModel()`` (equivalently ``CostModel.default()``) is the thesis's
+model; code that needs a default value reads it from there.  Because
+both classes are plain frozen values they pickle cleanly, which is what
+lets :mod:`repro.sweep` fan a grid of configurations across
 ``multiprocessing`` workers.
 """
 
@@ -28,10 +26,10 @@ from typing import Any, Dict, Optional
 class CostModel:
     """The Raw cycle-cost model (thesis chapter 3) as an immutable value.
 
-    Field defaults reproduce :mod:`repro.raw.costs` exactly (the single
-    *calibrated* value is :attr:`quantum_ctl_overhead`, fitted once
-    against the published Fig 7-1 throughputs; every other number comes
-    straight from the thesis text).  Derive variants with
+    Field defaults are the thesis's numbers (the single *calibrated*
+    value is :attr:`quantum_ctl_overhead`, fitted once against the
+    published Fig 7-1 throughputs; every other number comes straight
+    from the thesis text, and ``tests/test_config.py`` pins them).  Derive variants with
     :meth:`replace` -- instances are frozen, hashable, and picklable.
     """
 
@@ -91,7 +89,7 @@ class CostModel:
         return dataclasses.asdict(self)
 
     # ------------------------------------------------------------------
-    # Unit helpers (previously free functions in repro.raw.costs).
+    # Unit helpers.
     def bytes_to_words(self, nbytes: int) -> int:
         """Number of network words needed to carry ``nbytes``."""
         return (nbytes + self.word_bytes - 1) // self.word_bytes

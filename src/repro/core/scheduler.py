@@ -30,7 +30,7 @@ from repro.core.config_space import (
     MinimizationResult,
 )
 from repro.core.ring import RingGeometry
-from repro.raw import costs
+from repro.config import CostModel
 from repro.raw.layout import (
     CROSSBAR_RING,
     Direction,
@@ -153,7 +153,7 @@ class CompiledSchedule:
         self,
         config_id: int,
         port_map: TilePortMap,
-        quantum_words: int = costs.MAX_QUANTUM_WORDS,
+        quantum_words: int = CostModel.default().max_quantum_words,
     ) -> List[str]:
         """Raw-like switch assembly for one local config on one tile.
 
@@ -224,10 +224,14 @@ class CompiledSchedule:
             total += len(self.assembly_for(cid, pm)) - 1  # minus label line
         return total
 
-    def fits_imem(self, imem_words: int = costs.SWITCH_MEM_WORDS) -> bool:
+    def fits_imem(
+        self, imem_words: int = CostModel.default().switch_mem_words
+    ) -> bool:
         return self.imem_words_per_tile() <= imem_words
 
-    def full_listing(self, quantum_words: int = costs.MAX_QUANTUM_WORDS) -> str:
+    def full_listing(
+        self, quantum_words: int = CostModel.default().max_quantum_words
+    ) -> str:
         pm = default_port_maps()[0]
         chunks = []
         for cid in range(self.minimization.minimized_size):

@@ -25,14 +25,14 @@ from repro.core.fabricsim import (
 )
 from repro.core.ring import RingGeometry
 from repro.experiments.common import ExperimentResult
-from repro.raw import costs
+from repro.config import CostModel
 
 
 def run_second_network(
     quanta: int = 3000, seed: int = 0, size_bytes: int = 1024
 ) -> ExperimentResult:
     """One vs two static networks, permutation and uniform traffic."""
-    words = costs.bytes_to_words(size_bytes)
+    words = CostModel.default().bytes_to_words(size_bytes)
     result = ExperimentResult(
         name="abl_2nd_network",
         description="Adding Raw's second static network (section 5.3 claim: no gain)",
@@ -69,7 +69,7 @@ def run_quantum_size(
         name="abl_quantum",
         description=f"{size_bytes}B packets vs transfer-block size (words)",
     )
-    words = costs.bytes_to_words(size_bytes)
+    words = CostModel.default().bytes_to_words(size_bytes)
     for q in quanta_words:
         sim = FabricSimulator(max_quantum_words=q)
         stats = sim.run(saturated_permutation(words, shift=2), quanta=quanta, warmup_quanta=200)
@@ -90,7 +90,7 @@ def run_pipelining(size_bytes: int = 64, quanta: int = 3000) -> ExperimentResult
         name="abl_pipelining",
         description="Overlapping header processing with body streaming",
     )
-    words = costs.bytes_to_words(size_bytes)
+    words = CostModel.default().bytes_to_words(size_bytes)
     rates = {}
     for pipelined in (True, False):
         sim = FabricSimulator(pipelined=pipelined)

@@ -15,7 +15,7 @@ import numpy as np
 from repro.core.compute import ByteSwap, Identity, RunningChecksum, XorCipher
 from repro.core.fabricsim import FabricSimulator, saturated_permutation
 from repro.experiments.common import ExperimentResult
-from repro.raw import costs
+from repro.config import CostModel
 
 
 def _rate_with_transform(cycles_per_word: int, words: int, quanta: int) -> float:
@@ -35,7 +35,7 @@ def run(size_bytes: int = 1024, quanta: int = 2000) -> ExperimentResult:
         name="ext_compute",
         description=f"In-fabric payload computation, {size_bytes}B packets",
     )
-    words = costs.bytes_to_words(size_bytes)
+    words = CostModel.default().bytes_to_words(size_bytes)
     transforms = [
         ("plain_switch", Identity()),
         ("byteswap", ByteSwap()),

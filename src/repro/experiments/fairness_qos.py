@@ -13,7 +13,7 @@ from repro.core.fairness import analyze_service, jains_index
 from repro.core.ring import RingGeometry
 from repro.core.token import RotatingToken, WeightedToken
 from repro.experiments.common import ExperimentResult
-from repro.raw import costs
+from repro.config import CostModel
 
 
 def run_fairness(quanta: int = 4000, seed: int = 3, size_bytes: int = 256) -> ExperimentResult:
@@ -22,7 +22,7 @@ def run_fairness(quanta: int = 4000, seed: int = 3, size_bytes: int = 256) -> Ex
         name="fairness",
         description="Token fairness under single-output hotspot (all->0)",
     )
-    words = costs.bytes_to_words(size_bytes)
+    words = CostModel.default().bytes_to_words(size_bytes)
     ring = RingGeometry(4)
     sim = FabricSimulator(ring=ring, keep_history=True)
     # Adversarial: every input always wants output 0.
@@ -48,7 +48,7 @@ def run_qos(
         name="qos_weighted_token",
         description=f"Weighted round-robin token, weights={list(weights)}, all->0 hotspot",
     )
-    words = costs.bytes_to_words(size_bytes)
+    words = CostModel.default().bytes_to_words(size_bytes)
     ring = RingGeometry(len(weights))
 
     # Plain token: equal shares of the contended output.

@@ -14,15 +14,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.common import ExperimentResult
-from repro.raw import costs
+from repro.config import CostModel
 from repro.router.router import RawRouter
 from repro.traffic.arrivals import Saturated
 from repro.traffic.patterns import UniformDestinations
 from repro.traffic.sizes import FixedSize
 from repro.traffic.workload import PacketFactory, Workload
 
+_COSTS = CostModel.default()
+
 #: Per-port line rate of the model: one 32-bit word per cycle at 250 MHz.
-LINE_RATE_GBPS = costs.WORD_BITS * costs.CLOCK_HZ / 1e9
+LINE_RATE_GBPS = _COSTS.word_bits * _COSTS.clock_hz / 1e9
 
 
 def run(
@@ -66,7 +68,7 @@ def run(
     from repro.core.fabricsim import FabricSimulator, saturated_uniform
 
     fabric_cap = FabricSimulator().run(
-        saturated_uniform(costs.bytes_to_words(size_bytes), seed, exclude_self=True),
+        saturated_uniform(_COSTS.bytes_to_words(size_bytes), seed, exclude_self=True),
         quanta=3000,
         warmup_quanta=200,
     ).gbps

@@ -17,7 +17,7 @@ from repro.experiments.common import ExperimentResult
 from repro.ip.addr import random_prefixes
 from repro.ip.lookup import CompressedTable, LookupCostModel, RoutingTable
 from repro.ip.nblookup import LookupEngine
-from repro.raw import costs
+from repro.config import CostModel
 from repro.raw.memory import DataCache
 
 
@@ -30,6 +30,7 @@ def run(
         name="ext_lookup",
         description="Route lookup on one tile: PATRICIA trie vs compressed table",
     )
+    costs = CostModel.default()
     for n_routes in table_sizes:
         rng = np.random.default_rng(seed)
         prefixes = random_prefixes(n_routes, rng)
@@ -59,20 +60,20 @@ def run(
             # visit depth seeded by the address so reuse is realistic.
             trie_cycles += trie_model.cost(
                 visits_t,
-                (((addr >> 8) + d * 97) % (1 << 20) * costs.CACHE_LINE_BYTES
+                (((addr >> 8) + d * 97) % (1 << 20) * costs.cache_line_bytes
                  for d in range(visits_t)),
             )
             trie_visits += visits_t
             comp_cycles += comp_model.cost(
                 visits_c,
-                (((addr >> (24 - 8 * d)) % (1 << 16)) * costs.CACHE_LINE_BYTES
+                (((addr >> (24 - 8 * d)) % (1 << 16)) * costs.cache_line_bytes
                  for d in range(visits_c)),
             )
             comp_visits += visits_c
             comp_visits_max = max(comp_visits_max, visits_c)
 
-        trie_mlps = costs.CLOCK_HZ / (trie_cycles / lookups) / 1e6
-        comp_mlps = costs.CLOCK_HZ / (comp_cycles / lookups) / 1e6
+        trie_mlps = costs.clock_hz / (trie_cycles / lookups) / 1e6
+        comp_mlps = costs.clock_hz / (comp_cycles / lookups) / 1e6
         result.add(f"trie_mlookups_per_s_{n_routes}", trie_mlps)
         result.add(f"compressed_mlookups_per_s_{n_routes}", comp_mlps)
         result.add(f"trie_mean_visits_{n_routes}", trie_visits / lookups)
@@ -89,7 +90,7 @@ def run(
         res = engine.simulate(2000)
         result.add(
             f"nonblocking_mlps_W{window}",
-            costs.CLOCK_HZ / res.cycles_per_lookup / 1e6,
+            costs.clock_hz / res.cycles_per_lookup / 1e6,
         )
     result.add(
         "nonblocking_speedup_W8",

@@ -18,7 +18,7 @@ from repro.core.phases import idle_quantum_cycles, quantum_cycles
 from repro.core.ring import RingGeometry
 from repro.core.token import RotatingToken
 from repro.experiments.common import ExperimentResult
-from repro.raw import costs
+from repro.config import CostModel
 
 
 def _run_multicast_fabric(
@@ -97,7 +97,7 @@ def run(
         name="ext_multicast",
         description="Fabric multicast (fanout splitting) vs ingress replication",
     )
-    words = costs.bytes_to_words(size_bytes)
+    words = CostModel.default().bytes_to_words(size_bytes)
     for fanout in fanouts:
         rng = np.random.default_rng(seed)
         fabric_rate, quanta_per_pkt = _run_multicast_fabric(fanout, words, quanta, rng)

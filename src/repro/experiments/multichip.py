@@ -20,7 +20,7 @@ from __future__ import annotations
 from repro.core.compose import ClosFabric, clos_vs_single_ring
 from repro.core.fabricsim import saturated_uniform
 from repro.experiments.common import ExperimentResult
-from repro.raw import costs
+from repro.config import CostModel
 
 
 def run(
@@ -46,7 +46,7 @@ def run(
             f"crossbars ({3 * k} chips, P={partitions} space partitions)"
         ),
     )
-    words = costs.bytes_to_words(size_bytes)
+    words = CostModel.default().bytes_to_words(size_bytes)
 
     ring_gbps, clos_gbps = clos_vs_single_ring(
         num_ports=num_ports, words=words, quanta=quanta, shift=num_ports // 2

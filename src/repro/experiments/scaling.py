@@ -25,7 +25,7 @@ from repro.core.fabricsim import (
 from repro.core.ring import RingGeometry
 from repro.core.token import RotatingToken
 from repro.experiments.common import ExperimentResult
-from repro.raw import costs
+from repro.config import CostModel
 
 
 def run(
@@ -45,7 +45,7 @@ def run(
         name="ext_scaling",
         description=f"N-port rotating crossbar, {size_bytes}B packets",
     )
-    words = costs.bytes_to_words(size_bytes)
+    words = CostModel.default().bytes_to_words(size_bytes)
     for n in port_counts:
         ring = RingGeometry(n)
         sim_nb = FabricSimulator(

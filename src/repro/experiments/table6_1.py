@@ -16,7 +16,7 @@ from repro.core.ring import RingGeometry
 from repro.core.scheduler import CompileTimeScheduler
 from repro.experiments import paperdata
 from repro.experiments.common import ExperimentResult
-from repro.raw import costs
+from repro.config import CostModel
 
 
 def run(num_ports: int = 4) -> ExperimentResult:
@@ -36,7 +36,7 @@ def run(num_ports: int = 4) -> ExperimentResult:
     )
     result.add(
         "instr_per_naive_config",
-        costs.IMEM_WORDS / minimization.global_size,
+        CostModel.default().imem_words / minimization.global_size,
         paperdata.INSTR_PER_NAIVE_CONFIG if num_ports == 4 else None,
     )
     result.add(
@@ -56,6 +56,6 @@ def run(num_ports: int = 4) -> ExperimentResult:
     result.notes = (
         f"clients/servers per Table 6.1: servers=(out, cwnext, ccwnext), "
         f"clients=(0, in, cwprev, ccwprev); generated switch code uses "
-        f"{imem} of {costs.SWITCH_MEM_WORDS} switch-memory words."
+        f"{imem} of {CostModel.default().switch_mem_words} switch-memory words."
     )
     return result

@@ -126,6 +126,8 @@ class FaultEvent:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "FaultEvent":
+        if not isinstance(d, dict) or "cycle" not in d or "kind" not in d:
+            raise ValueError(f"a fault event needs a cycle and a kind, got {d!r}")
         return cls(
             cycle=int(d["cycle"]),
             kind=str(d["kind"]),
@@ -172,6 +174,8 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "FaultPlan":
+        if not isinstance(d, dict):
+            raise ValueError(f"a fault plan is a JSON object, not {type(d).__name__}")
         schema = d.get("schema", PLAN_SCHEMA)
         if schema != PLAN_SCHEMA:
             raise ValueError(f"unknown fault-plan schema {schema!r}")

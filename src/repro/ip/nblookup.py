@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from repro.raw import costs
+from repro.config import CostModel
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class LookupEngine:
     def __init__(
         self,
         visits_per_lookup: int = 3,
-        mem_latency_cycles: int = costs.CACHE_MISS_CYCLES,
+        mem_latency_cycles: int = CostModel.default().cache_miss_cycles,
         issue_cycles: int = 4,
         max_outstanding: int = 1,
     ):

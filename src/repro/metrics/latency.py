@@ -7,7 +7,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.raw import costs
+from repro.config import CostModel
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -66,7 +66,7 @@ class LatencyStats:
             return float("nan")
         return percentile(self._samples, q)
 
-    def summary(self, clock_hz: float = costs.CLOCK_HZ) -> Dict[str, float]:
+    def summary(self, clock_hz: float = CostModel.default().clock_hz) -> Dict[str, float]:
         """Mean/median/p99 in cycles and microseconds."""
         if not self._samples:
             return {}

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.raw import costs
+from repro.config import CostModel
+
+_CLOCK_HZ = CostModel.default().clock_hz
 
 
 class ThroughputMeter:
@@ -48,14 +50,18 @@ class ThroughputMeter:
             return 0
         return max(0, end - self.warmup)
 
-    def gbps(self, end_cycle: Optional[int] = None, clock_hz: float = costs.CLOCK_HZ) -> float:
+    def gbps(
+        self, end_cycle: Optional[int] = None, clock_hz: float = _CLOCK_HZ
+    ) -> float:
         cycles = self.window_cycles(end_cycle)
         if cycles == 0:
             return 0.0
-        return costs.gbps(self.bits, cycles, clock_hz)
+        return self.bits * clock_hz / cycles / 1e9
 
-    def mpps(self, end_cycle: Optional[int] = None, clock_hz: float = costs.CLOCK_HZ) -> float:
+    def mpps(
+        self, end_cycle: Optional[int] = None, clock_hz: float = _CLOCK_HZ
+    ) -> float:
         cycles = self.window_cycles(end_cycle)
         if cycles == 0:
             return 0.0
-        return costs.mpps(self.packets, cycles, clock_hz)
+        return self.packets * clock_hz / cycles / 1e6

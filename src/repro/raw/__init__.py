@@ -3,11 +3,11 @@
 The Raw prototype is a 4x4 grid of tiles at 250 MHz; each tile couples a
 MIPS-like tile processor with a programmable static-switch processor, two
 static networks and two dynamic networks.  This package models the parts
-of the chip the router design depends on:
+of the chip the router design depends on (the published cycle-cost
+model -- send-to-use latency, link bandwidth, cache timing, branch costs,
+plus the router's calibrated per-quantum control overhead -- is
+:class:`repro.config.CostModel`):
 
-* :mod:`repro.raw.costs` -- the published cycle-cost model (send-to-use
-  latency, link bandwidth, cache timing, branch costs) plus the router's
-  calibrated per-quantum control overhead.
 * :mod:`repro.raw.layout` -- grid geometry and the port-to-tile mapping of
   thesis Figs 4-1 / 7-2.
 * :mod:`repro.raw.memory` -- the per-tile 2-way set-associative data cache.
@@ -18,7 +18,6 @@ of the chip the router design depends on:
 * :mod:`repro.raw.chip` -- assembles a whole chip simulation.
 """
 
-from repro.raw import costs
 from repro.raw.layout import (
     GRID_WIDTH,
     GRID_HEIGHT,
@@ -41,7 +40,6 @@ from repro.raw.switchproc import SwitchProcessor, RouteInstruction
 from repro.raw.chip import RawChip
 
 __all__ = [
-    "costs",
     "GRID_WIDTH",
     "GRID_HEIGHT",
     "NUM_TILES",

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.ip.packet import IPv4Packet
-from repro.raw import costs
+from repro.config import CostModel
 
 
 class QuantumFragment:
@@ -39,7 +39,7 @@ class QuantumFragment:
 def fragment_packet(
     packet: IPv4Packet,
     dest: int,
-    max_quantum_words: int = costs.MAX_QUANTUM_WORDS,
+    max_quantum_words: int = CostModel.default().max_quantum_words,
 ) -> List[QuantumFragment]:
     """Split a packet into crossbar quanta (thesis section 4.3)."""
     total = packet.total_words

@@ -13,6 +13,7 @@ bandwidth.
 from __future__ import annotations
 
 from collections import deque
+from numbers import Integral
 from typing import Any, Deque, Tuple
 
 from repro.telemetry import runtime as _telemetry
@@ -42,6 +43,8 @@ class Channel:
     def __init__(self, name: str = "", capacity: int = 1, latency: int = 0):
         if capacity < 1:
             raise ValueError("channel capacity must be >= 1")
+        if not isinstance(latency, Integral):
+            raise TypeError(f"channel latency must be an integer, not {latency!r}")
         if latency < 0:
             raise ValueError("channel latency must be >= 0")
         self.name = name

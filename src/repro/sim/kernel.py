@@ -30,21 +30,25 @@ network ports with blocking reads/writes, plus a cycle cost for every
 instruction executed (expressed as Timeouts by the tile-program code in
 :mod:`repro.raw` and :mod:`repro.router`).
 
-Scheduler internals (see DESIGN.md "Kernel internals"): events live in a
-bounded-horizon calendar wheel -- almost every event in this kernel is
-0-3 cycles out (link latencies, per-word costs), so a bucket append/pop
-replaces the global ``heapq`` -- with a far-future heap backing store
-for long sleeps.  A small heap of the cycles whose bucket is occupied
-gives the next event time, so a sparse schedule skips its empty cycles
-instead of testing each one.  Commands dispatch on a small integer class
-tag instead of an ``isinstance`` chain, and a channel never has more
-than one pending ``service`` event per cycle.
+Scheduler internals (see DESIGN.md "Kernel internals"): events live in
+one list per pending cycle, kept in a dict keyed by the cycle, and a
+heap of those cycles gives the next event time -- a list append
+schedules, one list drains per cycle, and a sparse schedule skips its
+empty cycles.  Append order is schedule order, so no sequence number
+breaks ties.  Commands dispatch on a small integer class tag instead of
+an ``isinstance`` chain, and a channel never has more than one pending
+``service`` event per cycle.
+
+Times are integer cycles: a ``Timeout`` delay, a ``PutBurst`` gap and a
+channel latency are refused at construction unless they are integers
+(Python or numpy).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from numbers import Integral
 from typing import Any, Deque, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.sim.channel import Channel
@@ -68,12 +72,7 @@ STALLED = "stalled"
 BLOCKED_STATES = frozenset({TX_BLOCK, RX_BLOCK, MEM_BLOCK})
 FAULT_STATES = frozenset({DOWN, STALLED})
 
-#: Calendar-wheel horizon in cycles.  The kernel's event pattern is
-#: overwhelmingly near-future (hop latency 1, per-word gaps 1, control
-#: costs < 100); anything at or beyond the horizon overflows to a heap.
-WHEEL_CYCLES = 1024
-
-# Event kinds inside the scheduler (wheel buckets / far heap).
+# Event kinds inside the scheduler's per-cycle lists.
 _EV_RESUME = 0  #: resume a process or burst state machine
 _EV_SERVICE = 1  #: move words/waiters through a channel
 _EV_GET = 2  #: complete a deferred Get: pop the head word, resume the process
@@ -86,6 +85,8 @@ class Timeout:
     __slots__ = ("delay", "state")
 
     def __init__(self, delay: int, state: str = BUSY):
+        if delay.__class__ is not int and not isinstance(delay, Integral):
+            raise TypeError(f"Timeout delay must be an integer, not {delay!r}")
         if delay < 0:
             raise ValueError("Timeout delay must be >= 0")
         self.delay = delay
@@ -133,6 +134,8 @@ class PutBurst:
     def __init__(
         self, channel: Channel, values: Sequence[Any], gap: int = 1, state: str = BUSY
     ):
+        if gap.__class__ is not int and not isinstance(gap, Integral):
+            raise TypeError(f"PutBurst gap must be an integer, not {gap!r}")
         if gap < 0:
             raise ValueError("PutBurst gap must be >= 0")
         self.channel = channel
@@ -315,28 +318,19 @@ class Simulator:
             self._tel.registry.gauge(
                 "kernel.events_dispatched", lambda: self.events_processed
             )
-        # Calendar wheel: one bucket per cycle within the horizon, plus
-        # a heap for far-future events.  Bucket entries are
-        # (kind, payload, value); append order *is* schedule order, which
-        # is the global FIFO tie-break the old single heap enforced with
-        # sequence numbers.  Heap entries are (time, seq, kind, payload,
-        # value); the seq breaks same-time ties within the heap only.
-        # Cross-store ordering needs no seq: a heap event firing at t was
-        # scheduled >= WHEEL_CYCLES before t (else it would be in the
-        # wheel), while every wheel entry for t was scheduled inside the
-        # last WHEEL_CYCLES cycles -- so heap spills always precede the
-        # bucket's entries.
-        self._wheel: List[List[tuple]] = [[] for _ in range(WHEEL_CYCLES)]
-        # Heap of the cycles whose bucket is occupied: a cycle is pushed
-        # when its bucket goes from empty to non-empty and popped when
-        # run() drains that bucket.  Every pending wheel cycle lies in
-        # [now, now + WHEEL_CYCLES), so a bucket only ever holds one.
+        # The event store: one list of (kind, payload, value) entries
+        # per pending cycle, and a heap of those cycles.  A cycle is
+        # pushed when its list is created and popped, list and all, when
+        # run() drains it, so append order *is* schedule order -- the
+        # FIFO tie-break a single heap would need sequence numbers for.
+        # A same-cycle schedule made during the drain creates a fresh
+        # list, pushes the cycle again and is drained next.
+        self._slots: Dict[int, List[tuple]] = {}
         self._times: List[int] = []
-        self._far: List[tuple] = []
-        self._seq = 0
-        # Runnable queue: same (kind, payload, value) tuples as wheel
-        # buckets (kind is ignored on drain; sharing the shape lets the
-        # event loop re-queue resume events without reallocating).
+        # Runnable queue: same (kind, payload, value) tuples as the
+        # per-cycle lists (kind is ignored on drain; sharing the shape
+        # lets the event loop re-queue resume events without
+        # reallocating).
         self._ready: Deque[tuple] = deque()
         self._processes: List[Process] = []
         # Channels that have ever parked a waiter; scanned when the
@@ -366,14 +360,12 @@ class Simulator:
 
     # ------------------------------------------------------------------
     def _schedule(self, time: int, kind: int, payload, value=None) -> None:
-        if time - self.now < WHEEL_CYCLES:
-            bucket = self._wheel[time % WHEEL_CYCLES]
-            if not bucket:
-                heappush(self._times, time)
-            bucket.append((kind, payload, value))
+        slot = self._slots.get(time)
+        if slot is None:
+            self._slots[time] = [(kind, payload, value)]
+            heappush(self._times, time)
         else:
-            self._seq += 1
-            heappush(self._far, (time, self._seq, kind, payload, value))
+            slot.append((kind, payload, value))
 
     def _schedule_service(self, ch: Channel, time: int) -> None:
         """Schedule a channel service, skipping exact duplicates (several
@@ -413,10 +405,10 @@ class Simulator:
         When it is still propagating and exactly one getter waits for
         exactly this word, convert the parked waiter into a direct wake
         at the word's ready time -- the wake event lands at the same
-        bucket position the channel-service event would have (both are
-        scheduled at this exact point), and the resumed waiter re-checks
-        readiness, so ordering and outcomes are unchanged; the generic
-        parked-waiter path is kept for fan-in.
+        position in that cycle's list as the channel-service event would
+        have (both are scheduled at this exact point), and the resumed
+        waiter re-checks readiness, so ordering and outcomes are
+        unchanged; the generic parked-waiter path is kept for fan-in.
         """
         items = ch._items
         ready_at = items[0][0]
@@ -544,22 +536,18 @@ class Simulator:
                 # single-consumer, so the machine resumes directly at the
                 # word's ready time instead of parking in the getter
                 # queue behind a channel-service event -- same wake
-                # cycle, same bucket position.  The RX interval is
+                # cycle, same list position.  The RX interval is
                 # recorded at resume, in run()'s drain loop.
                 proc = sm.proc
                 proc._block_start = now
                 proc._block_state = RX_BLOCK
                 ready_at = items[0][0]
-                if ready_at - now < WHEEL_CYCLES:
-                    bucket = self._wheel[ready_at % WHEEL_CYCLES]
-                    if not bucket:
-                        heappush(self._times, ready_at)
-                    bucket.append((_EV_RESUME, sm, None))
+                slot = self._slots.get(ready_at)
+                if slot is None:
+                    self._slots[ready_at] = [(_EV_RESUME, sm, None)]
+                    heappush(self._times, ready_at)
                 else:
-                    self._seq += 1
-                    heappush(
-                        self._far, (ready_at, self._seq, _EV_RESUME, sm, None)
-                    )
+                    slot.append((_EV_RESUME, sm, None))
                 return False
             else:
                 ch._getters.append(sm)
@@ -611,16 +599,12 @@ class Simulator:
                             if g.__class__ is Process
                             else (_EV_RESUME, g, None)
                         )
-                        if ready_at - now < WHEEL_CYCLES:
-                            bucket = self._wheel[ready_at % WHEEL_CYCLES]
-                            if not bucket:
-                                heappush(self._times, ready_at)
-                            bucket.append(ev)
+                        slot = self._slots.get(ready_at)
+                        if slot is None:
+                            self._slots[ready_at] = [ev]
+                            heappush(self._times, ready_at)
                         else:
-                            self._seq += 1
-                            heappush(
-                                self._far, (ready_at, self._seq) + ev
-                            )
+                            slot.append(ev)
                     else:
                         self._notify_getters(ch)
                 sm.phase = 1
@@ -635,16 +619,12 @@ class Simulator:
                     if trace is not None and proc.trace_key is not None:
                         trace.record(proc.trace_key, sm.state, now, now + gap)
                     t = now + gap
-                    if gap < WHEEL_CYCLES:
-                        bucket = self._wheel[t % WHEEL_CYCLES]
-                        if not bucket:
-                            heappush(self._times, t)
-                        bucket.append((_EV_RESUME, sm, None))
+                    slot = self._slots.get(t)
+                    if slot is None:
+                        self._slots[t] = [(_EV_RESUME, sm, None)]
+                        heappush(self._times, t)
                     else:
-                        self._seq += 1
-                        heappush(
-                            self._far, (t, self._seq, _EV_RESUME, sm, None)
-                        )
+                        slot.append((_EV_RESUME, sm, None))
                     return False
 
     def _advance_route(self, sm: _RouteSM) -> bool:
@@ -674,16 +654,12 @@ class Simulator:
                     sm.src_idx = src_idx
                     proc._block_start = now
                     proc._block_state = RX_BLOCK
-                    if ready_at - now < WHEEL_CYCLES:
-                        bucket = self._wheel[ready_at % WHEEL_CYCLES]
-                        if not bucket:
-                            heappush(self._times, ready_at)
-                        bucket.append((_EV_RESUME, sm, None))
+                    slot = self._slots.get(ready_at)
+                    if slot is None:
+                        self._slots[ready_at] = [(_EV_RESUME, sm, None)]
+                        heappush(self._times, ready_at)
                     else:
-                        self._seq += 1
-                        heappush(
-                            self._far, (ready_at, self._seq, _EV_RESUME, sm, None)
-                        )
+                        slot.append((_EV_RESUME, sm, None))
                     return False
                 sm.src_idx = src_idx
                 ch._getters.append(sm)
@@ -711,16 +687,12 @@ class Simulator:
                                 if g.__class__ is Process
                                 else (_EV_RESUME, g, None)
                             )
-                            if ready_at - now < WHEEL_CYCLES:
-                                bucket = self._wheel[ready_at % WHEEL_CYCLES]
-                                if not bucket:
-                                    heappush(self._times, ready_at)
-                                bucket.append(ev)
+                            slot = self._slots.get(ready_at)
+                            if slot is None:
+                                self._slots[ready_at] = [ev]
+                                heappush(self._times, ready_at)
                             else:
-                                self._seq += 1
-                                heappush(
-                                    self._far, (ready_at, self._seq) + ev
-                                )
+                                slot.append(ev)
                         else:
                             self._notify_getters(dst)
                     put_idx += 1
@@ -766,17 +738,12 @@ class Simulator:
                         proc._block_start = now
                         proc._block_state = RX_BLOCK
                         ready_at = head[0]
-                        if ready_at - now < WHEEL_CYCLES:
-                            bucket = self._wheel[ready_at % WHEEL_CYCLES]
-                            if not bucket:
-                                heappush(self._times, ready_at)
-                            bucket.append((_EV_RESUME, sm, None))
+                        slot = self._slots.get(ready_at)
+                        if slot is None:
+                            self._slots[ready_at] = [(_EV_RESUME, sm, None)]
+                            heappush(self._times, ready_at)
                         else:
-                            self._seq += 1
-                            heappush(
-                                self._far,
-                                (ready_at, self._seq, _EV_RESUME, sm, None),
-                            )
+                            slot.append((_EV_RESUME, sm, None))
                         return False
                 else:
                     src._getters.append(sm)
@@ -804,16 +771,12 @@ class Simulator:
                                 if g.__class__ is Process
                                 else (_EV_RESUME, g, None)
                             )
-                            if ready_at - now < WHEEL_CYCLES:
-                                bucket = self._wheel[ready_at % WHEEL_CYCLES]
-                                if not bucket:
-                                    heappush(self._times, ready_at)
-                                bucket.append(ev)
+                            slot = self._slots.get(ready_at)
+                            if slot is None:
+                                self._slots[ready_at] = [ev]
+                                heappush(self._times, ready_at)
                             else:
-                                self._seq += 1
-                                heappush(
-                                    self._far, (ready_at, self._seq) + ev
-                                )
+                                slot.append(ev)
                         else:
                             self._notify_getters(dst)
                 else:
@@ -929,14 +892,12 @@ class Simulator:
                 trace = self.trace
                 if trace is not None and proc.trace_key is not None:
                     trace.record(proc.trace_key, cmd.state, now, t)
-                if delay < WHEEL_CYCLES:
-                    bucket = self._wheel[t % WHEEL_CYCLES]
-                    if not bucket:
-                        heappush(self._times, t)
-                    bucket.append((_EV_RESUME, proc, None))
+                slot = self._slots.get(t)
+                if slot is None:
+                    self._slots[t] = [(_EV_RESUME, proc, None)]
+                    heappush(self._times, t)
                 else:
-                    self._seq += 1
-                    heappush(self._far, (t, self._seq, _EV_RESUME, proc, None))
+                    slot.append((_EV_RESUME, proc, None))
                 return
 
             if kind == 5:  # RouteBurst
@@ -998,9 +959,8 @@ class Simulator:
             return self.now
         self._drained_blocked = []
         ready = self._ready
-        wheel = self._wheel
+        slots = self._slots
         times = self._times
-        far = self._far
         trace = self.trace
         tel = self._tel
         ep = self.events_processed
@@ -1043,42 +1003,20 @@ class Simulator:
                         elif self._advance_get(item):
                             self._step(proc, item.values)
 
-                # The next event time: the earliest occupied bucket, or a
-                # nearer far-heap entry.
-                if times:
-                    t = times[0]
-                    if far and far[0][0] < t:
-                        t = far[0][0]
-                elif far:
-                    t = far[0][0]
-                else:
+                # The next event time: the least pending cycle.
+                if not times:
                     break
-
+                t = times[0]
                 if until is not None and t > until:
                     self.now = until
                     return self.now
-
+                heappop(times)
+                slot = slots.pop(t)
                 self.now = t
-                bucket = wheel[t % WHEEL_CYCLES]
-                if bucket:
-                    # Occupied, so t is in times, and it is the least.
-                    wheel[t % WHEEL_CYCLES] = []
-                    heappop(times)
-                if far and far[0][0] == t:
-                    spill = []
-                    while far and far[0][0] == t:
-                        _, _, kind, payload, value = heappop(far)
-                        spill.append((kind, payload, value))
-                    # Far entries were scheduled >= WHEEL_CYCLES before
-                    # t, wheel entries within the last WHEEL_CYCLES, so
-                    # spill-then-bucket is global FIFO order.
-                    if tel is not None:
-                        tel.kernel.far_spills += len(spill)
-                    bucket = spill + bucket if bucket else spill
 
                 if tel is not None:
                     prof = tel.kernel
-                    n = len(bucket)
+                    n = len(slot)
                     prof.bucket_drains += 1
                     prof.bucket_events += n
                     if n > prof.bucket_peak:
@@ -1086,7 +1024,7 @@ class Simulator:
                     if len(times) > prof.slot_peak:
                         prof.slot_peak = len(times)
 
-                for ev in bucket:
+                for ev in slot:
                     ep += 1
                     kind = ev[0]
                     if kind == _EV_RESUME:

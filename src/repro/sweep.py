@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import fields
 from itertools import product
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.config import COST_MODEL_FIELDS, SIM_CONFIG_FIELDS, SimConfig
+from repro.config import COST_MODEL_FIELDS, SIM_CONFIG_FIELDS, CostModel, SimConfig
 from repro.engines import WorkloadSpec, run_config
 from repro.seeds import cell_seed  # noqa: F401  (re-exported; historical home)
 
@@ -54,6 +55,16 @@ ALIASES = {
 
 _WORKLOAD_FIELDS = frozenset(WorkloadSpec.__dataclass_fields__)
 
+#: Declared type of every grid-addressable field, ``Optional`` dropped,
+#: by the precedence :func:`build_cell` routes names with (SimConfig wins).
+_FIELD_TYPES = {
+    f.name: f.type.removeprefix("Optional[").removesuffix("]")
+    for cls in (CostModel, WorkloadSpec, SimConfig)
+    for f in fields(cls)
+}
+#: What a parsed grid value of a numeric field must be.
+_NUMBER_KINDS = {"int": ("an integer", (int,)), "float": ("a number", (int, float))}
+
 
 def _parse_value(text: str) -> Any:
     """int, then float, then bool, else the bare string."""
@@ -68,7 +79,11 @@ def _parse_value(text: str) -> Any:
 
 
 def parse_grid(specs: Sequence[str]) -> Dict[str, List[Any]]:
-    """``["ports=4", "quantum=256,512"] -> {"ports": [4], ...}``."""
+    """``["ports=4", "quantum=256,512"] -> {"ports": [4], ...}``.
+
+    Refuses (``ValueError``) an entry that is not ``key=value[,...]``,
+    a key named twice (aliases included), and a value a numeric field
+    cannot take (``ports=abc``, ``ports=4.0``)."""
     grid: Dict[str, List[Any]] = {}
     for spec in specs:
         if "=" not in spec:
@@ -77,7 +92,17 @@ def parse_grid(specs: Sequence[str]) -> Dict[str, List[Any]]:
         key = ALIASES.get(key.strip(), key.strip())
         if not values:
             raise ValueError(f"grid entry {spec!r} has no values")
-        grid[key] = [_parse_value(v) for v in values.split(",")]
+        if key in grid:
+            raise ValueError(f"grid key {key!r} given twice ({spec!r})")
+        parsed = [_parse_value(v) for v in values.split(",")]
+        kind = _NUMBER_KINDS.get(_FIELD_TYPES.get(key))
+        if kind is not None:
+            for value in parsed:
+                if value.__class__ is bool or not isinstance(value, kind[1]):
+                    raise ValueError(
+                        f"grid entry {spec!r}: {key} takes {kind[0]}, not {value!r}"
+                    )
+        grid[key] = parsed
     return grid
 
 

@@ -316,7 +316,6 @@ def render_kernel_profile(tel: Telemetry, wall_s: Optional[float] = None,
     lines.append(
         f"  calendar buckets  : {prof.bucket_drains:,} drains, "
         f"mean occupancy {prof.mean_bucket_occupancy:.2f}, "
-        f"peak bucket {prof.bucket_peak}, peak occupied slots {prof.slot_peak}"
+        f"peak bucket {prof.bucket_peak}, peak pending cycles {prof.slot_peak}"
     )
-    lines.append(f"  far-heap spills   : {prof.far_spills:,}")
     return "\n".join(lines)

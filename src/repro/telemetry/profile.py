@@ -1,11 +1,11 @@
 """Kernel self-profiling: where does the *simulator* spend its work?
 
 Collected by gated instrumentation inside ``sim/kernel.py``: per-command
-dispatch counts (the burst vs word-at-a-time mix), calendar-wheel bucket
-occupancy, the most occupied buckets pending at once, and far-heap spill
-traffic.  Wall-clock events/sec is computed by the caller
-(``traced.run_traced``) and reported to the terminal only — it never
-enters exported JSON, which must be deterministic.
+dispatch counts (the burst vs word-at-a-time mix), how many events each
+drained cycle held, and the most cycles pending at once.  Wall-clock
+events/sec is computed by the caller (``traced.run_traced``) and
+reported to the terminal only — it never enters exported JSON, which
+must be deterministic.
 """
 
 from __future__ import annotations
@@ -23,19 +23,18 @@ class KernelProfile:
     """Counters filled in by the kernel when telemetry is enabled."""
 
     __slots__ = ("cmd_counts", "bucket_drains", "bucket_events",
-                 "bucket_peak", "slot_peak", "far_spills")
+                 "bucket_peak", "slot_peak")
 
     def __init__(self):
         self.cmd_counts: List[int] = [0] * len(CMD_NAMES)
-        #: Calendar-wheel buckets drained / total events they held.
+        #: Cycles drained (one event list, or "bucket", each) / total
+        #: events they held.
         self.bucket_drains = 0
         self.bucket_events = 0
-        #: Largest single bucket, and the most occupied buckets (distinct
-        #: pending wheel cycles) observed at once.
+        #: Most events drained in one cycle, and the most pending cycles
+        #: (distinct future event times) observed at once.
         self.bucket_peak = 0
         self.slot_peak = 0
-        #: Events that spilled to (and later merged back from) the far heap.
-        self.far_spills = 0
 
     @property
     def mean_bucket_occupancy(self) -> float:
@@ -58,7 +57,6 @@ class KernelProfile:
             "bucket_events": self.bucket_events,
             "bucket_peak": self.bucket_peak,
             "slot_peak": self.slot_peak,
-            "far_spills": self.far_spills,
         }
 
     def merge_state(self, state: Dict[str, Any]) -> None:
@@ -68,7 +66,6 @@ class KernelProfile:
             self.cmd_counts[i] += n
         self.bucket_drains += state["bucket_drains"]
         self.bucket_events += state["bucket_events"]
-        self.far_spills += state["far_spills"]
         if state["bucket_peak"] > self.bucket_peak:
             self.bucket_peak = state["bucket_peak"]
         if state["slot_peak"] > self.slot_peak:
@@ -88,6 +85,5 @@ class KernelProfile:
                 "mean_bucket_occupancy": self.mean_bucket_occupancy,
                 "bucket_peak": self.bucket_peak,
                 "slot_peak": self.slot_peak,
-                "far_spills": self.far_spills,
             },
         }

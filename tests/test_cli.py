@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import json
 import pathlib
 
 import pytest
@@ -10,6 +11,13 @@ TRACE = str(
     pathlib.Path(__file__).resolve().parent.parent
     / "examples" / "traces" / "imix_1k.csv"
 )
+
+#: Fault-plan files the bad-input cases name as ``{tmp}/<name>``; each
+#: test writes them under its own tmp_path.
+BAD_PLANS = {
+    "malformed.json": '{"events": [',
+    "no_cycle.json": '{"events": [{"kind": "token_loss"}]}',
+}
 
 
 class TestList:
@@ -110,11 +118,37 @@ class TestBadInput:
                           "--partitions", "64", "--quick"],
                          "64 partitions over 12 chips",
                          id="top-space-partitions-64"),
+            pytest.param(["sweep", "--grid", "ports=abc"], "ports=abc",
+                         id="sweep-grid-ports-not-a-number"),
+            pytest.param(["sweep", "--grid", "ports=4.0"], "ports=4.0",
+                         id="sweep-grid-ports-not-an-integer"),
+            pytest.param(["sweep", "--grid", "ports=4", "ports=8"],
+                         "'ports' given twice", id="sweep-grid-key-twice"),
+            pytest.param(["sweep", "--grid", "ports=4", "--grid", "ports=8"],
+                         "'ports' given twice", id="sweep-grid-flag-twice-key-twice"),
+            pytest.param(["sweep", "--grid", "faults=/nonexistent.json"],
+                         "/nonexistent.json", id="sweep-grid-missing-plan"),
+            pytest.param(["sweep", "--grid", "faults={tmp}/no_cycle.json"],
+                         "no_cycle.json", id="sweep-grid-plan-event-without-cycle"),
+            pytest.param(["sweep", "--grid", "ports=4", "--fault-plan",
+                          "/nonexistent.json"], "/nonexistent.json",
+                         id="sweep-fault-plan-missing"),
+            pytest.param(["bench", "--quick", "--engine", "nosuch"], "'nosuch'",
+                         id="bench-unknown-engine"),
+            pytest.param(["chaos", "--quick", "--plan", "/nonexistent.json"],
+                         "/nonexistent.json", id="chaos-plan-missing"),
+            pytest.param(["chaos", "--quick", "--plan", "{tmp}/malformed.json"],
+                         "malformed.json", id="chaos-plan-malformed-json"),
+            pytest.param(["chaos", "--quick", "--plan", "{tmp}/no_cycle.json"],
+                         "no_cycle.json", id="chaos-plan-event-without-cycle"),
         ],
     )
     def test_exits_2_naming_the_input(self, argv, named, capsys, tmp_path):
-        out = tmp_path / "sweep.json"
-        if argv[0] == "sweep":
+        for name, text in BAD_PLANS.items():
+            (tmp_path / name).write_text(text)
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        out = tmp_path / "out.json"
+        if argv[0] in ("sweep", "bench", "chaos"):
             argv = argv + ["--out", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -136,3 +170,18 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert named in err
         assert len(err.strip().splitlines()) == 1
+
+
+class TestSweepGrid:
+    def test_repeated_grid_flags_accumulate(self, capsys, tmp_path):
+        out = tmp_path / "sweep.json"
+        argv = ["sweep", "--grid", "ports=8", "--grid", "quantum=128,256",
+                "--quanta", "50", "--out", str(out)]
+        assert main(argv) == 0
+        table = json.loads(out.read_text())
+        assert table["sweep"]["grid"] == {"ports": [8], "quantum_words": [128, 256]}
+        cells = [row["cell"] for row in table["rows"]]
+        assert cells == [
+            {"ports": 8, "quantum_words": 128},
+            {"ports": 8, "quantum_words": 256},
+        ]

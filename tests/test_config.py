@@ -1,11 +1,11 @@
-"""CostModel/SimConfig: defaults, overrides, pickling, and the compat shim.
+"""CostModel/SimConfig: defaults, overrides and pickling.
 
 The single most important property here: ``CostModel.default()`` must
 reproduce, field for field, the calibrated constants the repository's
 chapter-7 numbers were produced with.  The expected values below are
-hardcoded on purpose -- they are the historical ``repro.raw.costs``
-module-level constants, and a drift in either the dataclass defaults or
-the shim should fail loudly, not re-derive itself.
+hardcoded on purpose -- they are the historical cost constants, and a
+drift in the dataclass defaults should fail loudly, not re-derive
+itself.
 """
 
 import pickle
@@ -21,10 +21,9 @@ from repro.config import (
     CostModel,
     SimConfig,
 )
-from repro.raw import costs
 
-#: The historical module-level constants of repro.raw.costs, frozen at
-#: the values the thesis reproduction was calibrated against.
+#: The historical cost constants, frozen at the values the thesis
+#: reproduction was calibrated against.
 HISTORICAL_COSTS = {
     "clock_hz": 250e6,
     "word_bits": 32,
@@ -68,46 +67,6 @@ class TestCostModelDefaults:
 
     def test_default_is_singleton(self):
         assert CostModel.default() is CostModel.default()
-
-    def test_shim_reexports_every_constant(self):
-        mapping = {
-            "CLOCK_HZ": "clock_hz",
-            "WORD_BITS": "word_bits",
-            "NUM_TILES": "num_tiles",
-            "STATIC_HOP_CYCLES": "static_hop_cycles",
-            "STATIC_FIFO_DEPTH": "static_fifo_depth",
-            "SEND_TO_USE_CYCLES": "send_to_use_cycles",
-            "DYNAMIC_BASE_CYCLES": "dynamic_base_cycles",
-            "DYNAMIC_PER_HOP_CYCLES": "dynamic_per_hop_cycles",
-            "DYNAMIC_MAX_MESSAGE_WORDS": "dynamic_max_message_words",
-            "NET_TO_MEM_CYCLES_PER_WORD": "net_to_mem_cycles_per_word",
-            "MEM_TO_NET_CYCLES_PER_WORD": "mem_to_net_cycles_per_word",
-            "CUT_THROUGH_CYCLES_PER_WORD": "cut_through_cycles_per_word",
-            "PREDICTED_BRANCH_CYCLES": "predicted_branch_cycles",
-            "MISPREDICTED_BRANCH_CYCLES": "mispredicted_branch_cycles",
-            "DMEM_WORDS": "dmem_words",
-            "IMEM_WORDS": "imem_words",
-            "SWITCH_MEM_WORDS": "switch_mem_words",
-            "CACHE_LINE_BYTES": "cache_line_bytes",
-            "CACHE_WAYS": "cache_ways",
-            "CACHE_HIT_CYCLES": "cache_hit_cycles",
-            "CACHE_MISS_CYCLES": "cache_miss_cycles",
-            "HEADER_WORDS": "header_words",
-            "QUANTUM_CTL_OVERHEAD": "quantum_ctl_overhead",
-            "MAX_QUANTUM_WORDS": "max_quantum_words",
-            "INGRESS_HEADER_CYCLES": "ingress_header_cycles",
-            "LOOKUP_CYCLES": "lookup_cycles",
-        }
-        model = CostModel.default()
-        for const, field_name in mapping.items():
-            assert getattr(costs, const) == getattr(model, field_name), const
-
-    def test_shim_helpers_agree_with_methods(self):
-        model = CostModel.default()
-        for size in (40, 64, 65, 1024, 1500):
-            assert costs.bytes_to_words(size) == model.bytes_to_words(size)
-        assert costs.gbps(8192, 100) == model.gbps(8192, 100)
-        assert costs.mpps(500, 1000) == model.mpps(500, 1000)
 
 
 class TestCostModelValue:

@@ -12,7 +12,6 @@ from repro.core.fabricsim import (
 )
 from repro.core.phases import quantum_cycles
 from repro.core.ring import RingGeometry
-from repro.raw import costs
 
 
 class TestPeak:

@@ -10,12 +10,14 @@ from repro.core.phases import (
     quantum_cycles,
 )
 from repro.experiments import paperdata
-from repro.raw import costs
+from repro.config import CostModel
+
+costs = CostModel.default()
 
 
 class TestPhaseTiming:
     def test_default_sums_to_calibrated_overhead(self):
-        assert DEFAULT_TIMING.control_total == costs.QUANTUM_CTL_OVERHEAD
+        assert DEFAULT_TIMING.control_total == costs.quantum_ctl_overhead
 
     def test_custom_timing(self):
         t = PhaseTiming(headers_request=1, headers_send=2, headers_exchange=3,
@@ -39,7 +41,7 @@ class TestQuantumCycles:
 
     def test_unpipelined_adds_header_and_lookup(self):
         delta = quantum_cycles(64, 1, pipelined=False) - quantum_cycles(64, 1)
-        assert delta == costs.INGRESS_HEADER_CYCLES + costs.LOOKUP_CYCLES
+        assert delta == costs.ingress_header_cycles + costs.lookup_cycles
 
     def test_monotone_in_words(self):
         cycles = [quantum_cycles(w, 0) for w in (16, 32, 64, 128, 256)]

@@ -10,8 +10,10 @@ from repro.core.scheduler import (
     _direction_between,
     default_port_maps,
 )
-from repro.raw import costs
+from repro.config import CostModel
 from repro.raw.layout import CROSSBAR_RING, Direction, ROUTER_LAYOUT
+
+costs = CostModel.default()
 
 
 @pytest.fixture(scope="module")
@@ -114,13 +116,13 @@ class TestCodegen:
 class TestIMemFit:
     def test_fits_switch_memory(self, schedule):
         used = schedule.imem_words_per_tile()
-        assert used <= costs.SWITCH_MEM_WORDS
+        assert used <= costs.switch_mem_words
         assert schedule.fits_imem()
 
     def test_naive_budget_would_not_fit(self, schedule):
         """The motivating arithmetic: even 4 instructions per naive
         config would overflow the 8,192-word switch memory."""
-        assert 2500 * 4 > costs.SWITCH_MEM_WORDS
+        assert 2500 * 4 > costs.switch_mem_words
 
 
 class TestReservePass:

@@ -53,10 +53,10 @@ class TestNonBlocking:
     def test_beats_ixp1200_rate_with_modest_window(self):
         """The section 8.2 punchline: 8 outstanding reads push one tile
         past the IXP1200's 3.5 Mpps forwarding rate."""
-        from repro.raw import costs
+        from repro.config import CostModel
 
         res = LookupEngine(max_outstanding=8).simulate(2000)
-        mlps = costs.CLOCK_HZ / res.cycles_per_lookup / 1e6
+        mlps = CostModel.default().clock_hz / res.cycles_per_lookup / 1e6
         assert mlps > 3.5
 
 

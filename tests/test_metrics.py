@@ -16,7 +16,6 @@ from repro.metrics.utilization import (
     state_matrix,
     summarize_trace,
 )
-from repro.raw import costs
 from repro.sim.trace import Trace
 
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.experiments import paperdata
-from repro.raw import costs
+from repro.config import CostModel
+
+costs = CostModel.default()
 
 
 class TestCostHelpers:
@@ -39,7 +41,7 @@ class TestPaperData:
 
     def test_raw_chip_parameters(self):
         assert paperdata.RAW_CLOCK_MHZ == 250
-        assert costs.CLOCK_HZ == paperdata.RAW_CLOCK_MHZ * 1e6
+        assert costs.clock_hz == paperdata.RAW_CLOCK_MHZ * 1e6
 
     def test_reduction_consistency(self):
         assert paperdata.CONFIG_SPACE / paperdata.MINIMIZED_CONFIGS == pytest.approx(

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.core.fabricsim import FabricSimulator, saturated_permutation
 from repro.core.phases import quantum_cycles
-from repro.raw import costs
 
 
 word_sizes = st.integers(min_value=6, max_value=256)  # >= IPv4 header words

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.raw import costs
+from repro.config import CostModel
 from repro.raw.chip import RawChip
 from repro.sim.kernel import BUSY, Get, Put, Timeout
 from repro.sim.trace import Trace
+
+costs = CostModel.default()
 
 
 class TestChipAssembly:
@@ -72,7 +74,7 @@ class TestTileToTileTransfer:
         chip.run()
         assert got == [0xBEEF]
         # One switch hop: the word lands a cycle after the send.
-        assert chip.now == costs.STATIC_HOP_CYCLES
+        assert chip.now == costs.static_hop_cycles
 
     def test_trace_keys_per_tile(self):
         trace = Trace()

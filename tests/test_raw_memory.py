@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.raw import costs
+from repro.config import CostModel
 from repro.raw.memory import CacheStats, DataCache
+
+costs = CostModel.default()
 
 
 class TestBasics:
     def test_first_access_misses(self):
         c = DataCache()
-        assert c.access(0) == costs.CACHE_MISS_CYCLES
+        assert c.access(0) == costs.cache_miss_cycles
         assert c.stats.misses == 1
 
     def test_second_access_hits(self):
@@ -25,7 +27,7 @@ class TestBasics:
         c.access(0)
         # 32-byte lines: bytes 1..31 share line 0.
         assert c.access(31) == 0
-        assert c.access(32) == costs.CACHE_MISS_CYCLES
+        assert c.access(32) == costs.cache_miss_cycles
 
     def test_probe_does_not_mutate(self):
         c = DataCache()
@@ -42,8 +44,8 @@ class TestBasics:
 
     def test_access_latency(self):
         c = DataCache()
-        assert c.access_latency(0) == costs.CACHE_MISS_CYCLES
-        assert c.access_latency(0) == costs.CACHE_HIT_CYCLES
+        assert c.access_latency(0) == costs.cache_miss_cycles
+        assert c.access_latency(0) == costs.cache_hit_cycles
 
     def test_bad_geometry(self):
         with pytest.raises(ValueError):
@@ -70,7 +72,7 @@ class TestAssociativity:
         c.access(b)
         c.access(d)  # evicts a (LRU)
         assert c.access(b) == 0
-        assert c.access(a) == costs.CACHE_MISS_CYCLES
+        assert c.access(a) == costs.cache_miss_cycles
 
     def test_lru_updated_on_hit(self):
         c = DataCache()
@@ -81,20 +83,20 @@ class TestAssociativity:
         c.access(a)  # refresh a; b becomes LRU
         c.access(d)  # evicts b
         assert c.access(a) == 0
-        assert c.access(b) == costs.CACHE_MISS_CYCLES
+        assert c.access(b) == costs.cache_miss_cycles
 
 
 class TestTouchRange:
     def test_counts_lines(self):
         c = DataCache()
         stall = c.touch_range(0, 256)  # 8 lines of 32B
-        assert stall == 8 * costs.CACHE_MISS_CYCLES
+        assert stall == 8 * costs.cache_miss_cycles
         assert c.touch_range(0, 256) == 0
 
     def test_unaligned_range_spans_extra_line(self):
         c = DataCache()
         stall = c.touch_range(16, 32)  # straddles lines 0 and 1
-        assert stall == 2 * costs.CACHE_MISS_CYCLES
+        assert stall == 2 * costs.cache_miss_cycles
 
     def test_zero_bytes(self):
         c = DataCache()
@@ -106,7 +108,7 @@ class TestStats:
         s = CacheStats(hits=3, misses=1)
         assert s.accesses == 4
         assert s.hit_rate == 0.75
-        assert s.stall_cycles == costs.CACHE_MISS_CYCLES
+        assert s.stall_cycles == costs.cache_miss_cycles
 
     def test_empty_hit_rate(self):
         assert CacheStats().hit_rate == 0.0
@@ -137,7 +139,7 @@ def test_cyclic_buffer_is_resident_after_first_pass(seed):
     """The ingress ring-buffer pattern: cycling over <= capacity bytes
     takes compulsory misses once, then hits forever."""
     c = DataCache()
-    region = costs.DMEM_WORDS * 4 // 2  # half the cache
+    region = costs.dmem_words * 4 // 2  # half the cache
     step = 1024
     for start in range(0, region, step):
         c.touch_range(start, step)

@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.raw import costs
+from repro.config import CostModel
 from repro.raw.layout import Direction
 from repro.raw.network import DynamicNetwork, StaticNetwork
 from repro.sim.kernel import Get, Put, Simulator
+
+costs = CostModel.default()
 
 
 class TestStaticNetwork:
@@ -17,8 +19,8 @@ class TestStaticNetwork:
         a = self.net.link(5, 6)
         b = self.net.link(6, 5)
         assert a is not b
-        assert a.latency == costs.STATIC_HOP_CYCLES
-        assert a.capacity == costs.STATIC_FIFO_DEPTH
+        assert a.latency == costs.static_hop_cycles
+        assert a.capacity == costs.static_fifo_depth
 
     def test_non_adjacent_rejected(self):
         with pytest.raises(ValueError):
@@ -51,7 +53,7 @@ class TestStaticNetwork:
         self.sim.add_process(dst())
         self.sim.run()
         assert got == [99]
-        assert self.sim.now == costs.STATIC_HOP_CYCLES
+        assert self.sim.now == costs.static_hop_cycles
 
     def test_two_networks_independent(self):
         sim = Simulator()
@@ -65,19 +67,19 @@ class TestDynamicNetwork:
         # The thesis: nearest neighbor ALU-to-ALU is 15-30 cycles.
         lo = DynamicNetwork.latency(5, 6, words=1)
         hi = DynamicNetwork.latency(5, 6, words=16)
-        assert lo == costs.DYNAMIC_BASE_CYCLES == 15
+        assert lo == costs.dynamic_base_cycles == 15
         assert 15 <= lo <= hi <= 30
 
     def test_hops_add_latency(self):
         near = DynamicNetwork.latency(0, 1)
         far = DynamicNetwork.latency(0, 15)
-        assert far == near + 5 * costs.DYNAMIC_PER_HOP_CYCLES
+        assert far == near + 5 * costs.dynamic_per_hop_cycles
 
     def test_message_size_bounds(self):
         with pytest.raises(ValueError):
             DynamicNetwork.latency(0, 1, words=0)
         with pytest.raises(ValueError):
-            DynamicNetwork.latency(0, 1, words=costs.DYNAMIC_MAX_MESSAGE_WORDS + 1)
+            DynamicNetwork.latency(0, 1, words=costs.dynamic_max_message_words + 1)
 
     def test_mailbox_delivery(self):
         sim = Simulator()

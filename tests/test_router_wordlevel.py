@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.phases import quantum_cycles
-from repro.raw import costs
+from repro.config import CostModel
 from repro.raw.layout import CROSSBAR_RING, INGRESS_TILES
 from repro.router.wordlevel import (
     WordLevelRouter,
@@ -20,6 +20,8 @@ from repro.router.wordlevel import (
     uniform_source,
 )
 from repro.sim.trace import Trace
+
+costs = CostModel.default()
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +79,7 @@ class TestCycleCrossValidation:
         _, result = peak_1024
         cycles_per_packet = result.cycles * 4 / result.delivered_packets
         control = cycles_per_packet - 256 - 2  # body + expansion
-        assert costs.QUANTUM_CTL_OVERHEAD * 0.8 <= control <= costs.QUANTUM_CTL_OVERHEAD * 1.8
+        assert costs.quantum_ctl_overhead * 0.8 <= control <= costs.quantum_ctl_overhead * 1.8
 
 
 class TestUniformTraffic:

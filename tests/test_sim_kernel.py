@@ -1,5 +1,6 @@
 """Kernel semantics: channels, processes, tracing, deadlock detection."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from repro.sim import (
     Get,
     MEM_BLOCK,
     Put,
+    PutBurst,
     RX_BLOCK,
     Simulator,
     Timeout,
@@ -47,6 +49,18 @@ class TestTimeout:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Timeout(-1)
+
+    def test_non_integer_delay_rejected(self):
+        with pytest.raises(TypeError, match="1.5"):
+            Timeout(1.5)
+
+    def test_numpy_integer_delay_runs(self):
+        def proc():
+            yield Timeout(np.int64(3))
+            yield Timeout(np.int32(2))
+
+        sim, _ = run_sim(proc())
+        assert sim.now == 5
 
     def test_busy_state_recorded(self):
         trace = Trace()
@@ -144,6 +158,17 @@ class TestChannelBasics:
     def test_invalid_latency(self):
         with pytest.raises(ValueError):
             Channel(latency=-1)
+
+    def test_non_integer_latency_rejected(self):
+        with pytest.raises(TypeError, match="1.5"):
+            Channel(latency=1.5)
+        assert Channel(latency=np.int64(2)).latency == 2
+
+    def test_non_integer_putburst_gap_rejected(self):
+        ch = Channel(capacity=4)
+        with pytest.raises(TypeError, match="0.5"):
+            PutBurst(ch, [1, 2], gap=0.5)
+        assert PutBurst(ch, [1, 2], gap=np.int64(2)).gap == 2
 
 
 class TestChainThroughput:

@@ -1,14 +1,16 @@
-"""The kernel's event order against a reference scheduler, across the wheel horizon.
+"""The kernel's event order against a reference scheduler.
 
-The kernel keeps near events in a calendar wheel of ``WHEEL_CYCLES``
-buckets, takes the next event cycle from a heap of the occupied ones,
-and spills events at or beyond the horizon to a far heap.  None of that
+The kernel keeps one list of events per pending cycle and takes the
+next cycle from a heap of those cycles; a cycle's list is created, and
+its time pushed, by whichever schedule reaches it first.  None of that
 may show: events run in (time, schedule order), which is what a plain
-heap of ``(time, seq)`` gives.  The delays below straddle the horizon
-(1023 / 1024 / 1025) and reach past it (3000), so both stores and the
-spill-then-bucket merge are exercised.  The burst commands append to
-the wheel through their own inlined paths; running them against their
-word loops at the same delays catches a path that strands its events.
+heap of ``(time, seq)`` gives.  The delays below run from same-cycle
+(0) through the per-word and per-hop costs (1-3) and control costs (17)
+to long sleeps (1023-3000) and the word-level egress's idle sleep
+(``1 << 20``).  The burst commands append to the store through their
+own inlined paths; running them against their word loops at the same
+delays catches a path that appends without pushing its cycle and so
+strands its events.
 """
 
 import hashlib
@@ -28,10 +30,8 @@ from repro.sim import (
     Timeout,
     Trace,
 )
-from repro.sim.kernel import WHEEL_CYCLES
 
-DELAYS = (0, 1, 2, 3, 17, 1023, 1024, 1025, 3000)
-assert WHEEL_CYCLES == 1024  # the delays above straddle this horizon
+DELAYS = (0, 1, 2, 3, 17, 1023, 1024, 1025, 3000, 1 << 20)
 
 programs = st.lists(
     st.lists(st.sampled_from(DELAYS), max_size=8), min_size=2, max_size=5
@@ -105,7 +105,7 @@ def test_run_until_inside_an_idle_gap_then_resume(program, data):
 
 
 # ---------------------------------------------------------------------------
-# Bursts against their word loops, at delays on both sides of the horizon.
+# Bursts against their word loops, at the same delays.
 # ---------------------------------------------------------------------------
 def _fingerprint(trace: Trace) -> str:
     h = hashlib.sha256()
@@ -185,7 +185,7 @@ def run_pipeline(words, gap, lat_a, lat_b, chunk, cost, fanout, bursts):
     bursts=st.tuples(st.booleans(), st.booleans(), st.booleans()),
 )
 @settings(max_examples=300, deadline=None)
-def test_bursts_match_word_loops_across_the_horizon(
+def test_bursts_match_word_loops_at_every_delay(
     words, gap, lat_a, lat_b, chunk, cost, fanout, bursts
 ):
     args = (words, gap, lat_a, lat_b, chunk, cost, fanout)
