@@ -5,13 +5,14 @@ fills in the full Click curve (per-packet bound at small sizes, memory
 bound at large), the two-orders-of-magnitude gap the Raw router opens.
 """
 
-import numpy as np
 import pytest
 
 from repro.baselines.click import standard_ip_router
+from repro.config import SimConfig
 from repro.experiments.common import ExperimentResult
 from repro.experiments import paperdata
-from repro.traffic.workload import PacketFactory
+from repro.traffic.build import router_traffic
+from repro.traffic.spec import PatternSpec, SizeSpec, TrafficSpec
 
 
 def run_click_curve(packets=1500):
@@ -20,14 +21,15 @@ def run_click_curve(packets=1500):
         description="Click modular router forwarding rate (700 MHz PC model)",
     )
     for size in (64, 128, 256, 512, 1024):
-        rng = np.random.default_rng(0)
-        factory = PacketFactory(4, rng)
-        router = standard_ip_router(4)
+        spec = TrafficSpec(
+            pattern=PatternSpec(kind="uniform", exclude_self=False),
+            sizes=SizeSpec(bytes=size),
+        )
+        model, factory, _ = router_traffic(spec, SimConfig(seed=0))
         batch = [
-            (i % 4, factory.make(i % 4, int(rng.integers(0, 4)), size))
-            for i in range(packets)
+            (i % 4, factory.from_workload(model, i % 4)) for i in range(packets)
         ]
-        res = router.run_packets(batch)
+        res = standard_ip_router(4).run_packets(batch)
         result.add(
             f"{size}B_gbps",
             res.gbps,

@@ -9,16 +9,12 @@ while saturated uniform traffic keeps flowing at the undisturbed rate.
 import numpy as np
 import pytest
 
+from repro.config import SimConfig
 from repro.experiments.common import ExperimentResult
 from repro.ip.addr import Prefix
 from repro.router import NetworkProcessor, RawRouter, RouteUpdate
-from repro.traffic import (
-    FixedSize,
-    PacketFactory,
-    Saturated,
-    UniformDestinations,
-    Workload,
-)
+from repro.traffic.build import router_traffic
+from repro.traffic.spec import PatternSpec, SizeSpec, TrafficSpec
 
 
 def run_control_plane(updates=200, spacing=1_000, seed=0):
@@ -27,15 +23,14 @@ def run_control_plane(updates=200, spacing=1_000, seed=0):
         description="Route updates applied under saturated forwarding",
     )
 
+    spec = TrafficSpec(
+        pattern=PatternSpec(kind="uniform"), sizes=SizeSpec(bytes=512)
+    )
+
     def build(with_updates: bool):
-        rng = np.random.default_rng(seed)
         router = RawRouter(warmup_cycles=20_000)
-        workload = Workload(
-            UniformDestinations(4, rng, exclude_self=True),
-            FixedSize(512),
-            Saturated(),
-        )
-        router.attach_saturated(workload, PacketFactory(4, rng))
+        model, factory, _ = router_traffic(spec, SimConfig(seed=seed))
+        router.attach_saturated(model, factory)
         processor = None
         if with_updates:
             schedule = [

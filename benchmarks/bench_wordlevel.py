@@ -7,9 +7,12 @@ fidelity check behind every phase-level number in the other benches.
 
 import pytest
 
+from repro.config import SimConfig
 from repro.experiments.common import ExperimentResult
 from repro.experiments import paperdata
-from repro.router.wordlevel import WordLevelRouter, permutation_source
+from repro.router.wordlevel import WordLevelRouter
+from repro.traffic.build import wordlevel_source
+from repro.traffic.spec import PatternSpec, SizeSpec, TrafficSpec
 
 
 def run_wordlevel_endpoints():
@@ -18,7 +21,11 @@ def run_wordlevel_endpoints():
         description="Word-level (every word on the static network) peak rates",
     )
     for size, until in ((64, 25_000), (1024, 60_000)):
-        router = WordLevelRouter(permutation_source(size), verify_payloads=True)
+        spec = TrafficSpec(
+            pattern=PatternSpec(kind="permutation"), sizes=SizeSpec(bytes=size)
+        )
+        source = wordlevel_source(spec, SimConfig())
+        router = WordLevelRouter(source, verify_payloads=True)
         res = router.run(until_cycles=until, warmup_cycles=10_000)
         result.add(
             f"{size}B_gbps",

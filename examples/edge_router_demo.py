@@ -13,14 +13,7 @@ import numpy as np
 
 from repro.ip import Prefix, RoutingTable, random_prefixes
 from repro.router import RawRouter
-from repro.traffic import (
-    FixedSize,
-    IMix,
-    PacketFactory,
-    Saturated,
-    UniformDestinations,
-    Workload,
-)
+from repro.traffic import PacketFactory, PatternSpec, SizeSpec, SpecModel, TrafficSpec
 from repro.viz.tables import format_table
 
 
@@ -35,12 +28,10 @@ def build_edge_table(rng: np.random.Generator, num_ports: int = 4) -> RoutingTab
 def run_at_load(load: float, rng: np.random.Generator, packets_per_port: int = 300):
     table = build_edge_table(rng)
     router = RawRouter(table=table, warmup_cycles=20_000)
-    workload = Workload(
-        pattern=UniformDestinations(4, rng, exclude_self=True),
-        sizes=FixedSize(512),
-        arrivals=Saturated(),  # the line card paces; arrivals gate nothing
-    )
-    factory = PacketFactory(4, rng)
+    # Saturated draws: the line cards pace them (with ``rng``).
+    spec = TrafficSpec(pattern=PatternSpec(kind="uniform"), sizes=SizeSpec(bytes=512))
+    workload = SpecModel(spec, n=4, seed=42)
+    factory = PacketFactory(4, 42)
     sources = router.attach_linecards(
         workload, factory, offered_load=load, rng=rng, packets_per_port=packets_per_port
     )

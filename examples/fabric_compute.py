@@ -11,22 +11,22 @@ what each in-fabric service costs in throughput.
 Run:  python examples/fabric_compute.py
 """
 
-import numpy as np
-
 from repro.core.compute import ByteSwap, Identity, RunningChecksum, XorCipher
 from repro.experiments import compute_ext
 from repro.ip.packet import IPv4Packet
 from repro.router import RawRouter
-from repro.traffic import FixedPermutation, FixedSize, PacketFactory, Saturated, Workload
+from repro.traffic import PacketFactory, PatternSpec, SizeSpec, SpecModel, TrafficSpec
 
 
 def functional_demo() -> None:
     print("=== in-fabric encryption through the full router ===")
     cipher = XorCipher(seed=0xDEADBEEF)
-    rng = np.random.default_rng(1)
     router = RawRouter(transform=cipher, warmup_cycles=0)
-    workload = Workload(FixedPermutation.shift(4, 1), FixedSize(256), Saturated())
-    factory = PacketFactory(4, rng)
+    spec = TrafficSpec(
+        pattern=PatternSpec(kind="permutation", shift=1), sizes=SizeSpec(bytes=256)
+    )
+    workload = SpecModel(spec, n=4, seed=1)
+    factory = PacketFactory(4, 1)
 
     # Track every packet and its plaintext; the fabric mutates payloads
     # in place as they cross the crossbar.

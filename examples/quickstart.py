@@ -10,24 +10,20 @@ scheduler's view of the configuration space.
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
-
 from repro.core import Allocator, RingGeometry
 from repro.core.config_space import ConfigurationSpace
 from repro.router import RawRouter
-from repro.traffic import FixedPermutation, FixedSize, PacketFactory, Saturated, Workload
+from repro.traffic import PacketFactory, PatternSpec, SizeSpec, SpecModel, TrafficSpec
 
 
 def main() -> None:
     # --- 1. A saturated peak-throughput run --------------------------------
-    rng = np.random.default_rng(0)
     router = RawRouter(warmup_cycles=30_000)
-    workload = Workload(
-        pattern=FixedPermutation.shift(4, 2),  # port i -> port (i+2) % 4
-        sizes=FixedSize(1024),
-        arrivals=Saturated(),
+    spec = TrafficSpec(
+        pattern=PatternSpec(kind="permutation", shift=2),  # port i -> (i+2) % 4
+        sizes=SizeSpec(bytes=1024),
     )
-    router.attach_saturated(workload, PacketFactory(4, rng))
+    router.attach_saturated(SpecModel(spec, n=4, seed=0), PacketFactory(4, 0))
     result = router.run(max_cycles=300_000)
     print(f"peak throughput : {result.gbps:6.2f} Gbps   (thesis: 26.9)")
     print(f"peak packet rate: {result.mpps:6.2f} Mpps   (thesis: 3.3)")

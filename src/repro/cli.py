@@ -170,6 +170,20 @@ def _readable(path: str) -> str:
         raise argparse.ArgumentTypeError(f"cannot read {path!r}: {exc.strerror}")
 
 
+def _traffic(value: str) -> str:
+    """argparse type: a traffic spelling that resolves (a trace must be
+    readable)."""
+    from repro.traffic.spec import resolve_traffic
+
+    try:
+        spec = resolve_traffic(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+    if spec.kind == "replay":
+        _readable(spec.trace)
+    return value
+
+
 def _plan_file(path: str) -> str:
     """argparse type: a fault-plan JSON file that loads."""
     from repro.faults.plan import FaultPlan
@@ -247,7 +261,6 @@ def _cmd_sweep(args) -> int:
     from repro.config import SimConfig
     from repro.engines import WorkloadSpec
     from repro.sweep import parse_grid, run_sweep, summarize, write_results
-    from repro.traffic.spec import resolve_traffic
 
     base_config = SimConfig(
         fidelity=args.fidelity,
@@ -263,12 +276,10 @@ def _cmd_sweep(args) -> int:
     )
     try:
         grid = parse_grid(args.grid)
-        # A trace or plan that cannot be read fails here, before any
-        # cell runs.
-        for value in filter(None, [args.traffic, *grid.get("traffic", ())]):
-            spec = resolve_traffic(value)
-            if spec.kind == "replay":
-                _readable(spec.trace)
+        # A traffic spec, trace or plan that cannot be read fails here,
+        # before any cell runs.
+        for value in grid.get("traffic", ()):
+            _traffic(value)
         for value in grid.get("fault_plan", ()):
             _plan_file(str(value))
         table = run_sweep(
@@ -524,6 +535,7 @@ def main(argv=None) -> int:
     sweep.add_argument(
         "--traffic",
         default=None,
+        type=_traffic,
         metavar="SPEC",
         help="declarative workload for every cell: a preset name "
         "(imix, imix_onoff, bursty, hotspot_drift, ...), a TrafficSpec "

@@ -38,8 +38,6 @@ from repro.core.fabricsim import (
     FabricSimulator,
     FabricStats,
     saturated_permutation,
-    saturated_uniform,
-    saturated_hotspot,
 )
 from repro.core.multicast import (
     MulticastAllocator,
@@ -85,8 +83,6 @@ __all__ = [
     "FabricSimulator",
     "FabricStats",
     "saturated_permutation",
-    "saturated_uniform",
-    "saturated_hotspot",
     "MulticastAllocator",
     "MulticastAllocation",
     "MulticastGrant",

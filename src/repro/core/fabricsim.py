@@ -19,8 +19,7 @@ requests, the allocation rule indexes the shared compiled tables
 :meth:`Allocator.allocate <repro.core.allocator.Allocator.allocate>`,
 each grant's hop count is a field of the
 :class:`~repro.core.allocator.Grant`, and the control phases are
-priced once per simulator.  The legacy stochastic sources own their
-generator (see the canned sources below).
+priced once per simulator.
 
 Fast path
 ---------
@@ -592,36 +591,9 @@ class FabricSimulator:
 
 
 # ---------------------------------------------------------------------------
-# Canned sources for the common workloads.
-#
-# The two stochastic ones own the generator ``np.random.default_rng(seed)``
-# builds and draw exactly what per-call ``integers(0, n)`` and
-# ``random()`` on it would.  The uniform source takes its destinations a
-# block at a time: numpy fills ``integers(0, n, size=k)`` with the same
-# bounded draw, element by element, that a scalar ``integers(0, n)``
-# makes, and PCG64 keeps its pending 32-bit half between calls, so a
-# block is the next ``k`` per-call draws.  ``tests/test_fabric_sources.py``
-# holds both sources to numpy's per-call draws.
+# The canned source that draws nothing.  Stochastic traffic comes from a
+# TrafficSpec through :func:`repro.traffic.build.fabric_source`.
 # ---------------------------------------------------------------------------
-
-#: Destinations the uniform source draws from its generator at a time.
-_DRAW_BLOCK = 1024
-
-
-def _owned_rng(seed, owner: str):
-    """A fresh ``np.random.default_rng(seed)`` that only ``owner`` reads."""
-    import numpy as np
-
-    if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
-        raise TypeError(
-            f"{owner} takes an int seed, not a generator: the legacy "
-            "fabric sources own their generator, and drawing ahead in "
-            "blocks would silently change the stream anyone else holding "
-            "a shared one sees"
-        )
-    return np.random.default_rng(seed)
-
-
 def saturated_permutation(words: int, shift: int = 2, n: int = 4) -> PortSource:
     """Conflict-free peak workload: port i always sends to (i+shift) mod n.
 
@@ -633,50 +605,4 @@ def saturated_permutation(words: int, shift: int = 2, n: int = 4) -> PortSource:
         return ((port + shift) % n, words)
 
     source.deterministic = True
-    return source
-
-
-def saturated_uniform(words: int, seed, n: int = 4,
-                      exclude_self: bool = False) -> PortSource:
-    """Uniform iid destinations (the thesis's "complete fairness" traffic).
-
-    Each destination is the next ``integers(0, n)`` draw of
-    ``np.random.default_rng(seed)`` (redrawn while it is the sending
-    port under ``exclude_self``), drawn a block at a time.
-    """
-    if exclude_self and n < 2:
-        raise ValueError(
-            "exclude_self needs at least 2 ports: with n=1 every draw is "
-            "the self-destination and the rejection loop never terminates"
-        )
-    rng = _owned_rng(seed, "saturated_uniform")
-    dests: List[int] = []  # drawn destinations, last to be used first
-
-    def source(port: int) -> Tuple[int, int]:
-        while True:
-            if not dests:
-                dests.extend(rng.integers(0, n, size=_DRAW_BLOCK)[::-1].tolist())
-            dest = dests.pop()
-            if not exclude_self or dest != port:
-                return (dest, words)
-
-    return source
-
-
-def saturated_hotspot(words: int, seed, hot: int = 0, p_hot: float = 0.7,
-                      n: int = 4) -> PortSource:
-    """All inputs prefer one output with probability ``p_hot``.
-
-    Per packet, ``random() < p_hot`` of ``np.random.default_rng(seed)``
-    picks ``hot``; otherwise its ``integers(0, n)`` is the destination.
-    """
-    if not 0.0 <= p_hot <= 1.0:
-        raise ValueError("p_hot must be a probability")
-    rng = _owned_rng(seed, "saturated_hotspot")
-
-    def source(port: int) -> Tuple[int, int]:
-        if rng.random() < p_hot:
-            return (hot, words)
-        return (int(rng.integers(0, n)), words)
-
     return source

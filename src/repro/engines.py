@@ -29,8 +29,8 @@ from typing import Any, Dict, List, Optional, Protocol, runtime_checkable
 
 from repro.config import SimConfig
 
-#: Traffic pattern names understood by every engine (the deprecated
-#: flat-kwargs surface; the ``traffic=`` spec supersedes it).
+#: Traffic pattern names the flat WorkloadSpec kwargs take (shorthand
+#: for a saturated fixed-size ``traffic=`` spec).
 PATTERNS = ("permutation", "uniform", "hotspot")
 
 #: Schema tag on :meth:`WorkloadSpec.to_dict`; bump on breaking changes.
@@ -46,21 +46,22 @@ class WorkloadSpec:
     :func:`~repro.traffic.spec.resolve_traffic` accepts -- a spec dict,
     a preset name like ``"imix_onoff"``, a ``.json`` spec path, or a
     ``.csv``/``.jsonl`` trace path).  The flat ``pattern`` / ``shift``
-    / ``hot_port`` / ``p_hot`` / ``packet_bytes`` kwargs are the
-    deprecated compat shim: when ``traffic`` is None they map onto the
-    equivalent spec via :meth:`effective_traffic`, bit-identical to the
-    historical engines.  The budget fields are interpreted by fidelity:
-    ``quanta`` bounds the fabric engine, ``packets`` the phase-level
-    router (defaults to ``quanta`` deliveries), ``cycles`` the
-    word-level model.  ``None`` warmups pick each engine's historical
-    default so results stay comparable with the seed's experiment
-    harness.
+    / ``exclude_self`` / ``hot_port`` / ``p_hot`` / ``packet_bytes``
+    kwargs are shorthand for a saturated fixed-size spec: when
+    ``traffic`` is None, :meth:`effective_traffic` maps them onto it,
+    and every engine draws from that spec exactly as it would from the
+    same spec passed as ``traffic``.  The budget fields are interpreted
+    by fidelity: ``quanta`` bounds the fabric engine, ``packets`` the
+    phase-level router (defaults to ``quanta`` deliveries), ``cycles``
+    the word-level model.  ``None`` warmups pick each engine's
+    historical default so results stay comparable with the seed's
+    experiment harness.
     """
 
     pattern: str = "permutation"
     packet_bytes: int = 1024
     shift: int = 2  #: permutation: port i -> (i + shift) mod N
-    exclude_self: bool = True  #: uniform: redraw self-destinations
+    exclude_self: bool = True  #: uniform: never draw the sending port
     hot_port: int = 0
     p_hot: float = 0.7
     quanta: int = 2000
@@ -98,7 +99,7 @@ class WorkloadSpec:
 
     def effective_traffic(self):
         """The workload as a TrafficSpec: ``traffic`` if set, else the
-        deprecated flat kwargs mapped onto the equivalent spec."""
+        spec the flat kwargs spell."""
         from repro.traffic.spec import resolve_traffic, spec_from_legacy
 
         if self.traffic is not None:
@@ -235,24 +236,11 @@ class FabricEngine(_BaseEngine):
 
     fidelity = "fabric"
 
-    #: Build counter-based models even for legacy specs.  The many-worlds
-    #: scalar reference path (:mod:`repro.parallel.manyworlds`) flips this
-    #: on: only counter-based draws vectorize, so its per-world scalar
-    #: runs must consume the same streams the vectorized engine does.
-    force_counter = False
-
-    def _source(self, workload: WorkloadSpec):
-        from repro.traffic.build import fabric_source
-
-        return fabric_source(
-            workload.effective_traffic(), self.config,
-            force_counter=self.force_counter,
-        )
-
     def run(self, workload: WorkloadSpec) -> RunResult:
         from repro.core.allocator import Allocator
         from repro.core.fabricsim import FabricSimulator
         from repro.core.ring import RingGeometry
+        from repro.traffic.build import fabric_source
 
         costs = self.config.cost_model()
         ring = RingGeometry(self.config.ports)
@@ -271,7 +259,7 @@ class FabricEngine(_BaseEngine):
             else max(50, workload.quanta // 20)
         )
         stats = sim.run(
-            self._source(workload),
+            fabric_source(workload.effective_traffic(), self.config),
             quanta=workload.quanta,
             warmup_quanta=warmup,
         )

@@ -18,14 +18,12 @@
 from __future__ import annotations
 
 from repro.core.allocator import Allocator
-from repro.core.fabricsim import (
-    FabricSimulator,
-    saturated_permutation,
-    saturated_uniform,
-)
+from repro.core.fabricsim import FabricSimulator, saturated_permutation
 from repro.core.ring import RingGeometry
 from repro.experiments.common import ExperimentResult
-from repro.config import CostModel
+from repro.config import CostModel, SimConfig
+from repro.traffic.build import fabric_source
+from repro.traffic.spec import PatternSpec, SizeSpec, TrafficSpec
 
 
 def run_second_network(
@@ -33,6 +31,9 @@ def run_second_network(
 ) -> ExperimentResult:
     """One vs two static networks, permutation and uniform traffic."""
     words = CostModel.default().bytes_to_words(size_bytes)
+    uniform_spec = TrafficSpec(
+        pattern=PatternSpec(kind="uniform"), sizes=SizeSpec(bytes=size_bytes)
+    )
     result = ExperimentResult(
         name="abl_2nd_network",
         description="Adding Raw's second static network (section 5.3 claim: no gain)",
@@ -43,7 +44,7 @@ def run_second_network(
         for networks in (1, 2):
             sim = FabricSimulator(ring=ring, allocator=Allocator(ring, networks=networks))
             if uniform:
-                src = saturated_uniform(words, seed, exclude_self=True)
+                src = fabric_source(uniform_spec, SimConfig(seed=seed))
             else:
                 src = saturated_permutation(words, shift=2)
             rates[networks] = sim.run(src, quanta=quanta, warmup_quanta=200).gbps

@@ -20,15 +20,14 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import numpy as np
-
 from repro.baselines.click import standard_ip_router
 from repro.config import SimConfig
 from repro.engines import FabricEngine, RouterEngine, WorkloadSpec
 from repro.experiments import paperdata
 from repro.experiments.common import ExperimentResult
-from repro.traffic.workload import PacketFactory
+from repro.traffic.build import router_traffic
 from repro.traffic.sizes import PAPER_SIZES
+from repro.traffic.spec import PatternSpec, SizeSpec, TrafficSpec
 
 
 def _workload(size_bytes: int, uniform: bool, **budget) -> WorkloadSpec:
@@ -51,14 +50,15 @@ def _router_gbps(size_bytes: int, uniform: bool, packets: int, seed: int) -> flo
 
 def measure_click_gbps(size_bytes: int = 64, packets: int = 2000, seed: int = 0) -> float:
     """Forward ``packets`` through the Click graph; aggregate Gbps."""
-    rng = np.random.default_rng(seed)
-    factory = PacketFactory(4, rng)
-    router = standard_ip_router(4)
+    spec = TrafficSpec(
+        pattern=PatternSpec(kind="uniform", exclude_self=False),
+        sizes=SizeSpec(bytes=size_bytes),
+    )
+    model, factory, _ = router_traffic(spec, SimConfig(seed=seed))
     batch = [
-        (i % 4, factory.make(i % 4, int(rng.integers(0, 4)), size_bytes))
-        for i in range(packets)
+        (i % 4, factory.from_workload(model, i % 4)) for i in range(packets)
     ]
-    return router.run_packets(batch).gbps
+    return standard_ip_router(4).run_packets(batch).gbps
 
 
 def run_peak(

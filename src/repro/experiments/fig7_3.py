@@ -17,11 +17,14 @@ from typing import Dict
 
 import numpy as np
 
+from repro.config import SimConfig
 from repro.experiments.common import ExperimentResult
 from repro.metrics.utilization import UtilizationSummary, summarize_trace
 from repro.raw.layout import INGRESS_TILES, CROSSBAR_RING, ROUTER_LAYOUT
-from repro.router.wordlevel import WordLevelRouter, uniform_source
+from repro.router.wordlevel import WordLevelRouter
 from repro.sim.trace import Trace
+from repro.traffic.build import wordlevel_source
+from repro.traffic.spec import PatternSpec, SizeSpec, TrafficSpec
 from repro.viz.timeline import render_timeline
 
 #: The figure's plot window, in cycles.
@@ -40,8 +43,11 @@ def run_one(
     word-level result).
     """
     trace = Trace(window_start, window_start + window_cycles)
-    rng = np.random.default_rng(seed)
-    router = WordLevelRouter(uniform_source(packet_bytes, rng), trace=trace)
+    spec = TrafficSpec(
+        pattern=PatternSpec(kind="uniform"), sizes=SizeSpec(bytes=packet_bytes)
+    )
+    source = wordlevel_source(spec, SimConfig(seed=seed))
+    router = WordLevelRouter(source, trace=trace)
     res = router.run(until_cycles=window_start + window_cycles)
     keys = [f"t{t}" for t in range(16) if f"t{t}" in trace.keys()]
     timeline = render_timeline(

@@ -14,12 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.experiments.common import ExperimentResult
-from repro.config import CostModel
+from repro.config import CostModel, SimConfig
 from repro.router.router import RawRouter
-from repro.traffic.arrivals import Saturated
-from repro.traffic.patterns import UniformDestinations
-from repro.traffic.sizes import FixedSize
-from repro.traffic.workload import PacketFactory, Workload
+from repro.traffic.build import fabric_source, router_traffic
+from repro.traffic.spec import PatternSpec, SizeSpec, TrafficSpec
 
 _COSTS = CostModel.default()
 
@@ -37,21 +35,20 @@ def run(
         name="load_latency",
         description=f"Latency vs offered load, {size_bytes}B uniform traffic",
     )
+    spec = TrafficSpec(
+        pattern=PatternSpec(kind="uniform"), sizes=SizeSpec(bytes=size_bytes)
+    )
+    config = SimConfig(seed=seed)
     knee_gbps = None
     for load in loads:
-        rng = np.random.default_rng(seed)
         router = RawRouter(warmup_cycles=20_000)
-        workload = Workload(
-            UniformDestinations(4, rng, exclude_self=True),
-            FixedSize(size_bytes),
-            Saturated(),
-        )
-        factory = PacketFactory(4, rng)
+        # Saturated draws, paced by the line cards' own generator.
+        model, factory, _ = router_traffic(spec, config)
         sources = router.attach_linecards(
-            workload,
+            model,
             factory,
             offered_load=load,
-            rng=rng,
+            rng=np.random.default_rng(seed),
             packets_per_port=packets_per_port,
         )
         res = router.run(target_packets=int(packets_per_port * 4 * 0.9))
@@ -65,10 +62,10 @@ def run(
         knee_gbps = res.gbps
     # Consistency: the saturating load's goodput approaches the fabric's
     # measured average capacity for this packet size.
-    from repro.core.fabricsim import FabricSimulator, saturated_uniform
+    from repro.core.fabricsim import FabricSimulator
 
     fabric_cap = FabricSimulator().run(
-        saturated_uniform(_COSTS.bytes_to_words(size_bytes), seed, exclude_self=True),
+        fabric_source(spec, config),
         quanta=3000,
         warmup_quanta=200,
     ).gbps

@@ -18,9 +18,10 @@ are reported, so the partitioned rows measure *the same* fabric.
 from __future__ import annotations
 
 from repro.core.compose import ClosFabric, clos_vs_single_ring
-from repro.core.fabricsim import saturated_uniform
 from repro.experiments.common import ExperimentResult
-from repro.config import CostModel
+from repro.config import CostModel, SimConfig
+from repro.traffic.build import fabric_source
+from repro.traffic.spec import PatternSpec, SizeSpec, TrafficSpec
 
 
 def run(
@@ -62,8 +63,11 @@ def run(
     result.add("neighbor_clos_gbps", clos_n_gbps)
 
     clos = ClosFabric(k=k)
+    uniform_spec = TrafficSpec(
+        pattern=PatternSpec(kind="uniform"), sizes=SizeSpec(bytes=size_bytes)
+    )
     uni = clos.run(
-        saturated_uniform(words, seed, n=num_ports, exclude_self=True),
+        fabric_source(uniform_spec, SimConfig(ports=num_ports, seed=seed)),
         quanta=quanta,
         warmup_quanta=quanta // 10,
     )

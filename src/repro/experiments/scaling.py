@@ -17,15 +17,13 @@ needs a richer topology for adversarial permutations.
 
 from __future__ import annotations
 
-from repro.core.fabricsim import (
-    FabricSimulator,
-    saturated_permutation,
-    saturated_uniform,
-)
+from repro.core.fabricsim import FabricSimulator, saturated_permutation
 from repro.core.ring import RingGeometry
 from repro.core.token import RotatingToken
 from repro.experiments.common import ExperimentResult
-from repro.config import CostModel
+from repro.config import CostModel, SimConfig
+from repro.traffic.build import fabric_source
+from repro.traffic.spec import PatternSpec, SizeSpec, TrafficSpec
 
 
 def run(
@@ -46,6 +44,9 @@ def run(
         description=f"N-port rotating crossbar, {size_bytes}B packets",
     )
     words = CostModel.default().bytes_to_words(size_bytes)
+    uniform_spec = TrafficSpec(
+        pattern=PatternSpec(kind="uniform"), sizes=SizeSpec(bytes=size_bytes)
+    )
     for n in port_counts:
         ring = RingGeometry(n)
         sim_nb = FabricSimulator(
@@ -66,7 +67,7 @@ def run(
         )
         sim2 = FabricSimulator(ring=ring, token=RotatingToken(n))
         avg = sim2.run(
-            saturated_uniform(words, seed, n=n, exclude_self=True),
+            fabric_source(uniform_spec, SimConfig(ports=n, seed=seed)),
             quanta=quanta,
             warmup_quanta=200,
         )

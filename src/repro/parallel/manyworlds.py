@@ -25,8 +25,8 @@ What makes this exact rather than approximate:
   dest -1 when it is empty.
 
 Correctness contract (the same one every fast path in this repo
-honors): **world 0 is bit-identical to the scalar fabric engine** with
-``force_counter=True`` sources, and world ``w`` to a scalar run seeded
+honors): **world 0 is bit-identical to the scalar fabric engine**, and
+world ``w`` to a scalar run seeded
 ``seeds.world_seed(config.seed, w)`` -- property-tested in
 ``tests/test_manyworlds.py``.  Configurations the array program cannot
 represent (fault plans, telemetry recording, replay traces,
@@ -432,13 +432,6 @@ def supports(config: SimConfig, workload: WorkloadSpec) -> Optional[str]:
 # ---------------------------------------------------------------------------
 # The scalar reference (and fallback) path.
 # ---------------------------------------------------------------------------
-class _ScalarWorldEngine(FabricEngine):
-    """The per-world scalar reference: the stock fabric engine, with
-    counter-based sources forced so draws match the vector lanes."""
-
-    force_counter = True
-
-
 def _effective_warmup(workload: WorkloadSpec) -> int:
     return (
         workload.warmup_quanta
@@ -452,9 +445,9 @@ def scalar_world_stats(
 ) -> FabricStats:
     """Run one world through the scalar fabric loop; full counters.
 
-    This is the bit-identity reference: same simulator assembly as
-    :class:`~repro.engines.FabricEngine`, with ``force_counter=True``
-    sources and the world's derived seed.
+    This is the bit-identity reference: same simulator assembly and
+    source as :class:`~repro.engines.FabricEngine`, at the world's
+    derived seed.
     """
     from repro.core.fabricsim import FabricSimulator
     from repro.traffic.build import fabric_source
@@ -470,7 +463,7 @@ def scalar_world_stats(
         fast_forward=cfg.fast_forward,
     )
     sim.install_faults(workload.fault_plan)
-    source = fabric_source(workload.effective_traffic(), cfg, force_counter=True)
+    source = fabric_source(workload.effective_traffic(), cfg)
     return sim.run(
         source, quanta=workload.quanta, warmup_quanta=_effective_warmup(workload)
     )
@@ -482,7 +475,7 @@ def run_scalar_world(
     """One world as a full :class:`~repro.engines.RunResult` (the shape
     sweep rows carry)."""
     cfg = config.replace(seed=world_seed(config.seed, world))
-    return _ScalarWorldEngine(cfg).run(workload)
+    return FabricEngine(cfg).run(workload)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,8 @@ from repro.router.stats import RouterStats
 from repro.sim.kernel import Simulator
 from repro.sim.trace import Trace
 from repro.telemetry import runtime as _telemetry
-from repro.traffic.workload import PacketFactory, Workload
+from repro.traffic.model import TrafficModel
+from repro.traffic.workload import PacketFactory
 
 
 class RouterResult:
@@ -250,7 +251,7 @@ class RawRouter:
             )
         self._fabric_started = True
 
-    def attach_saturated(self, workload: Workload, factory: PacketFactory) -> None:
+    def attach_saturated(self, workload: TrafficModel, factory: PacketFactory) -> None:
         """Every ingress always has its next packet ready (peak regime)."""
         if self._attached:
             raise RuntimeError("router already has attached sources")
@@ -271,7 +272,7 @@ class RawRouter:
 
     def attach_linecards(
         self,
-        workload: Workload,
+        workload: TrafficModel,
         factory: PacketFactory,
         offered_load: float,
         rng: np.random.Generator,

@@ -621,46 +621,3 @@ class WordLevelRouter:
             trace=self.trace,
             costs=self.costs,
         )
-
-
-# ---------------------------------------------------------------------------
-# Canned word-level sources.
-# ---------------------------------------------------------------------------
-def permutation_source(packet_bytes: int, shift: int = 2) -> WordSource:
-    """Conflict-free peak traffic with real synthesized packets."""
-    counter = [0]
-
-    def source(port: int) -> Tuple[int, IPv4Packet]:
-        dest = (port + shift) % 4
-        counter[0] += 1
-        pkt = IPv4Packet.synthesize(
-            src=(10 << 24) | port,
-            dst=(dest << 30) | counter[0] % (1 << 24),
-            size_bytes=packet_bytes,
-            ident=counter[0],
-        )
-        return dest, pkt
-
-    return source
-
-
-def uniform_source(packet_bytes: int, rng, exclude_self: bool = True) -> WordSource:
-    """Uniform destinations with real synthesized packets."""
-    counter = [0]
-
-    def source(port: int) -> Tuple[int, IPv4Packet]:
-        if exclude_self:
-            d = int(rng.integers(0, 3))
-            dest = d if d < port else d + 1
-        else:
-            dest = int(rng.integers(0, 4))
-        counter[0] += 1
-        pkt = IPv4Packet.synthesize(
-            src=(10 << 24) | port,
-            dst=(dest << 30) | counter[0] % (1 << 24),
-            size_bytes=packet_bytes,
-            ident=counter[0],
-        )
-        return dest, pkt
-
-    return source

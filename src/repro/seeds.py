@@ -39,8 +39,10 @@ def world_seed(base_seed: int, world: int) -> int:
 
     World 0 *is* the base seed, so a one-world run (and the vectorized
     engine's world-0 bit-identity contract) lines up exactly with the
-    scalar run a cell performs today; higher worlds are splitmix64
-    draws off the base, folded into :data:`SEED_RANGE`.
+    scalar run a cell performs: every engine draws its traffic from the
+    same counter streams, the flat ``pattern=`` workloads included.
+    Higher worlds are splitmix64 draws off the base, folded into
+    :data:`SEED_RANGE`.
     """
     if world < 0:
         raise ValueError(f"world index must be >= 0, got {world}")

@@ -1,4 +1,4 @@
-"""Workload generation: one replayable traffic layer for every engine.
+"""Traffic generation: one replayable traffic layer for every engine.
 
 The thesis's evaluation uses two traffic regimes: conflict-free
 permutation traffic for peak rate (section 7.2) and uniform traffic
@@ -21,12 +21,6 @@ serial draws while polling ports in their own order.
 from repro.traffic.arrivals import ArrivalProcess, IIDSlotArrivals, Saturated
 from repro.traffic.build import shard_source, size_distribution, slot_arrivals
 from repro.traffic.model import SpecModel, TrafficModel
-from repro.traffic.patterns import (
-    DestinationPattern,
-    FixedPermutation,
-    HotspotDestinations,
-    UniformDestinations,
-)
 from repro.traffic.replay import TraceReplay, iter_flows, scan_trace
 from repro.traffic.sizes import (
     PAPER_SIZES,
@@ -46,13 +40,9 @@ from repro.traffic.spec import (
     resolve_traffic,
     spec_from_legacy,
 )
-from repro.traffic.workload import PacketFactory, Workload
+from repro.traffic.workload import PacketFactory
 
 __all__ = [
-    "DestinationPattern",
-    "UniformDestinations",
-    "FixedPermutation",
-    "HotspotDestinations",
     "SizeDistribution",
     "FixedSize",
     "IMix",
@@ -62,7 +52,6 @@ __all__ = [
     "ArrivalProcess",
     "Saturated",
     "IIDSlotArrivals",
-    "Workload",
     "PacketFactory",
     # The declarative layer.
     "TrafficSpec",

@@ -1,7 +1,6 @@
 """Arrival processes: when packets show up at an input.
 
-The object-style workloads (:class:`~repro.traffic.workload.Workload`)
-take :class:`Saturated`, the thesis's measurement regime.  Stochastic
+:class:`Saturated` is the thesis's measurement regime.  Stochastic
 arrivals (Bernoulli, on-off/MMPP, heavy-tailed) are counter-based
 draws of :class:`~repro.traffic.model.SpecModel`, selected by a
 :class:`~repro.traffic.spec.ArrivalSpec`.  The cell-switch baselines

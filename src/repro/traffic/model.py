@@ -43,6 +43,15 @@ _S_DURATION = 3
 _S_BURST = 4
 _STRIDE = 8
 
+#: Uniform destinations a port draws ahead per refill
+#: (:func:`_uniform_blocks`).
+_BLOCK = 64
+#: A block's lanes: a 1 in each, ``k * _C`` (mod 2**64) in lane ``k``,
+#: and each lane's low 64 bits.
+_LANES = sum(1 << 128 * k for k in range(_BLOCK))
+_LANE_STEPS = sum((k * _C & _M64) << 128 * k for k in range(_BLOCK))
+_LANE_LOW = _M64 * _LANES
+
 #: ``draw_float``'s divisor.
 _TWO64 = float(1 << 64)
 
@@ -62,7 +71,8 @@ def _streams(seed: int, n: int, sub: int) -> List[int]:
     """Per port, the value draw 0 of stream ``port * _STRIDE + sub``
     feeds the finalizer: ``draw_u64(seed, stream, k)`` is ``mix64(base
     + k * _C)``.  The draw closures below keep each port's *next* value
-    and step it by ``_C`` (mod 2**64) with every draw they consume."""
+    and step it by ``_C`` (mod 2**64) with every draw they consume, a
+    uniform block by ``_BLOCK * _C``."""
     return [(seed * _A + (port * _STRIDE + sub) * _B + 1) & _M64
             for port in range(n)]
 
@@ -75,29 +85,72 @@ def _dest_fn(pat: PatternSpec, n: int, seed: int) -> Callable[[int], int]:
         return [(port + pat.shift) % n for port in range(n)].__getitem__
     xs = _streams(seed, n, _S_PATTERN)
     if pat.kind == "uniform":
-        return _uniform_fn(xs, n, pat.exclude_self)
+        blocks, refill = _uniform_blocks(xs, n, pat.exclude_self)
+
+        def uniform(port: int) -> int:
+            return (blocks[port] or refill(port)).pop()
+
+        return uniform
     if pat.kind == "hotspot":
         return _hotspot_fn(xs, n, pat)
     return _bursty_fn(xs, _streams(seed, n, _S_BURST), n, pat)
 
 
-def _uniform_fn(xs: List[int], n: int, exclude_self: bool):
-    """The admission hot path: one draw, the finalizer inlined (the
-    value ``draw_int(seed, stream, k, n - 1)`` would give, mapped around
-    the port itself when ``exclude_self``)."""
+def _fixed_fn(pat: PatternSpec, n: int, seed: int,
+              value: int) -> Callable[[int], Tuple[int, int]]:
+    """``port -> (dest, value)``: the draw of a fixed-size spec.  A
+    uniform port pops its destination in the same frame."""
+    if pat.kind == "uniform":
+        blocks, refill = _uniform_blocks(
+            _streams(seed, n, _S_PATTERN), n, pat.exclude_self
+        )
+
+        def uniform(port: int) -> Tuple[int, int]:
+            return (blocks[port] or refill(port)).pop(), value
+
+        return uniform
+    dest = _dest_fn(pat, n, seed)
+
+    def draw(port: int) -> Tuple[int, int]:
+        return dest(port), value
+
+    return draw
+
+
+def _uniform_blocks(xs: List[int], n: int, exclude_self: bool):
+    """``(blocks, refill)``: per port, its next uniform destinations, last
+    to be used first, and ``refill(port)``, which stores and returns the
+    next :data:`_BLOCK` of them.  Destination ``k`` of a block is
+    ``draw_int(seed, stream, k0 + k, n - 1)`` (mapped around the port
+    itself when ``exclude_self``) for the block's first counter ``k0``.
+    The finalizer runs once a block, on one Python int holding every
+    draw's 64-bit value in its own 128-bit lane: a product of two 64-bit
+    values fits its lane, and masking each lane's low 64 bits is the
+    scalar path's ``& _M64``, so a block is exactly the next per-call
+    draws."""
     m = n - 1 if exclude_self else n
+    span = _BLOCK * _C & _M64
+    blocks: List[List[int]] = [[] for _ in range(n)]
 
-    def uniform(port: int) -> int:
+    def refill(port: int) -> List[int]:
         x = xs[port]
-        xs[port] = (x + _C) & _M64
-        x = ((x ^ (x >> 30)) * _B) & _M64
-        x = ((x ^ (x >> 27)) * _C) & _M64
-        d = (x ^ (x >> 31)) % m
-        if exclude_self and d >= port:
-            return d + 1
-        return d
+        xs[port] = (x + span) & _M64
+        v = (x * _LANES + _LANE_STEPS) & _LANE_LOW
+        v ^= (v >> 30) & _LANE_LOW
+        v = v * _B & _LANE_LOW
+        v ^= (v >> 27) & _LANE_LOW
+        v = v * _C & _LANE_LOW
+        v ^= (v >> 31) & _LANE_LOW
+        # Each lane's low word, last lane first.
+        words = memoryview(v.to_bytes(_BLOCK * 16, "little")).cast("Q")[-2::-2]
+        if exclude_self:
+            block = [d + 1 if (d := w % m) >= port else d for w in words]
+        else:
+            block = [w % m for w in words]
+        blocks[port] = block
+        return block
 
-    return uniform
+    return blocks, refill
 
 
 def _hotspot_fn(xs: List[int], n: int, pat: PatternSpec):
@@ -127,10 +180,10 @@ def _hotspot_fn(xs: List[int], n: int, pat: PatternSpec):
 def _bursty_fn(xs: List[int], bursts: List[int], n: int, pat: PatternSpec):
     """Geometric trains sharing one destination.  The burst and pattern
     streams share one counter: while a train runs, each packet draws a
-    burst value, and one below ``1 / mean_burst`` starts a new train
-    with the next uniform draw (a port's first packet starts one
-    without the burst draw)."""
-    uniform = _uniform_fn(xs, n, pat.exclude_self)
+    burst value and skips a uniform one, and a burst value below ``1 /
+    mean_burst`` starts a new train with the next uniform draw (a
+    port's first packet starts one without the burst draw)."""
+    blocks, refill = _uniform_blocks(xs, n, pat.exclude_self)
     new_train = 1.0 / pat.mean_burst
     current: List[Optional[int]] = [None] * n
 
@@ -139,11 +192,11 @@ def _bursty_fn(xs: List[int], bursts: List[int], n: int, pat: PatternSpec):
         if cur is not None:
             x = bursts[port]
             bursts[port] = (x + _C) & _M64
-            xs[port] = (xs[port] + _C) & _M64
+            (blocks[port] or refill(port)).pop()
             if mix64(x) / _TWO64 >= new_train:
                 return cur
         bursts[port] = (bursts[port] + _C) & _M64
-        cur = current[port] = uniform(port)
+        cur = current[port] = (blocks[port] or refill(port)).pop()
         return cur
 
     return bursty
@@ -279,14 +332,12 @@ class SpecModel:
             and spec.sizes.kind == "fixed"
             and not self.gate
         )
-        dest = _dest_fn(pat, n, self.seed)
         size = _size_fn(spec.sizes, n, self.seed)
         if isinstance(size, int):
-            nbytes = size
-
-            def draw(port: int) -> Tuple[int, int]:
-                return dest(port), nbytes
+            draw = _fixed_fn(pat, n, self.seed, size)
         else:
+            dest = _dest_fn(pat, n, self.seed)
+
             def draw(port: int) -> Tuple[int, int]:
                 return dest(port), size(port)
         if self.gate:
@@ -299,12 +350,14 @@ class SpecModel:
         #: ``(destination port, size bytes)`` or None for no arrival.
         self.next_packet = next_packet
 
+    def _fixed(self, value: int) -> Callable[[int], Tuple[int, int]]:
+        """``port -> (dest, value)`` over fresh pattern streams: the
+        destinations an ungated fixed-size model's ``next_packet``
+        draws, each paired with ``value`` in the same frame (the fabric
+        reads the size in words)."""
+        return _fixed_fn(self.spec.pattern, self.n, self.seed, value)
+
     # -- convenience ----------------------------------------------------
     @property
     def load(self) -> float:
         return 1.0 if not self.gate else self.spec.arrivals.load
-
-    @property
-    def num_ports(self) -> int:
-        """Duck-type compatibility with :class:`repro.traffic.workload.Workload`."""
-        return self.n

@@ -293,12 +293,13 @@ def spec_from_legacy(
     hot_port: int = 0,
     p_hot: float = 0.7,
 ) -> TrafficSpec:
-    """The deprecated flat WorkloadSpec kwargs, as a TrafficSpec.
+    """The flat WorkloadSpec kwargs, as the TrafficSpec they spell.
 
-    This is the compat shim: old-style workloads map onto the exact
-    spec their kwargs describe, and the build factory routes that spec
-    through the historical per-engine constructors, so old kwargs and
-    the equivalent explicit spec are bit-identical by construction.
+    They are shorthand for a saturated fixed-size spec, not a route to
+    other sources: every engine builds the same counter-based model
+    from this spec as from the equivalent spec written out, so the two
+    spellings run bit-identically (``repro sweep --pattern`` and the
+    benchmark's ``WorkloadSpec(pattern=...)`` workloads pass them).
     """
     return TrafficSpec(
         pattern=PatternSpec(
@@ -318,7 +319,8 @@ def resolve_traffic(spec: TrafficLike) -> Optional[TrafficSpec]:
 
     Strings resolve as: a ``.json`` path holding a spec dict, a
     ``.csv`` / ``.jsonl`` trace path (becomes a replay spec), or a
-    preset name from :data:`PRESETS`.
+    preset name from :data:`PRESETS`.  A ``.json`` path that cannot be
+    read or does not hold a spec raises ``ValueError`` naming the path.
     """
     if spec is None:
         return None
@@ -328,8 +330,15 @@ def resolve_traffic(spec: TrafficLike) -> Optional[TrafficSpec]:
         return TrafficSpec.from_dict(spec)
     if isinstance(spec, str):
         if spec.endswith(".json"):
-            with open(spec) as fh:
-                return TrafficSpec.from_dict(json.load(fh))
+            try:
+                with open(spec) as fh:
+                    return TrafficSpec.from_dict(json.load(fh))
+            except OSError as exc:
+                raise ValueError(
+                    f"cannot read traffic spec {spec!r}: {exc.strerror}"
+                ) from exc
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"bad traffic spec {spec!r}: {exc}") from exc
         if spec.endswith((".csv", ".jsonl")):
             return TrafficSpec(kind="replay", trace=spec)
         if spec in PRESETS:

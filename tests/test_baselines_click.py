@@ -1,6 +1,5 @@
 """The Click-style modular router baseline."""
 
-import numpy as np
 import pytest
 
 from repro.baselines.click import (
@@ -15,18 +14,20 @@ from repro.baselines.click import (
     ToDevice,
     standard_ip_router,
 )
+from repro.config import SimConfig
 from repro.ip.lookup import RoutingTable
 from repro.ip.packet import IPv4Packet
-from repro.traffic.workload import PacketFactory
+from repro.traffic.build import router_traffic
+from repro.traffic.spec import PatternSpec, SizeSpec, TrafficSpec
 
 
 def make_packets(n, size=64, seed=0):
-    rng = np.random.default_rng(seed)
-    factory = PacketFactory(4, rng)
-    return [
-        (i % 4, factory.make(i % 4, int(rng.integers(0, 4)), size))
-        for i in range(n)
-    ]
+    spec = TrafficSpec(
+        pattern=PatternSpec(kind="uniform", exclude_self=False),
+        sizes=SizeSpec(bytes=size),
+    )
+    model, factory, _ = router_traffic(spec, SimConfig(seed=seed))
+    return [(i % 4, factory.from_workload(model, i % 4)) for i in range(n)]
 
 
 class TestElements:

@@ -11,14 +11,12 @@ end-to-end on the word-level router with ``use_bursts`` on vs off.
 
 import hashlib
 
-import numpy as np
 import pytest
 
-from repro.router.wordlevel import (
-    WordLevelRouter,
-    permutation_source,
-    uniform_source,
-)
+from repro.config import SimConfig
+from repro.router.wordlevel import WordLevelRouter
+from repro.traffic.build import wordlevel_source
+from repro.traffic.spec import spec_from_legacy
 from repro.sim import (
     BUSY,
     Channel,
@@ -273,10 +271,9 @@ class TestRouteBurst:
 # ---------------------------------------------------------------------------
 def _run_wordlevel(use_bursts, pattern, packet_bytes, seed=None, cycles=6000):
     trace = Trace()
-    if pattern == "permutation":
-        source = permutation_source(packet_bytes)
-    else:
-        source = uniform_source(packet_bytes, np.random.default_rng(seed))
+    source = wordlevel_source(
+        spec_from_legacy(pattern, packet_bytes), SimConfig(seed=seed or 0)
+    )
     router = WordLevelRouter(
         source, trace=trace, verify_payloads=True, use_bursts=use_bursts
     )
@@ -308,9 +305,9 @@ class TestWordLevelEquivalence:
     def test_pinned_golden_peak(self):
         """Bit-for-bit regression pin: burst-path results must match the
         pre-optimization kernel's numbers exactly."""
-        result = WordLevelRouter(permutation_source(1024)).run(
-            30_000, warmup_cycles=5_000
-        )
+        source = wordlevel_source(spec_from_legacy("permutation", 1024),
+                                  SimConfig())
+        result = WordLevelRouter(source).run(30_000, warmup_cycles=5_000)
         assert (
             result.cycles,
             result.delivered_packets,

@@ -141,12 +141,30 @@ class TestBadInput:
                          "malformed.json", id="chaos-plan-malformed-json"),
             pytest.param(["chaos", "--quick", "--plan", "{tmp}/no_cycle.json"],
                          "no_cycle.json", id="chaos-plan-event-without-cycle"),
+            pytest.param(["sweep", "--grid", "traffic={tmp}/malformed.json"],
+                         "bad --grid: bad traffic spec '{tmp}/malformed.json'",
+                         id="sweep-grid-malformed-traffic-spec"),
+            pytest.param(["sweep", "--grid", "traffic={tmp}/no_cycle.json"],
+                         "bad traffic spec '{tmp}/no_cycle.json'",
+                         id="sweep-grid-traffic-spec-unknown-field"),
+            pytest.param(["sweep", "--grid", "traffic=/nonexistent.json"],
+                         "cannot read traffic spec '/nonexistent.json'",
+                         id="sweep-grid-missing-traffic-spec"),
+            pytest.param(["sweep", "--grid", "ports=4", "--traffic",
+                          "{tmp}/malformed.json"],
+                         "--traffic: bad traffic spec '{tmp}/malformed.json'",
+                         id="sweep-traffic-malformed-spec"),
+            pytest.param(["sweep", "--grid", "ports=4", "--traffic",
+                          "/nonexistent.json"],
+                         "--traffic: cannot read traffic spec '/nonexistent.json'",
+                         id="sweep-traffic-missing-spec"),
         ],
     )
     def test_exits_2_naming_the_input(self, argv, named, capsys, tmp_path):
         for name, text in BAD_PLANS.items():
             (tmp_path / name).write_text(text)
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        named = named.replace("{tmp}", str(tmp_path))
         out = tmp_path / "out.json"
         if argv[0] in ("sweep", "bench", "chaos"):
             argv = argv + ["--out", str(out)]

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.config import SimConfig
 from repro.core.compose import ClosFabric, clos_vs_single_ring
-from repro.core.fabricsim import saturated_permutation, saturated_uniform
+from repro.core.fabricsim import saturated_permutation
+from repro.traffic.build import fabric_source
+from repro.traffic.spec import spec_from_legacy
 
 
 class TestConstruction:
@@ -25,7 +28,7 @@ class TestConservation:
     def test_words_match_packets(self):
         clos = ClosFabric()
         stats = clos.run(
-            saturated_uniform(64, 0, n=16, exclude_self=True),
+            fabric_source(spec_from_legacy("uniform", 256), SimConfig(ports=16)),
             quanta=600,
             warmup_quanta=60,
         )

@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fabricsim import (
-    FabricSimulator,
-    saturated_hotspot,
-    saturated_permutation,
-    saturated_uniform,
-)
+from repro.config import SimConfig
+from repro.core.fabricsim import FabricSimulator, saturated_permutation
 from repro.core.phases import quantum_cycles
 from repro.core.ring import RingGeometry
+from repro.traffic.build import fabric_source
+from repro.traffic.spec import spec_from_legacy
+
+
+def _source(pattern, words, seed, **kwargs):
+    """The fabric source of a saturated ``4 * words``-byte spec."""
+    spec = spec_from_legacy(pattern, 4 * words, **kwargs)
+    return fabric_source(spec, SimConfig(seed=seed))
 
 
 class TestPeak:
@@ -44,7 +48,7 @@ class TestAverage:
             saturated_permutation(256, shift=2), quanta=1500, warmup_quanta=100
         )
         avg = FabricSimulator().run(
-            saturated_uniform(256, 0, exclude_self=True),
+            _source("uniform", 256, 0, exclude_self=True),
             quanta=4000,
             warmup_quanta=300,
         )
@@ -53,7 +57,8 @@ class TestAverage:
 
     def test_hotspot_serializes(self):
         stats = FabricSimulator().run(
-            saturated_hotspot(128, 0, hot=0, p_hot=1.0), quanta=500, warmup_quanta=50
+            _source("hotspot", 128, 0, hot_port=0, p_hot=1.0),
+            quanta=500, warmup_quanta=50,
         )
         # One grant per quantum: aggregate rate ~= single-port rate.
         assert stats.grant_histogram[1] == stats.quanta
@@ -111,13 +116,16 @@ class TestAccounting:
     def test_per_port_sums(self):
         sim = FabricSimulator()
         stats = sim.run(
-            saturated_uniform(64, 1), quanta=500, warmup_quanta=0
+            _source("uniform", 64, 1, exclude_self=False),
+            quanta=500, warmup_quanta=0,
         )
         assert sum(stats.per_port_words) == stats.delivered_words
         assert sum(stats.per_port_packets) == stats.delivered_packets
 
     def test_histogram_totals_quanta(self):
-        stats = FabricSimulator().run(saturated_uniform(64, 1), quanta=300)
+        stats = FabricSimulator().run(
+            _source("uniform", 64, 1, exclude_self=False), quanta=300
+        )
         assert sum(stats.grant_histogram) + stats.idle_quanta == stats.quanta
 
 

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import SimConfig
 from repro.core.allocator import Allocator
-from repro.core.fabricsim import FabricSimulator, saturated_uniform
+from repro.core.fabricsim import FabricSimulator
 from repro.core.fairness import analyze_service, jains_index
 from repro.core.ring import RingGeometry
 from repro.core.token import RotatingToken, WeightedToken
+from repro.traffic.build import fabric_source
+from repro.traffic.spec import spec_from_legacy
 
 
 class TestJainsIndex:
@@ -79,7 +82,9 @@ class TestFabricFairness:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_uniform_traffic_is_fair(self, seed):
         sim = FabricSimulator(keep_history=True)
-        sim.run(saturated_uniform(64, seed, exclude_self=True), quanta=2000)
+        source = fabric_source(spec_from_legacy("uniform", 256),
+                               SimConfig(seed=seed))
+        sim.run(source, quanta=2000)
         report = analyze_service(sim.history)
         assert report.jains > 0.99
         assert report.worst_starvation_gap() <= 3

@@ -21,7 +21,6 @@ from repro.core.fabricsim import (
     FabricSimulator,
     FabricStats,
     saturated_permutation,
-    saturated_uniform,
 )
 from repro.core.ring import Link, RingGeometry
 from repro.core.token import RotatingToken
@@ -29,6 +28,7 @@ from repro.engines import WorkloadSpec, run_config
 from repro.faults import FaultEvent, FaultPlan
 from repro.telemetry import runtime
 from repro.traffic import SpecModel, spec_from_legacy
+from repro.traffic.build import fabric_source
 
 
 @st.composite
@@ -174,7 +174,8 @@ class TestFastForward:
 
     def test_disabled_for_stochastic_source(self):
         sim = FabricSimulator(fast_forward=True)
-        sim.run(saturated_uniform(64, seed=7, exclude_self=True), quanta=200)
+        source = fabric_source(spec_from_legacy("uniform", 256), SimConfig(seed=7))
+        sim.run(source, quanta=200)
         assert sim.ff_quanta == 0
 
     def test_disabled_under_keep_history(self):
@@ -205,19 +206,11 @@ class TestFastForward:
 
 
 class TestSourceGuards:
-    def test_saturated_uniform_rejects_self_only_ring(self):
-        with pytest.raises(ValueError):
-            saturated_uniform(64, 0, n=1, exclude_self=True)
-
     def test_counter_uniform_rejects_self_only_ring(self):
-        # The counter-based uniform source (what the space engine polls).
+        # The counter-based uniform source every engine polls.
         spec = spec_from_legacy("uniform", 256, exclude_self=True)
         with pytest.raises(ValueError):
             SpecModel(spec, n=1, seed=0)
-
-    def test_n1_allowed_without_exclusion(self):
-        source = saturated_uniform(64, 0, n=1, exclude_self=False)
-        assert source(0) == (0, 64)
 
 
 class TestGaugeRegistration:

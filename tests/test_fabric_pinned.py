@@ -3,9 +3,9 @@
 Every case drives one :class:`~repro.core.fabricsim.FabricSimulator`
 for 600 measured quanta after 50 warm-up quanta, at seed 1, with the
 source :func:`~repro.traffic.build.fabric_source` builds.  The cases
-cover both source families: the legacy uniform / hotspot draws from a
-PCG64 stream (at power-of-two and other port counts, with and without
-self-exclusion) and the counter-based presets.  They also cover
+cover saturated fixed-size uniform traffic (at power-of-two and other
+port counts, with and without self-exclusion), hotspot traffic and the
+other presets, all drawn from the counter streams.  They also cover
 fragmented permutation traffic with and without steady-state
 fast-forward, a weighted token under ``keep_history``, a fault plan
 that corrupts, kills a port, loses the token and overloads an output,
@@ -33,7 +33,7 @@ from repro.traffic.spec import spec_from_legacy
 QUANTA = 600
 WARMUP = 50
 
-#: Traffic per name in :data:`PINNED`: a legacy spec or a preset name.
+#: Traffic per name in :data:`PINNED`: a flat-kwargs spec or a preset name.
 PIN_TRAFFIC = {
     "uniform1024": spec_from_legacy("uniform", 1024),
     "uniform1024_self": spec_from_legacy("uniform", 1024, exclude_self=False),
@@ -64,84 +64,85 @@ FAULT_PLAN = FaultPlan(events=(
 #: resilience counters (``faults``) or the recorder's counters
 #: (``telemetry``), else None.  Computed by the stepper that called
 #: ``_refill`` for every port each quantum and read hop counts through
-#: ``Grant.expansion`` as a property, over legacy sources that drew
-#: per call from an ``np.random.Generator``.
+#: ``Grant.expansion`` as a property; the saturated uniform and
+#: ``p_hot = 0.7`` hotspot cases re-pinned once when they moved from
+#: ``np.random.Generator`` draws to the counter streams.
 PINNED = {
     "n4-uniform1024": (
-        183346, 1654, 423424,
-        [406, 406, 401, 441],
-        [103936, 103936, 102656, 112896],
-        (600, 0, 746),
-        [0, 0, 210, 326, 64],
-        (198629, 650),
+        183366, 1660, 424960,
+        [420, 413, 411, 416],
+        [107520, 105728, 105216, 106496],
+        (600, 0, 740),
+        [0, 0, 198, 344, 58],
+        (198645, 650),
         None,
     ),
     "n8-uniform1024": (
-        184948, 2474, 633344,
-        [306, 306, 303, 321, 299, 315, 313, 311],
-        [78336, 78336, 77568, 82176, 76544, 80640, 80128, 79616],
-        (600, 0, 2326),
-        [0, 0, 8, 130, 280, 148, 30, 4, 0],
-        (200372, 650),
+        185019, 2455, 628480,
+        [299, 296, 318, 327, 295, 315, 302, 303],
+        [76544, 75776, 81408, 83712, 75520, 80640, 77312, 77568],
+        (600, 0, 2345),
+        [0, 0, 5, 143, 276, 147, 27, 1, 1],
+        (200432, 650),
         None,
     ),
     "n16-uniform1024": (
-        187940, 2851, 729856,
-        [191, 178, 188, 167, 167, 176, 174, 169, 187, 187, 177, 180, 161, 183,
-         178, 188],
-        [48896, 45568, 48128, 42752, 42752, 45056, 44544, 43264, 47872, 47872,
-         45312, 46080, 41216, 46848, 45568, 48128],
-        (600, 0, 6749),
-        [0, 0, 1, 65, 207, 191, 93, 34, 7, 1, 1, 0, 0, 0, 0, 0, 0],
-        (203586, 650),
+        187992, 2808, 718848,
+        [185, 188, 163, 181, 156, 184, 176, 173, 183, 188, 192, 182, 171, 154,
+         175, 157],
+        [47360, 48128, 41728, 46336, 39936, 47104, 45056, 44288, 46848, 48128,
+         49152, 46592, 43776, 39424, 44800, 40192],
+        (600, 0, 6792),
+        [0, 0, 2, 79, 193, 198, 94, 31, 3, 0, 0, 0, 0, 0, 0, 0, 0],
+        (203674, 650),
         None,
     ),
     "n4-uniform1024_self": (
-        183262, 1557, 398592,
-        [403, 392, 371, 391],
-        [103168, 100352, 94976, 100096],
-        (600, 0, 843),
-        [0, 15, 262, 274, 49],
-        (198531, 650),
+        183232, 1593, 407808,
+        [401, 394, 383, 415],
+        [102656, 100864, 98048, 106240],
+        (600, 0, 807),
+        [0, 22, 211, 319, 48],
+        (198503, 650),
         None,
     ),
     "n8-uniform1024_self": (
-        184897, 2574, 658944,
-        [323, 320, 327, 322, 334, 326, 314, 308],
-        [82688, 81920, 83712, 82432, 85504, 83456, 80384, 78848],
-        (600, 0, 2226),
-        [0, 0, 10, 93, 260, 188, 48, 1, 0],
-        (200302, 650),
+        184830, 2643, 676608,
+        [327, 318, 347, 327, 335, 323, 342, 324],
+        [83712, 81408, 88832, 83712, 85760, 82688, 87552, 82944],
+        (600, 0, 2157),
+        [0, 0, 5, 83, 248, 202, 54, 6, 2],
+        (200229, 650),
         None,
     ),
     "n16-uniform1024_self": (
-        187946, 2973, 761088,
-        [168, 192, 180, 194, 181, 194, 206, 169, 195, 180, 204, 172, 177, 198,
-         170, 193],
-        [43008, 49152, 46080, 49664, 46336, 49664, 52736, 43264, 49920, 46080,
-         52224, 44032, 45312, 50688, 43520, 49408],
-        (600, 0, 6627),
-        [0, 0, 2, 57, 166, 184, 138, 38, 15, 0, 0, 0, 0, 0, 0, 0, 0],
-        (203583, 650),
+        187927, 3020, 773120,
+        [174, 191, 184, 185, 192, 187, 197, 201, 200, 176, 164, 194, 193, 195,
+         196, 191],
+        [44544, 48896, 47104, 47360, 49152, 47872, 50432, 51456, 51200, 45056,
+         41984, 49664, 49408, 49920, 50176, 48896],
+        (600, 0, 6580),
+        [0, 0, 1, 60, 155, 173, 141, 54, 15, 1, 0, 0, 0, 0, 0, 0, 0],
+        (203558, 650),
         None,
     ),
     "n12-uniform256": (
-        71322, 2708, 173312,
-        [238, 225, 214, 245, 223, 225, 211, 231, 212, 221, 241, 222],
-        [15232, 14400, 13696, 15680, 14272, 14400, 13504, 14784, 13568, 14144,
-         15424, 14208],
-        (600, 0, 4492),
-        [0, 0, 5, 95, 210, 189, 80, 20, 1, 0, 0, 0, 0],
-        (77273, 650),
+        71338, 2720, 174080,
+        [229, 227, 219, 228, 235, 225, 224, 213, 224, 237, 243, 216],
+        [14656, 14528, 14016, 14592, 15040, 14400, 14336, 13632, 14336, 15168,
+         15552, 13824],
+        (600, 0, 4480),
+        [0, 0, 3, 98, 219, 160, 96, 24, 0, 0, 0, 0, 0],
+        (77286, 650),
         None,
     ),
     "n8-hotspot07": (
-        107030, 821, 105088,
-        [111, 98, 100, 85, 117, 103, 103, 104],
-        [14208, 12544, 12800, 10880, 14976, 13184, 13184, 13312],
-        (600, 0, 3979),
-        [0, 395, 189, 16, 0, 0, 0, 0, 0],
-        (115948, 650),
+        107004, 811, 103808,
+        [100, 98, 117, 104, 98, 99, 98, 97],
+        [12800, 12544, 14976, 13312, 12544, 12672, 12544, 12416],
+        (600, 0, 3989),
+        [0, 400, 189, 11, 0, 0, 0, 0, 0],
+        (115920, 650),
         None,
     ),
     "n4-hotspot10": (
@@ -199,24 +200,24 @@ PINNED = {
         None,
     ),
     "n4-uniform1024-history": (
-        183348, 1625, 416000,
-        [488, 435, 355, 347],
-        [124928, 111360, 90880, 88832],
-        (600, 0, 775),
-        [0, 0, 227, 321, 52],
-        (198629, 371),
-        (650, 39904915),
+        183365, 1646, 421376,
+        [490, 419, 362, 375],
+        [125440, 107264, 92672, 96000],
+        (600, 0, 754),
+        [0, 0, 211, 332, 57],
+        (198646, 371),
+        (650, 3070661545),
     ),
     "n4-uniform1024-faults": (
-        181922, 1166, 298496,
-        [436, 349, 291, 90],
-        [111616, 89344, 74496, 23040],
-        (600, 5, 730),
-        [0, 158, 312, 115, 10],
-        (197205, 645),
-        (4, 0, 0, {"corrupt": 1, "dead_port": 1}, 334592, 333824,
-         [("corrupt", 20171, 20171), ("overload", 30255, 34227),
-          ("token_loss", 45228, 45468), ("port_down", 60137, 60137)]),
+        181959, 1212, 310272,
+        [447, 365, 305, 95],
+        [114432, 93440, 78080, 24320],
+        (600, 5, 685),
+        [0, 135, 315, 132, 13],
+        (197238, 645),
+        (4, 0, 0, {"corrupt": 1, "dead_port": 1}, 346624, 345856,
+         [("corrupt", 20171, 20171), ("overload", 30259, 34227),
+          ("token_loss", 45227, 45467), ("port_down", 60138, 60138)]),
     ),
     "n8-imix-telemetry": (
         128417, 2455, 192992,

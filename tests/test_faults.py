@@ -270,11 +270,14 @@ class TestWordLevelFaults:
 
     @staticmethod
     def _run(use_bursts, plan, cycles=14_000):
-        from repro.router.wordlevel import WordLevelRouter, permutation_source
+        from repro.config import SimConfig
+        from repro.router.wordlevel import WordLevelRouter
+        from repro.traffic.build import wordlevel_source
+        from repro.traffic.spec import spec_from_legacy
 
-        router = WordLevelRouter(
-            permutation_source(256), use_bursts=use_bursts, faults=plan
-        )
+        source = wordlevel_source(spec_from_legacy("permutation", 256),
+                                  SimConfig())
+        router = WordLevelRouter(source, use_bursts=use_bursts, faults=plan)
         res = router.run(cycles)
         return router, res
 

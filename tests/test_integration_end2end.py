@@ -13,15 +13,16 @@ from repro.config import SimConfig
 from repro.ip.addr import Prefix, random_prefixes
 from repro.ip.lookup import RoutingTable
 from repro.router import RawRouter
-from repro.traffic import (
-    FixedSize,
-    PacketFactory,
-    Saturated,
-    UniformDestinations,
-    Workload,
-)
 from repro.traffic.build import router_traffic
 from repro.traffic.spec import PatternSpec, SizeSpec, TrafficSpec
+
+
+def uniform(size, seed):
+    """(model, factory) for saturated uniform ``size``-byte traffic."""
+    spec = TrafficSpec(pattern=PatternSpec(kind="uniform"),
+                       sizes=SizeSpec(bytes=size))
+    model, factory, _ = router_traffic(spec, SimConfig(seed=seed))
+    return model, factory
 
 
 class TestRealPrefixTable:
@@ -34,7 +35,7 @@ class TestRealPrefixTable:
         rng = np.random.default_rng(0)
         router = RawRouter(table=table, warmup_cycles=0)
 
-        factory = PacketFactory(4, rng)
+        workload, factory = uniform(256, 0)
         minted = []
         real_make = factory.make
 
@@ -47,9 +48,6 @@ class TestRealPrefixTable:
             return pkt
 
         factory.make = make
-        workload = Workload(
-            UniformDestinations(4, rng, exclude_self=True), FixedSize(256), Saturated()
-        )
         router.attach_saturated(workload, factory)
         router.run(max_cycles=60_000)
         done = [p for p in minted if p.departure_cycle >= 0]
@@ -68,7 +66,7 @@ class TestRealPrefixTable:
         routes = [(p, i % 4) for i, p in enumerate(prefixes)]
         table = RoutingTable.from_routes(routes, default_port=0)
         router = RawRouter(table=table, warmup_cycles=0)
-        factory = PacketFactory(4, rng)
+        workload, factory = uniform(128, 1)
         minted = []
         real_make = factory.make
 
@@ -82,9 +80,6 @@ class TestRealPrefixTable:
             return pkt
 
         factory.make = make
-        workload = Workload(
-            UniformDestinations(4, rng, exclude_self=True), FixedSize(128), Saturated()
-        )
         router.attach_saturated(workload, factory)
         router.run(max_cycles=40_000)
         done = [p for p in minted if p.departure_cycle >= 0]
@@ -116,9 +111,8 @@ class TestMixedTraffic:
     def test_jumbo_reassembly_content(self):
         """4,096-byte packets cross in 4 quanta; the *content* must
         survive fragmentation interleaved across four inputs."""
-        rng = np.random.default_rng(3)
         router = RawRouter(warmup_cycles=0)
-        factory = PacketFactory(4, rng)
+        workload, factory = uniform(4096, 3)
         minted = []
         real_make = factory.make
 
@@ -128,11 +122,6 @@ class TestMixedTraffic:
             return pkt
 
         factory.make = make
-        workload = Workload(
-            UniformDestinations(4, rng, exclude_self=True),
-            FixedSize(4096),
-            Saturated(),
-        )
         router.attach_saturated(workload, factory)
         router.run(max_cycles=120_000)
         done = [(p, pay) for p, pay in minted if p.departure_cycle >= 0]
@@ -148,16 +137,15 @@ class TestEnginesAgree:
     def test_wordlevel_vs_phase_peak(self, size):
         """Both fidelities within a 25% band at the Fig 7-1 endpoints
         (word-level carries extra, documented, serialization)."""
-        from repro.router.wordlevel import WordLevelRouter, permutation_source
-        from repro.traffic import FixedPermutation
+        from repro.router.wordlevel import WordLevelRouter
+        from repro.traffic.build import wordlevel_source
 
-        rng = np.random.default_rng(4)
+        spec = TrafficSpec(sizes=SizeSpec(bytes=size))  # port i -> i + 2
+        config = SimConfig(seed=4)
         phase = RawRouter(warmup_cycles=10_000)
-        workload = Workload(
-            FixedPermutation.shift(4, 2), FixedSize(size), Saturated()
-        )
-        phase.attach_saturated(workload, PacketFactory(4, rng))
+        model, factory, _ = router_traffic(spec, config)
+        phase.attach_saturated(model, factory)
         phase_gbps = phase.run(max_cycles=100_000).gbps
-        word = WordLevelRouter(permutation_source(size))
+        word = WordLevelRouter(wordlevel_source(spec, config))
         word_gbps = word.run(until_cycles=30_000, warmup_cycles=8_000).gbps
         assert word_gbps == pytest.approx(phase_gbps, rel=0.25)

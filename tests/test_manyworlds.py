@@ -1,8 +1,8 @@
 """The many-worlds engine's correctness contract.
 
 The vectorized engine (`repro.parallel.manyworlds`) promises that world
-0 is *bit-identical* to the scalar fabric engine with counter-based
-sources, for every supported configuration -- not approximately equal,
+0 is *bit-identical* to the scalar fabric engine, for every supported
+configuration -- not approximately equal,
 identical in every counter.  These tests pin that contract across ring
 sizes, traffic families and quantum lengths, pin the batch allocation
 rule to the reference allocation rule, and check the reduction
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.config import SimConfig
 from repro.core.allocator import CompiledAllocator, reference_allocate
 from repro.core.ring import RingGeometry
-from repro.engines import RunResult, WorkloadSpec
+from repro.engines import RunResult, WorkloadSpec, run_config
 from repro.parallel.manyworlds import (
     ManyWorldsResult,
     _threshold,
@@ -60,6 +60,19 @@ def _assert_worlds_match_scalar(mw: ManyWorldsResult, config, workload,
 # ---------------------------------------------------------------------------
 # World-0 bit-identity, property-tested over the supported matrix.
 # ---------------------------------------------------------------------------
+@pytest.mark.parametrize("pattern", ["uniform", "hotspot", "permutation"])
+def test_world0_is_the_run_config_result(pattern):
+    """``seeds.world_seed``'s contract: a one-world run lines up with
+    the scalar run a sweep cell makes, for the flat ``pattern=``
+    workloads too (every engine draws them from the counter streams)."""
+    config = SimConfig(seed=5, ports=16)
+    workload = WorkloadSpec(pattern=pattern, packet_bytes=1024, quanta=300)
+    mw = run_worlds(config, workload, 2)
+    assert mw.vectorized
+    scalar = run_config(config, workload)
+    assert mw.world_result(0).to_dict() == scalar.to_dict()
+
+
 @given(
     ports=st.sampled_from([4, 8, 16]),
     traffic=st.sampled_from(["uniform", "imix", "imix_onoff"]),
@@ -70,7 +83,7 @@ def _assert_worlds_match_scalar(mw: ManyWorldsResult, config, workload,
 def test_world0_bit_identical_to_scalar(ports, traffic, quanta, seed):
     config = SimConfig(seed=seed, ports=ports)
     if traffic == "uniform":
-        # Not a preset: the legacy flat-kwargs uniform pattern.
+        # Not a preset: the flat-kwargs uniform pattern.
         workload = WorkloadSpec(pattern="uniform", quanta=quanta)
     else:
         workload = WorkloadSpec(traffic=traffic, quanta=quanta)

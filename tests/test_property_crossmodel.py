@@ -7,13 +7,14 @@ randomized workloads -- a change that breaks one model's accounting
 breaks a test here even if each model stays self-consistent.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import SimConfig
 from repro.core.fabricsim import FabricSimulator, saturated_permutation
 from repro.core.phases import quantum_cycles
+from repro.traffic.spec import spec_from_legacy
 
 
 word_sizes = st.integers(min_value=6, max_value=256)  # >= IPv4 header words
@@ -39,24 +40,16 @@ def test_router_pipeline_never_beats_fabric(words, shift, seed):
     """The full router (with ingress/egress stages) can equal but never
     exceed the bare fabric's rate -- pipelines add stages, not bandwidth."""
     from repro.router.router import RawRouter
-    from repro.traffic import (
-        FixedPermutation,
-        FixedSize,
-        PacketFactory,
-        Saturated,
-        Workload,
-    )
+    from repro.traffic.build import router_traffic
 
     size_bytes = words * 4
     fabric = FabricSimulator().run(
         saturated_permutation(words, shift), quanta=400, warmup_quanta=40
     )
-    rng = np.random.default_rng(seed)
     router = RawRouter(warmup_cycles=10_000)
-    router.attach_saturated(
-        Workload(FixedPermutation.shift(4, shift), FixedSize(size_bytes), Saturated()),
-        PacketFactory(4, rng),
-    )
+    spec = spec_from_legacy("permutation", size_bytes, shift=shift)
+    model, factory, _ = router_traffic(spec, SimConfig(seed=seed))
+    router.attach_saturated(model, factory)
     full = router.run(max_cycles=80_000)
     assert full.gbps <= fabric.gbps * 1.02
     assert full.gbps == pytest.approx(fabric.gbps, rel=0.05)
@@ -87,12 +80,14 @@ def test_clos_conserves_packets(seed, n):
     """Clos composition: every delivered packet's words are intact and
     per-port counters sum to the totals, for any square size."""
     from repro.core.compose import ClosFabric
-    from repro.core.fabricsim import saturated_uniform
+    from repro.traffic.build import fabric_source
 
     k = int(round(n ** 0.5))
     clos = ClosFabric(k=k)
+    source = fabric_source(spec_from_legacy("uniform", 128),
+                           SimConfig(ports=n, seed=seed))
     stats = clos.run(
-        saturated_uniform(32, seed, n=n, exclude_self=True),
+        source,
         quanta=150,
         warmup_quanta=15,
     )

@@ -6,16 +6,13 @@ import pytest
 from repro.ip.addr import Prefix
 from repro.ip.lookup import RoutingTable
 from repro.router import NetworkProcessor, RawRouter, RouteUpdate
-from repro.traffic import FixedSize, PacketFactory, Saturated, UniformDestinations, Workload
+from repro.traffic import PacketFactory, SpecModel, spec_from_legacy
 
 
 def running_router(seed=0, table=None):
-    rng = np.random.default_rng(seed)
     router = RawRouter(table=table, warmup_cycles=0)
-    workload = Workload(
-        UniformDestinations(4, rng, exclude_self=True), FixedSize(256), Saturated()
-    )
-    router.attach_saturated(workload, PacketFactory(4, rng))
+    model = SpecModel(spec_from_legacy("uniform", 256), n=4, seed=seed)
+    router.attach_saturated(model, PacketFactory(4, seed))
     return router
 
 
@@ -80,12 +77,12 @@ class TestNetworkProcessor:
         class MovedPrefixWorkload:
             """All traffic targets the moved prefix."""
 
-            n = 4
+            deterministic = True
 
-            def next_dest(self, port):
-                return 1  # nominal; the factory address decides truth
+            def next_packet(self, port):
+                return 1, 256  # nominal; the factory address decides truth
 
-        factory = PacketFactory(4, rng)
+        factory = PacketFactory(4, 1)
         delivered = []
         real_make = factory.make
 
@@ -97,8 +94,7 @@ class TestNetworkProcessor:
             return pkt
 
         factory.make = make_to_moved
-        workload = Workload(MovedPrefixWorkload(), FixedSize(256), Saturated())
-        router.attach_saturated(workload, factory)
+        router.attach_saturated(MovedPrefixWorkload(), factory)
         flip_at = 15_000
         NetworkProcessor(router, [RouteUpdate(flip_at, moved, 2)]).attach()
         router.run(max_cycles=80_000)

@@ -5,28 +5,24 @@ import pytest
 
 from repro.core.token import WeightedToken
 from repro.router.router import RawRouter
-from repro.traffic import (
-    FixedPermutation,
-    FixedSize,
-    HotspotDestinations,
-    PacketFactory,
-    Saturated,
-    Workload,
-)
+from repro.traffic import PacketFactory, SpecModel, spec_from_legacy
+
+
+def traffic(pattern, size, seed, **kw):
+    """(model, factory) drawing a saturated ``size``-byte spec on 4 ports."""
+    spec = spec_from_legacy(pattern, size, **kw)
+    return SpecModel(spec, n=4, seed=seed), PacketFactory(4, seed)
 
 
 class TestIdleParking:
     def test_finite_sources_drain_and_stop(self):
         """With finite line-card sources the simulation quiesces: the
         fabric parks instead of spinning idle quanta forever."""
-        rng = np.random.default_rng(0)
         router = RawRouter(warmup_cycles=0)
-        workload = Workload(
-            FixedPermutation.shift(4, 1), FixedSize(256), Saturated()
-        )
+        workload, factory = traffic("permutation", 256, 0, shift=1)
         sources = router.attach_linecards(
-            workload, PacketFactory(4, rng), offered_load=0.5, rng=rng,
-            packets_per_port=25,
+            workload, factory, offered_load=0.5,
+            rng=np.random.default_rng(0), packets_per_port=25,
         )
         res = router.run(target_packets=100)
         end = router.sim.now
@@ -38,21 +34,11 @@ class TestIdleParking:
     def test_wake_resumes_after_idle_gap(self):
         """A long silent gap then one packet: the parked fabric must wake
         and deliver it."""
-        rng = np.random.default_rng(1)
         router = RawRouter(warmup_cycles=0)
-
-        calls = {"n": 0}
-
-        class OnePacketLate:
-            n = 4
-
-            def next_dest(self, port):
-                return (port + 1) % 4
-
-        workload = Workload(OnePacketLate(), FixedSize(64), Saturated())
+        workload, factory = traffic("permutation", 64, 1, shift=1)
         sources = router.attach_linecards(
-            workload, PacketFactory(4, rng), offered_load=0.01, rng=rng,
-            packets_per_port=3,
+            workload, factory, offered_load=0.01,
+            rng=np.random.default_rng(1), packets_per_port=3,
         )
         res = router.run(target_packets=12, chunk=50_000)
         assert res.packets == 12
@@ -63,14 +49,10 @@ class TestOutputBlocking:
         """A tiny egress queue with an all-to-one hotspot: the fabric
         must block on Put rather than drop, and everything still
         arrives exactly once."""
-        rng = np.random.default_rng(2)
         router = RawRouter(warmup_cycles=0, egress_queue_frags=1)
-        workload = Workload(
-            HotspotDestinations(4, rng, hot=2, p_hot=1.0),
-            FixedSize(1024),
-            Saturated(),
+        router.attach_saturated(
+            *traffic("hotspot", 1024, 2, hot_port=2, p_hot=1.0)
         )
-        router.attach_saturated(workload, PacketFactory(4, rng))
         res = router.run(max_cycles=150_000)
         assert res.packets > 50
         assert router.stats.per_port_delivered[2] == res.packets
@@ -79,15 +61,11 @@ class TestOutputBlocking:
 
 class TestWeightedTokenPlumbing:
     def test_fabric_uses_supplied_token(self):
-        rng = np.random.default_rng(3)
         token = WeightedToken([7, 1, 1, 1])
         router = RawRouter(token=token, warmup_cycles=0)
-        workload = Workload(
-            HotspotDestinations(4, rng, hot=0, p_hot=1.0),
-            FixedSize(128),
-            Saturated(),
+        router.attach_saturated(
+            *traffic("hotspot", 128, 3, hot_port=0, p_hot=1.0)
         )
-        router.attach_saturated(workload, PacketFactory(4, rng))
         router.run(max_cycles=120_000)
         shares = router.stats.input_share()
         assert shares[0] == pytest.approx(0.7, abs=0.05)
@@ -96,14 +74,10 @@ class TestWeightedTokenPlumbing:
 
 class TestGrantAccounting:
     def test_histogram_and_blocked_counters(self):
-        rng = np.random.default_rng(4)
         router = RawRouter(warmup_cycles=0)
-        workload = Workload(
-            HotspotDestinations(4, rng, hot=0, p_hot=1.0),
-            FixedSize(64),
-            Saturated(),
+        router.attach_saturated(
+            *traffic("hotspot", 64, 4, hot_port=0, p_hot=1.0)
         )
-        router.attach_saturated(workload, PacketFactory(4, rng))
         router.run(max_cycles=60_000)
         stats = router.stats
         # Hotspot: exactly one grant per busy quantum, three blocked.

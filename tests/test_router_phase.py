@@ -7,24 +7,18 @@ from repro.core.compute import XorCipher
 from repro.core.token import WeightedToken
 from repro.ip.lookup import RoutingTable
 from repro.router import RawRouter
-from repro.traffic import (
-    FixedPermutation,
-    FixedSize,
-    HotspotDestinations,
-    PacketFactory,
-    Saturated,
-    UniformDestinations,
-    Workload,
-)
+from repro.traffic import PacketFactory, SpecModel, spec_from_legacy
 
 
-def saturated_router(pattern=None, size=1024, seed=0, **kw):
-    rng = np.random.default_rng(seed)
+def traffic(pattern, size, seed, ports=4, **kw):
+    """(model, factory) drawing a saturated ``size``-byte spec."""
+    spec = spec_from_legacy(pattern, size, **kw)
+    return SpecModel(spec, n=ports, seed=seed), PacketFactory(ports, seed)
+
+
+def saturated_router(size=1024, seed=0, **kw):
     router = RawRouter(**kw)
-    workload = Workload(
-        pattern or FixedPermutation.shift(4, 2), FixedSize(size), Saturated()
-    )
-    router.attach_saturated(workload, PacketFactory(4, rng))
+    router.attach_saturated(*traffic("permutation", size, seed))
     return router
 
 
@@ -63,14 +57,8 @@ class TestConservationAndCorrectness:
     def test_delivered_to_lpm_port(self):
         """Every delivered packet left on the port the routing table
         says -- the traffic intent survives lookup and switching."""
-        rng = np.random.default_rng(1)
         router = RawRouter(warmup_cycles=0)
-        workload = Workload(
-            UniformDestinations(4, rng, exclude_self=True),
-            FixedSize(256),
-            Saturated(),
-        )
-        factory = PacketFactory(4, rng)
+        workload, factory = traffic("uniform", 256, 1)
         delivered = []
         real_make = factory.make
 
@@ -112,10 +100,8 @@ class TestFragmentationPath:
 
 class TestDropPaths:
     def test_ttl_expired_dropped(self):
-        rng = np.random.default_rng(2)
         router = RawRouter(warmup_cycles=0)
-        workload = Workload(FixedPermutation.shift(4, 1), FixedSize(64), Saturated())
-        factory = PacketFactory(4, rng)
+        workload, factory = traffic("permutation", 64, 2, shift=1)
         real_make = factory.make
         factory.make = lambda i, o, s: (
             lambda p: (setattr(p, "ttl", 1), p.fill_checksum(), p)[-1]
@@ -126,10 +112,8 @@ class TestDropPaths:
         assert router.stats.ttl_drops > 0
 
     def test_bad_checksum_dropped(self):
-        rng = np.random.default_rng(2)
         router = RawRouter(warmup_cycles=0)
-        workload = Workload(FixedPermutation.shift(4, 1), FixedSize(64), Saturated())
-        factory = PacketFactory(4, rng)
+        workload, factory = traffic("permutation", 64, 2, shift=1)
         real_make = factory.make
 
         def corrupt(i, o, s):
@@ -146,32 +130,23 @@ class TestDropPaths:
 
 class TestLineCards:
     def test_light_load_lossless(self):
-        rng = np.random.default_rng(3)
         router = RawRouter(warmup_cycles=0)
-        workload = Workload(
-            UniformDestinations(4, rng, exclude_self=True),
-            FixedSize(256),
-            Saturated(),
-        )
+        workload, factory = traffic("uniform", 256, 3)
         sources = router.attach_linecards(
-            workload, PacketFactory(4, rng), offered_load=0.3, rng=rng,
-            packets_per_port=100,
+            workload, factory, offered_load=0.3,
+            rng=np.random.default_rng(3), packets_per_port=100,
         )
         res = router.run(target_packets=390)
         assert res.packets >= 390
         assert sum(s.dropped for s in sources) == 0
 
     def test_overload_drops_at_linecard(self):
-        rng = np.random.default_rng(4)
         router = RawRouter(warmup_cycles=0)
-        workload = Workload(
-            HotspotDestinations(4, rng, hot=0, p_hot=1.0),
-            FixedSize(1024),
-            Saturated(),
-        )
+        workload, factory = traffic("hotspot", 1024, 4, hot_port=0, p_hot=1.0)
         sources = router.attach_linecards(
-            workload, PacketFactory(4, rng), offered_load=0.9, rng=rng,
-            packets_per_port=150, line_buffer_packets=4,
+            workload, factory, offered_load=0.9,
+            rng=np.random.default_rng(4), packets_per_port=150,
+            line_buffer_packets=4,
         )
         router.run(max_cycles=600_000)
         assert sum(s.dropped for s in sources) > 0
@@ -179,12 +154,8 @@ class TestLineCards:
 
     def test_double_attach_rejected(self):
         router = saturated_router()
-        rng = np.random.default_rng(0)
         with pytest.raises(RuntimeError):
-            router.attach_saturated(
-                Workload(FixedPermutation.shift(4, 1), FixedSize(64), Saturated()),
-                PacketFactory(4, rng),
-            )
+            router.attach_saturated(*traffic("permutation", 64, 0, shift=1))
 
     def test_run_needs_attachment(self):
         router = RawRouter()
@@ -199,16 +170,12 @@ class TestLineCards:
 
 class TestExtensions:
     def test_qos_weighted_token_in_router(self):
-        rng = np.random.default_rng(5)
         router = RawRouter(
             token=WeightedToken([4, 1, 1, 1]), warmup_cycles=10_000
         )
-        workload = Workload(
-            HotspotDestinations(4, rng, hot=0, p_hot=1.0),
-            FixedSize(256),
-            Saturated(),
+        router.attach_saturated(
+            *traffic("hotspot", 256, 5, hot_port=0, p_hot=1.0)
         )
-        router.attach_saturated(workload, PacketFactory(4, rng))
         router.run(max_cycles=400_000)
         share = router.stats.input_share()
         assert share[0] == pytest.approx(4 / 7, rel=0.10)
@@ -251,12 +218,10 @@ class TestExtensions:
     def test_eight_port_router_neighbor_traffic_scales(self):
         """Section 8.5 scaling: neighbor permutations scale ~linearly
         (each flow holds one ring segment)."""
-        rng = np.random.default_rng(6)
         router = RawRouter(num_ports=8, warmup_cycles=10_000)
-        workload = Workload(
-            FixedPermutation.shift(8, 1), FixedSize(1024), Saturated()
+        router.attach_saturated(
+            *traffic("permutation", 1024, 6, ports=8, shift=1)
         )
-        router.attach_saturated(workload, PacketFactory(8, rng))
         res = router.run(max_cycles=200_000)
         assert res.gbps > 45  # ~2x the 4-port fabric
 
@@ -264,11 +229,9 @@ class TestExtensions:
         """The honest flip side: antipodal permutations saturate the
         ring's bisection, so aggregate rate stays near the 4-port level
         -- the scaling caveat the thesis defers to future work."""
-        rng = np.random.default_rng(6)
         router = RawRouter(num_ports=8, warmup_cycles=10_000)
-        workload = Workload(
-            FixedPermutation.shift(8, 4), FixedSize(1024), Saturated()
+        router.attach_saturated(
+            *traffic("permutation", 1024, 6, ports=8, shift=4)
         )
-        router.attach_saturated(workload, PacketFactory(8, rng))
         res = router.run(max_cycles=200_000)
         assert res.gbps < 35

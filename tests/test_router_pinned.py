@@ -1,10 +1,9 @@
 """The phase-level router engine against fixed numbers, not against itself.
 
 Every case is one ``run_config`` at router fidelity over 600 delivered
-packets at seed 1.  The cases cover both ways the engine mints packets:
-from a generator only the packet factory reads (IMIX, the line-card
-presets, trace replay) and from one it shares with the destination
-pattern (the legacy uniform / hotspot / permutation workloads).  They
+packets at seed 1.  The cases cover saturated traffic (IMIX, the flat
+uniform / hotspot / permutation workloads, trace replay) and the
+line-card presets the engine paces in simulated time.  They
 also cover two-fragment reassembly (1500 B) and the fault paths that
 read packet headers at egress (``corrupt``) or stall an input
 (``link_down``).  Any change that moves one of these numbers changed
@@ -25,7 +24,7 @@ IMIX_TRACE = str(
     Path(__file__).resolve().parent.parent / "examples/traces/imix_1k.csv"
 )
 
-#: Workload kwargs per traffic name in :data:`PINNED`.
+#: WorkloadSpec kwargs per traffic name in :data:`PINNED`.
 PIN_TRAFFIC = {
     "imix": {"traffic": "imix"},
     "uniform1024": {"pattern": "uniform", "packet_bytes": 1024},
@@ -56,7 +55,9 @@ CLEAN = {"line": 0, "checksum": 0, "ttl": 0}
 #: latency (p50, p99, max) cycles, (quanta, idle_quanta, kernel_events),
 #: drops by cause).  ``n<ports>-<traffic>[-<fault>]``.  Computed by the
 #: packet factory that drew both address words of every packet with
-#: ``Generator.integers`` and built every payload tuple eagerly.
+#: ``Generator.integers`` and built every payload tuple eagerly; the
+#: uniform and hotspot cases re-pinned once when their destinations
+#: moved from a generator the factory shared to the counter streams.
 PINNED = {
     "n4-imix": (
         80000, 735, 55344, [177, 183, 183, 192],
@@ -75,23 +76,23 @@ PINNED = {
         CLEAN,
     ),
     "n4-uniform1024": (
-        100000, 640, 163840, [150, 156, 166, 168],
-        (25031.5, 35399.0, 36316.0), (328, 1, 8503),
+        100000, 639, 163584, [158, 156, 153, 172],
+        (23829.0, 33143.24, 33870.0), (328, 1, 8514),
         CLEAN,
     ),
     "n8-uniform1024": (
-        80000, 664, 169984, [86, 66, 80, 72, 94, 83, 82, 101],
-        (29565.0, 41973.590000000004, 44324.0), (260, 1, 10597),
+        80000, 666, 170496, [87, 84, 80, 84, 87, 96, 81, 67],
+        (30069.0, 44484.05, 45301.0), (260, 1, 10691),
         CLEAN,
     ),
     "n4-hotspot": (
-        180000, 658, 168448, [492, 62, 51, 53],
-        (56093.0, 65548.43, 66159.0), (591, 1, 8323),
+        180000, 642, 164352, [492, 49, 56, 45],
+        (57805.5, 67255.36000000002, 68601.0), (591, 1, 8283),
         CLEAN,
     ),
     "n8-hotspot": (
-        160000, 609, 155904, [424, 28, 29, 31, 28, 20, 23, 26],
-        (80512.0, 122840.92, 122952.0), (523, 1, 8892),
+        180000, 670, 171520, [489, 31, 27, 23, 27, 20, 31, 22],
+        (90890.5, 125257.62, 127705.0), (588, 1, 9581),
         CLEAN,
     ),
     "n4-permutation64": (
@@ -100,8 +101,8 @@ PINNED = {
         CLEAN,
     ),
     "n4-uniform1500": (
-        160000, 614, 230250, [146, 159, 145, 164],
-        (27312.5, 36826.29, 38631.0), (572, 1, 7944),
+        160000, 615, 230625, [148, 158, 145, 164],
+        (27624.0, 34822.64, 35243.0), (572, 1, 7982),
         CLEAN,
     ),
     "n4-bernoulli": (

@@ -8,32 +8,39 @@ four Crossbar Processors independently compute the same schedule -- if
 they did not, words would misroute and the payload checks would fail).
 """
 
-import numpy as np
 import pytest
 
 from repro.core.phases import quantum_cycles
-from repro.config import CostModel
+from repro.config import CostModel, SimConfig
 from repro.raw.layout import CROSSBAR_RING, INGRESS_TILES
-from repro.router.wordlevel import (
-    WordLevelRouter,
-    permutation_source,
-    uniform_source,
-)
+from repro.router.wordlevel import WordLevelRouter
 from repro.sim.trace import Trace
+from repro.traffic.build import wordlevel_source
+from repro.traffic.spec import spec_from_legacy
 
 costs = CostModel.default()
 
 
+def _permutation(packet_bytes):
+    return wordlevel_source(spec_from_legacy("permutation", packet_bytes),
+                            SimConfig())
+
+
+def _uniform(packet_bytes, seed):
+    return wordlevel_source(spec_from_legacy("uniform", packet_bytes),
+                            SimConfig(seed=seed))
+
+
 @pytest.fixture(scope="module")
 def peak_64():
-    router = WordLevelRouter(permutation_source(64), verify_payloads=True)
+    router = WordLevelRouter(_permutation(64), verify_payloads=True)
     result = router.run(until_cycles=20_000, warmup_cycles=4_000)
     return router, result
 
 
 @pytest.fixture(scope="module")
 def peak_1024():
-    router = WordLevelRouter(permutation_source(1024), verify_payloads=True)
+    router = WordLevelRouter(_permutation(1024), verify_payloads=True)
     result = router.run(until_cycles=50_000, warmup_cycles=10_000)
     return router, result
 
@@ -84,24 +91,21 @@ class TestCycleCrossValidation:
 
 class TestUniformTraffic:
     def test_uniform_runs_and_delivers(self):
-        rng = np.random.default_rng(11)
-        router = WordLevelRouter(uniform_source(256, rng), verify_payloads=True)
+        router = WordLevelRouter(_uniform(256, 11), verify_payloads=True)
         result = router.run(until_cycles=25_000, warmup_cycles=5_000)
         assert result.delivered_packets > 50
         assert router.payload_errors == 0
 
     def test_uniform_below_permutation(self):
-        rng = np.random.default_rng(11)
-        uni = WordLevelRouter(uniform_source(256, rng)).run(25_000, 5_000)
-        perm = WordLevelRouter(permutation_source(256)).run(25_000, 5_000)
+        uni = WordLevelRouter(_uniform(256, 11)).run(25_000, 5_000)
+        perm = WordLevelRouter(_permutation(256)).run(25_000, 5_000)
         assert uni.gbps < perm.gbps
 
 
 class TestTracing:
     def test_fig7_3_trace_shape(self):
         trace = Trace(4_000, 8_000)
-        rng = np.random.default_rng(7)
-        router = WordLevelRouter(uniform_source(64, rng), trace=trace)
+        router = WordLevelRouter(_uniform(64, 7), trace=trace)
         result = router.run(until_cycles=8_000)
         summaries = result.utilization(4_000, 8_000)
         # Ingress tiles blocked on the crossbar (Fig 7-3's gray).
@@ -114,7 +118,7 @@ class TestTracing:
                 assert summaries[key].busy_frac > 0.0
 
     def test_untraced_run_raises_on_utilization(self):
-        router = WordLevelRouter(permutation_source(64))
+        router = WordLevelRouter(_permutation(64))
         result = router.run(until_cycles=2_000)
         with pytest.raises(RuntimeError):
             result.utilization()

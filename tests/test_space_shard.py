@@ -45,10 +45,9 @@ def assert_stats_identical(a: FabricStats, b: FabricStats) -> None:
 
 
 #: Every counter-based source kind: the direct permutation kind, every
-#: traffic preset, the legacy uniform spec (which the ``traffic`` kind
-#: forces onto the counter model) at two sizes, and trace replay.  The
-#: imix preset appears twice: named as a preset and packed as a
-#: ``TrafficSpec``, at two seeds.
+#: traffic preset, the flat-kwargs uniform spec at two sizes, and trace
+#: replay.  The imix preset appears twice: named as a preset and packed
+#: as a ``TrafficSpec``, at two seeds.
 SOURCES = {
     "permutation": {"kind": "permutation", "words": 64, "shift": 3},
     "uniform": shard_source(
@@ -574,7 +573,7 @@ class TestSpaceEngine:
 # ---------------------------------------------------------------------------
 # Pinned outputs: the engine against fixed numbers, not against itself.
 # ---------------------------------------------------------------------------
-#: Workload kwargs per traffic name in :data:`PINNED`.
+#: WorkloadSpec kwargs per traffic name in :data:`PINNED`.
 PIN_TRAFFIC = {
     "uniform1024": {"pattern": "uniform", "packet_bytes": 1024},
     "imix": {"traffic": "imix"},

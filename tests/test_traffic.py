@@ -1,4 +1,6 @@
-"""Traffic generation: patterns, sizes, arrivals, workloads."""
+"""Traffic generation: patterns, sizes, arrivals, the packet factory."""
+
+import random
 
 import numpy as np
 import pytest
@@ -7,14 +9,11 @@ from hypothesis import strategies as st
 
 from repro.config import SimConfig
 from repro.seeds import spec_seed
-from repro.traffic.arrivals import ArrivalProcess, Saturated
+from repro.traffic.arrivals import Saturated
+from repro.ip.addr import ADDR_BITS
+from repro.ip.packet import IPv4Packet
 from repro.traffic.build import fabric_source
-from repro.traffic.model import SpecModel
-from repro.traffic.patterns import (
-    FixedPermutation,
-    HotspotDestinations,
-    UniformDestinations,
-)
+from repro.traffic.model import _BLOCK, SpecModel
 from repro.traffic.rng import (
     draw_float,
     draw_int,
@@ -33,7 +32,7 @@ from repro.traffic.spec import (
     TrafficSpec,
     spec_from_legacy,
 )
-from repro.traffic.workload import PacketFactory, Workload
+from repro.traffic.workload import PacketFactory
 
 
 def _model(arrivals=ArrivalSpec(), pattern=PatternSpec(kind="uniform"), seed=0):
@@ -43,42 +42,36 @@ def _model(arrivals=ArrivalSpec(), pattern=PatternSpec(kind="uniform"), seed=0):
 
 class TestPatterns:
     def test_fixed_permutation(self):
-        p = FixedPermutation([2, 3, 0, 1])
-        assert [p.next_dest(i) for i in range(4)] == [2, 3, 0, 1]
+        m = _model(pattern=PatternSpec(kind="permutation", shift=3))
+        assert [m.next_packet(i)[0] for i in range(4)] == [3, 0, 1, 2]
+        assert m.deterministic
 
     def test_shift_constructor(self):
-        p = FixedPermutation.shift(4, 2)
-        assert [p.next_dest(i) for i in range(4)] == [2, 3, 0, 1]
-
-    def test_non_permutation_rejected(self):
-        with pytest.raises(ValueError):
-            FixedPermutation([0, 0, 1, 2])
+        m = _model(pattern=PatternSpec(kind="permutation", shift=2))
+        assert [m.next_packet(i)[0] for i in range(4)] == [2, 3, 0, 1]
 
     def test_uniform_exclude_self(self):
-        rng = np.random.default_rng(0)
-        p = UniformDestinations(4, rng, exclude_self=True)
+        m = _model(pattern=PatternSpec(kind="uniform", exclude_self=True))
         for port in range(4):
             for _ in range(200):
-                assert p.next_dest(port) != port
+                assert m.next_packet(port)[0] != port
 
     def test_uniform_covers_all_destinations(self):
-        rng = np.random.default_rng(0)
-        p = UniformDestinations(4, rng, exclude_self=False)
-        seen = {p.next_dest(1) for _ in range(300)}
+        m = _model(pattern=PatternSpec(kind="uniform", exclude_self=False))
+        seen = {m.next_packet(1)[0] for _ in range(300)}
         assert seen == {0, 1, 2, 3}
 
     def test_hotspot_bias(self):
-        rng = np.random.default_rng(1)
-        p = HotspotDestinations(4, rng, hot=2, p_hot=0.8)
-        hits = sum(p.next_dest(0) == 2 for _ in range(1000))
+        m = _model(pattern=PatternSpec(kind="hotspot", hot_port=2, p_hot=0.8),
+                   seed=1)
+        hits = sum(m.next_packet(0)[0] == 2 for _ in range(1000))
         assert hits > 700
 
     def test_hotspot_validation(self):
-        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="hot_port 9 out of range"):
+            _model(pattern=PatternSpec(kind="hotspot", hot_port=9))
         with pytest.raises(ValueError):
-            HotspotDestinations(4, rng, hot=9)
-        with pytest.raises(ValueError):
-            HotspotDestinations(4, rng, p_hot=1.5)
+            PatternSpec(kind="hotspot", p_hot=1.5)
 
     def test_bursty_produces_runs(self):
         m = _model(pattern=PatternSpec(kind="bursty", mean_burst=16.0), seed=2)
@@ -187,24 +180,22 @@ class TestArrivals:
 
 class TestWorkload:
     def test_next_packet(self):
-        rng = np.random.default_rng(0)
-        w = Workload(FixedPermutation.shift(4, 1), FixedSize(256), Saturated())
-        assert w.next_packet(0) == (1, 256)
-        assert w.num_ports == 4
+        spec = spec_from_legacy(pattern="permutation", packet_bytes=256, shift=1)
+        assert SpecModel(spec, n=4).next_packet(0) == (1, 256)
 
     def test_fabric_source_converts_to_words(self):
         spec = spec_from_legacy(pattern="permutation", packet_bytes=256, shift=1)
         src = fabric_source(spec, SimConfig(ports=4))
         assert src(2) == (3, 64)
+        assert src.deterministic
+        # Sizes the model draws per packet convert per packet.
+        src = fabric_source(TrafficSpec(sizes=SizeSpec(kind="imix")),
+                            SimConfig(ports=4))
+        assert src(2) == (0, 16)
 
     def test_no_arrival_is_none(self):
-        class Never(ArrivalProcess):
-            def offers(self, port):
-                return False
-
-        w = Workload(FixedPermutation.shift(4, 1), FixedSize(64), Never())
-        assert w.next_packet(0) is None
         spec = TrafficSpec(arrivals=ArrivalSpec(kind="bernoulli", p=0.0))
+        assert SpecModel(spec, n=4).next_packet(0) is None
         assert fabric_source(spec, SimConfig(ports=4))(0) is None
 
 
@@ -215,8 +206,7 @@ class TestPacketFactory:
         of traffic intent and route lookup."""
         from repro.ip.lookup import RoutingTable
 
-        rng = np.random.default_rng(3)
-        factory = PacketFactory(4, rng)
+        factory = PacketFactory(4, 3)
         table = RoutingTable.uniform_split(4)
         for out_port in range(4):
             for _ in range(25):
@@ -226,31 +216,35 @@ class TestPacketFactory:
 
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):
-            PacketFactory(3, np.random.default_rng(0))
+            PacketFactory(3, 0)
+
+    @pytest.mark.parametrize("rng", ["Generator", "BitGenerator"])
+    def test_generator_rejected(self, rng):
+        gen = np.random.default_rng(0)
+        with pytest.raises(TypeError, match="draws its address words ahead"):
+            PacketFactory(4, gen if rng == "Generator" else gen.bit_generator)
 
     def test_idents_unique(self):
-        rng = np.random.default_rng(0)
-        f = PacketFactory(4, rng)
+        f = PacketFactory(4, 0)
         idents = {f.make(0, 1, 64).ident for _ in range(200)}
         assert len(idents) == 200
 
     def test_from_workload(self):
-        rng = np.random.default_rng(0)
-        f = PacketFactory(4, rng)
-        w = Workload(FixedPermutation.shift(4, 2), FixedSize(128), Saturated())
-        pkt = f.from_workload(w, 1)
+        f = PacketFactory(4, 0)
+        spec = spec_from_legacy(pattern="permutation", packet_bytes=128)
+        pkt = f.from_workload(SpecModel(spec, n=4), 1)
         assert pkt.output_port == 3
         assert pkt.total_length == 128
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1])
     def test_seeded_factory_mints_the_shared_generators_packets(self, n, seed):
-        """A factory given a seed owns its generator and draws address
-        words in blocks; one given a Generator draws two integers per
-        packet.  From the same seed they mint the same packets, field
-        for field, across several block refills and every size class."""
+        """The factory draws its address words in blocks; a reference
+        that draws two integers per packet from ``default_rng(seed)``
+        mints the same packets, field for field, across several block
+        refills and every size class."""
         owned = PacketFactory(n, seed)
-        shared = PacketFactory(n, np.random.default_rng(seed))
+        shared = _PerPacketFactory(n, seed)
         sizes = (20, 24, 64, 576, 1024, 1500, 65532)
         for i in range(1100):
             args = (i % n, (i * 5 + 3) % n, sizes[i % len(sizes)])
@@ -270,11 +264,33 @@ class TestPacketFactory:
     @settings(max_examples=60, deadline=None)
     def test_seeded_factory_matches_shared_property(self, n, seed, words):
         owned = PacketFactory(n, seed)
-        shared = PacketFactory(n, np.random.default_rng(seed))
+        shared = _PerPacketFactory(n, seed)
         for i, w in enumerate(words):
             a = owned.make(0, i % n, 4 * w)
             b = shared.make(0, i % n, 4 * w)
             assert a == b
+
+
+class _PerPacketFactory:
+    """:class:`PacketFactory`'s addresses drawn the plain way: two
+    ``integers`` calls a packet on ``default_rng(seed)``, the host bits
+    of the destination's block and then the source."""
+
+    def __init__(self, n, seed):
+        self.rng = np.random.default_rng(seed)
+        self.host_bits = ADDR_BITS - (n.bit_length() - 1)
+        self.ident = 0
+
+    def make(self, input_port, output_port, size_bytes):
+        host = int(self.rng.integers(0, 1 << self.host_bits))
+        src = int(self.rng.integers(0, 1 << ADDR_BITS))
+        self.ident += 1
+        pkt = IPv4Packet.synthesize(
+            src, output_port << self.host_bits | host, size_bytes, self.ident
+        )
+        pkt.input_port = input_port
+        pkt.output_port = output_port
+        return pkt
 
 
 # ---------------------------------------------------------------------------
@@ -415,3 +431,38 @@ class TestSpecModelDraws:
         for _ in range(240):
             port = order.randrange(n)
             assert model.next_packet(port) == ref.next_packet(port)
+
+
+class TestBlockDraws:
+    """Uniform destinations come a block of :data:`_BLOCK` at a time, and
+    a bursty train skips its pattern values from the same block: ports
+    0 and n - 1 each poll past two refills, interleaved with random
+    ports, and every packet (and every fabric poll, in words) equals
+    the per-call counter draws."""
+
+    @pytest.mark.parametrize("sizes", ["fixed", "imix"])
+    @pytest.mark.parametrize("pattern", ["uniform", "bursty"])
+    @given(n=st.integers(2, 64), seed=st.integers(0, 2**64 - 1),
+           exclude_self=st.booleans(), mean_burst=st.floats(1.0, 12.0),
+           order_seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=8, deadline=None)
+    def test_polls_past_two_refills_match_the_counter_draws(
+            self, pattern, sizes, n, seed, exclude_self, mean_burst, order_seed):
+        spec = TrafficSpec(
+            pattern=PatternSpec(kind=pattern, exclude_self=exclude_self,
+                                mean_burst=mean_burst),
+            sizes=SizeSpec(kind=sizes, bytes=256),
+        )
+        model = SpecModel(spec, n, seed=seed)
+        fabric = fabric_source(spec, SimConfig(ports=n, seed=seed))
+        ref = _DrawReference(spec, n, seed, gate_arrivals=True)
+        fabric_ref = _DrawReference(spec, n, seed, gate_arrivals=True)
+        order = random.Random(order_seed)
+        polls = [0, n - 1] * (2 * _BLOCK + 1)
+        polls += [order.randrange(n) for _ in range(200)]
+        order.shuffle(polls)
+        for port in polls:
+            assert model.next_packet(port) == ref.next_packet(port)
+            dest, nbytes = fabric_ref.next_packet(port)
+            assert fabric(port) == (dest, nbytes // 4)
+
