@@ -11,7 +11,7 @@ Run:  python examples/edge_router_demo.py
 
 import numpy as np
 
-from repro.ip import Prefix, RoutingTable, random_prefixes
+from repro.ip import RoutingTable, random_prefixes
 from repro.router import RawRouter
 from repro.traffic import PacketFactory, PatternSpec, SizeSpec, SpecModel, TrafficSpec
 from repro.viz.tables import format_table

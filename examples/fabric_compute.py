@@ -11,9 +11,8 @@ what each in-fabric service costs in throughput.
 Run:  python examples/fabric_compute.py
 """
 
-from repro.core.compute import ByteSwap, Identity, RunningChecksum, XorCipher
+from repro.core.compute import XorCipher
 from repro.experiments import compute_ext
-from repro.ip.packet import IPv4Packet
 from repro.router import RawRouter
 from repro.traffic import PacketFactory, PatternSpec, SizeSpec, SpecModel, TrafficSpec
 

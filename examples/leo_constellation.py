@@ -16,7 +16,6 @@ Run:  python examples/leo_constellation.py
 import math
 
 import networkx as nx
-import numpy as np
 
 from repro.core.phases import quantum_cycles
 from repro.config import CostModel

@@ -9,8 +9,6 @@ compares against sending unicast copies.
 Run:  python examples/qos_and_multicast.py
 """
 
-import numpy as np
-
 from repro.core import (
     FabricSimulator,
     MulticastAllocator,

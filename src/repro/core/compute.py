@@ -16,7 +16,6 @@ benchmark shows the throughput price of each service).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.core.phases import DEFAULT_TIMING, PhaseTiming

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.allocator import Allocation
 
 
@@ -46,6 +44,8 @@ class FairnessReport:
 
 def jains_index(shares: Sequence[float]) -> float:
     """Jain's fairness index: 1.0 = perfectly even, 1/n = one port hogs."""
+    import numpy as np
+
     x = np.asarray(shares, dtype=float)
     if x.size == 0 or not np.any(x):
         return 1.0

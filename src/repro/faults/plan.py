@@ -53,7 +53,7 @@ Targets are small strings resolved per engine:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple, Union
 
 #: The supported failure modes, in documentation order.

@@ -7,9 +7,10 @@ no per-address object allocation on the lookup fast path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 ADDR_BITS = 32
 ADDR_MASK = 0xFFFFFFFF
@@ -91,6 +92,8 @@ def random_prefixes(
     weighted toward the long end, which is what the lookup benchmarks
     need (deep tries with realistic branching).
     """
+    import numpy as np
+
     if rng is None:
         rng = np.random.default_rng(0)
     if min_len > max_len:

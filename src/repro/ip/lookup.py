@@ -13,13 +13,14 @@ Raw tile cycles through the cache model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from repro.ip.addr import ADDR_BITS, Prefix
 from repro.ip.trie import PatriciaTrie
 from repro.raw.memory import DataCache
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class RoutingTable:
@@ -91,6 +92,8 @@ class CompressedTable:
     STRIDES = (16, 8, 8)
 
     def __init__(self, default_port: int = 0):
+        import numpy as np
+
         self.default_port = default_port
         self._l1 = np.full(1 << 16, -1, dtype=np.int32)
         self._chunks: List[np.ndarray] = []  # level-2/3 chunks, 256 entries
@@ -110,6 +113,8 @@ class CompressedTable:
         return -(entry) - 2
 
     def _new_chunk(self, fill: int, level: int) -> int:
+        import numpy as np
+
         chunk = np.full(256, fill, dtype=np.int32)
         self._chunks.append(chunk)
         self._chunk_level.append(level)
@@ -168,7 +173,7 @@ class CompressedTable:
         mask = chunk == -1
         chunk[mask] = port
         if self._chunk_level[chunk_idx] == 2:
-            for i in np.nonzero(chunk < -1)[0]:
+            for i in (chunk < -1).nonzero()[0]:
                 self._fill_chunk(self._chunk_index(int(chunk[i])), port, overwrite_only)
 
     def lookup(self, addr: int) -> int:

@@ -14,11 +14,10 @@ read-only sequence that builds those words on first read.
 
 from __future__ import annotations
 
+import functools
 from collections import abc
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from repro.ip.checksum import incremental_update, internet_checksum
 
@@ -27,10 +26,18 @@ HEADER_WORDS_IPV4 = 5
 HEADER_BYTES_IPV4 = HEADER_WORDS_IPV4 * 4
 MAX_TOTAL_LENGTH = 0xFFFF
 
-#: ``i * 0x9E3779B9 mod 2**32`` for every payload word index up to IPv4's
-#: largest payload; ``synthesize`` adds the ident term to a prefix of it.
-_PAYLOAD_STEP = np.arange(MAX_TOTAL_LENGTH // 4 - HEADER_WORDS_IPV4, dtype=np.uint32)
-_PAYLOAD_STEP *= np.uint32(0x9E3779B9)  # uint32 arithmetic wraps mod 2**32
+
+@functools.lru_cache(maxsize=None)
+def _payload_step():
+    """``i * 0x9E3779B9 mod 2**32`` for every payload word index up to
+    IPv4's largest payload, as a ``uint32`` array; a payload's words add
+    the ident term to a prefix of it.  Built by the first payload read
+    and cached, so minting packets loads no numpy."""
+    import numpy as np
+
+    step = np.arange(MAX_TOTAL_LENGTH // 4 - HEADER_WORDS_IPV4, dtype=np.uint32)
+    step *= np.uint32(0x9E3779B9)  # uint32 arithmetic wraps mod 2**32
+    return step
 
 
 class _PayloadWords(abc.Sequence):
@@ -52,9 +59,11 @@ class _PayloadWords(abc.Sequence):
     def words(self) -> Tuple[int, ...]:
         words = self._words
         if words is None:
+            import numpy as np
+
             # uint32 addition wraps mod 2**32; tolist() gives Python ints.
             base = np.uint32(self._ident * 2654435761 & 0xFFFFFFFF)
-            words = self._words = tuple((_PAYLOAD_STEP[: self._n] + base).tolist())
+            words = self._words = tuple((_payload_step()[: self._n] + base).tolist())
         return words
 
     def __len__(self) -> int:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.config import CostModel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -20,6 +21,8 @@ def percentile(samples: Sequence[float], q: float) -> float:
     numpy's own ``_lerp``, whose two forms differ in the last bit, so
     the branch on ``t`` is part of the contract.
     """
+    import numpy as np
+
     return _percentile_sorted(np.sort(np.asarray(samples)), q)
 
 
@@ -56,9 +59,13 @@ class LatencyStats:
         return not self._samples
 
     def cycles(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self._samples, dtype=np.int64)
 
     def mean(self) -> float:
+        import numpy as np
+
         return float(np.mean(self._samples)) if self._samples else float("nan")
 
     def percentile(self, q: float) -> float:
@@ -70,6 +77,8 @@ class LatencyStats:
         """Mean/median/p99 in cycles and microseconds."""
         if not self._samples:
             return {}
+        import numpy as np
+
         arr = self.cycles()
         xs = np.sort(arr)
         out = {

@@ -10,12 +10,13 @@ it for the ASCII timeline renderer in :mod:`repro.viz.timeline`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.sim.kernel import BLOCKED_STATES, BUSY, DOWN, STALLED
 from repro.sim.trace import Trace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Raster cell codes.
 IDLE_CODE = 0
@@ -92,6 +93,8 @@ def state_matrix(
     stop: int,
 ) -> np.ndarray:
     """Rasterize: rows = keys, columns = cycles, values = cell codes."""
+    import numpy as np
+
     if stop <= start:
         raise ValueError("empty window")
     mat = np.zeros((len(keys), stop - start), dtype=np.uint8)

@@ -18,7 +18,7 @@ many-worlds lanes (:mod:`repro.parallel.manyworlds`) reproduce the
 serial draws while polling ports in their own order.
 """
 
-from repro.traffic.arrivals import ArrivalProcess, IIDSlotArrivals, Saturated
+from repro.traffic.arrivals import IIDSlotArrivals
 from repro.traffic.build import shard_source, size_distribution, slot_arrivals
 from repro.traffic.model import SpecModel, TrafficModel
 from repro.traffic.replay import TraceReplay, iter_flows, scan_trace
@@ -49,8 +49,6 @@ __all__ = [
     "UniformSizes",
     "BimodalSizes",
     "PAPER_SIZES",
-    "ArrivalProcess",
-    "Saturated",
     "IIDSlotArrivals",
     "PacketFactory",
     # The declarative layer.

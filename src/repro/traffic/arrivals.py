@@ -1,10 +1,11 @@
 """Arrival processes: when packets show up at an input.
 
-:class:`Saturated` is the thesis's measurement regime.  Stochastic
+Saturated inputs (the thesis's measurement regime) and stochastic
 arrivals (Bernoulli, on-off/MMPP, heavy-tailed) are counter-based
 draws of :class:`~repro.traffic.model.SpecModel`, selected by a
 :class:`~repro.traffic.spec.ArrivalSpec`.  The cell-switch baselines
-draw one slot of arrivals at a time (:class:`IIDSlotArrivals`).
+(:mod:`repro.baselines`) draw one slot of arrivals at a time
+(:class:`IIDSlotArrivals`).
 """
 
 from __future__ import annotations
@@ -12,32 +13,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 
-class ArrivalProcess:
-    """Answers "does this input offer a packet right now?" per poll."""
-
-    def offers(self, port: int) -> bool:
-        raise NotImplementedError
-
-    @property
-    def load(self) -> float:
-        """Nominal offered load in [0, 1] (1 = saturated)."""
-        raise NotImplementedError
-
-
-class Saturated(ArrivalProcess):
-    """Inputs always backlogged -- the peak/average measurement regime."""
-
-    def offers(self, port: int) -> bool:
-        return True
-
-    @property
-    def load(self) -> float:
-        return 1.0
-
-
-# ---------------------------------------------------------------------------
-# Per-slot arrivals for the cell-switch baselines (repro.baselines).
-# ---------------------------------------------------------------------------
 class IIDSlotArrivals:
     """One slot of per-input Bernoulli arrivals with uniform destinations.
 

@@ -124,8 +124,6 @@ class WordModelSource:
     destination's quarter of the address space."""
 
     def __init__(self, model: TrafficModel, max_bytes: int):
-        from repro.ip.packet import IPv4Packet  # noqa: F401  (import check)
-
         self.model = model
         self.max_bytes = max_bytes
         self._count = 0

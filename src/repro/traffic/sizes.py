@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import TYPE_CHECKING, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: The packet sizes of thesis Fig 7-1.
 PAPER_SIZES: Tuple[int, ...] = (64, 128, 256, 512, 1024)
@@ -59,6 +60,8 @@ class IMix(SizeDistribution):
         return int(self.rng.choice(self.SIZES, p=self._p))
 
     def mean(self) -> float:
+        import numpy as np
+
         return float(np.dot(self.SIZES, self._p))
 
 

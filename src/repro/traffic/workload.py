@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from repro.ip.addr import ADDR_BITS
 from repro.ip.packet import IPv4Packet
 from repro.traffic.model import TrafficModel
@@ -41,6 +39,8 @@ class PacketFactory:
     """
 
     def __init__(self, num_ports: int, seed=None):
+        import numpy as np
+
         if num_ports < 1 or (num_ports & (num_ports - 1)):
             raise ValueError("num_ports must be a power of two")
         if isinstance(seed, (np.random.Generator, np.random.BitGenerator)):

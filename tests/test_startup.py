@@ -1,11 +1,16 @@
-"""Start-up import contract: a first engine call loads only the standard
-library, numpy and ``repro``.
+"""Start-up import contract: a first fabric or space call loads only the
+standard library and ``repro``; a first router, word-level or
+many-worlds call (and ``import repro.cli``) may load numpy as well.
 
 Every paper artifact comes from a fresh process (``repro run``,
 ``repro sweep``, a CI smoke step), so whatever the first engine call
 imports is paid on every one of them.  Each case runs in a new
 interpreter, snapshots ``sys.modules`` before ``import repro``, makes one
-small call and lists what got loaded after the snapshot.
+small call and lists what got loaded after the snapshot.  The fabric
+and space engines draw their traffic from the pure-Python counter
+streams, and the modules they load import numpy inside the functions
+that call it, so numpy's own start-up stays off their path; a further
+interpreter runs both engines with ``import numpy`` made to fail.
 """
 
 import functools
@@ -65,6 +70,26 @@ CASES = {
     "import_cli": "import repro.cli\n",
 }
 
+#: Cases whose first call loads no numpy module at all.
+NUMPY_FREE = ("fabric", "space_p1", "space_p2")
+
+#: Fabric and space calls under uniform and IMIX traffic, with every
+#: ``import numpy`` made to raise.  The P = 2 run forks its worker after
+#: the block is in place, so a numpy import in the worker fails the run.
+_NUMPY_BLOCKED = """\
+import sys
+sys.modules["numpy"] = None
+from repro import SimConfig, WorkloadSpec, run_config
+for fidelity, partitions in (("fabric", 1), ("space", 1), ("space", 2)):
+    for workload in (WorkloadSpec(pattern="uniform", quanta=20),
+                     WorkloadSpec(traffic="imix", quanta=20)):
+        r = run_config(SimConfig(fidelity=fidelity, ports=16,
+                                 partitions=partitions), workload)
+        assert r.delivered_packets > 0, (fidelity, partitions, workload)
+        if partitions > 1:
+            assert not r.extra["space_shard"]["serial_fallback"]
+"""
+
 #: ``multiprocessing``'s alias of ``__main__``, registered when a space
 #: run starts its workers.
 _ALLOWED_NAMES = {"__mp_main__"}
@@ -82,20 +107,26 @@ def _outside(loaded):
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _loaded_modules(case):
-    """``{module: __file__}`` loaded by ``case``'s fresh interpreter (run
-    once per case and shared by the tests below)."""
+def _fresh(code):
+    """Run ``code`` in a fresh interpreter on ``src/``; its stdout."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROLOGUE + CASES[case] + _EPILOGUE],
+        [sys.executable, "-c", code],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return proc.stdout
+
+
+@functools.lru_cache(maxsize=None)
+def _loaded_modules(case):
+    """``{module: __file__}`` loaded by ``case``'s fresh interpreter (run
+    once per case and shared by the tests below)."""
+    out = _fresh(_PROLOGUE + CASES[case] + _EPILOGUE)
+    return json.loads(out.strip().splitlines()[-1])
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -119,3 +150,20 @@ def test_first_call_loads_no_numpy_ma(case):
         if name == "numpy.ma" or name.startswith("numpy.ma.")
     ]
     assert not masked, f"{case}: loaded {masked}"
+
+
+@pytest.mark.parametrize("case", NUMPY_FREE)
+def test_fabric_and_space_first_call_loads_no_numpy(case):
+    loaded = [
+        name for name in _loaded_modules(case)
+        if name.partition(".")[0] == "numpy"
+    ]
+    assert not loaded, (
+        f"{case}: loaded {len(loaded)} numpy modules ({loaded[:3]} ...); "
+        "import numpy inside the function that calls it (annotations "
+        "under TYPE_CHECKING); `python -X importtime` shows the chain"
+    )
+
+
+def test_fabric_and_space_run_with_numpy_blocked():
+    _fresh(_NUMPY_BLOCKED)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.config import SimConfig
 from repro.seeds import spec_seed
-from repro.traffic.arrivals import Saturated
 from repro.ip.addr import ADDR_BITS
 from repro.ip.packet import IPv4Packet
 from repro.traffic.build import fabric_source
@@ -126,10 +125,6 @@ class TestArrivals:
     """Stochastic arrivals are :class:`SpecModel`'s counter-based draws,
     selected by an :class:`ArrivalSpec`; a poll offers a packet when
     ``next_packet`` returns one."""
-
-    def test_saturated(self):
-        a = Saturated()
-        assert a.offers(0) and a.load == 1.0
 
     def test_bernoulli_rate(self):
         m = _model(ArrivalSpec(kind="bernoulli", p=0.3))
