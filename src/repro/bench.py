@@ -315,6 +315,12 @@ def format_fabric_large(report: Dict[str, Any]) -> str:
 #: and records ``cpu_count`` and ``oversubscribed`` on every row.
 SPACE_SCHEMA = "repro-space-bench/3"
 
+
+def _permutation(shift: int) -> Dict[str, Any]:
+    """A saturated 1,024 B permutation, port ``i`` to ``i + shift``."""
+    return shard_source(spec_from_legacy("permutation", 1024, shift=shift))
+
+
 #: Scenario budgets.  Each scenario times the single-process reference
 #: (:func:`~repro.parallel.space_shard.run_space_serial`) against the
 #: space-partitioned run (token-window pipe workers), asserting
@@ -329,40 +335,40 @@ SPACE_SCENARIOS: Dict[str, List[Dict[str, Any]]] = {
     "full": [
         {"name": "clos_n256", "k": 16, "latency": 8, "partitions": 4,
          "quanta": 1_200, "warmup": 200,
-         "source": {"kind": "permutation", "words": 256, "shift": 128}},
+         "source": _permutation(128)},
         {"name": "clos_n64", "k": 8, "latency": 8, "partitions": 4,
          "quanta": 3_000, "warmup": 200,
-         "source": {"kind": "permutation", "words": 256, "shift": 32}},
+         "source": _permutation(32)},
         {"name": "clos_n64_p2", "k": 8, "latency": 8, "partitions": 2,
          "quanta": 3_000, "warmup": 200,
-         "source": {"kind": "permutation", "words": 256, "shift": 32}},
+         "source": _permutation(32)},
         {"name": "clos_n16_uniform", "k": 4, "latency": 4, "partitions": 3,
          "quanta": 4_000, "warmup": 200,
          "source": shard_source(spec_from_legacy(pattern="uniform",
                                                  packet_bytes=1024), seed=42)},
         {"name": "clos_n16", "k": 4, "latency": 4, "partitions": 3,
          "quanta": 6_000, "warmup": 200,
-         "source": {"kind": "permutation", "words": 256, "shift": 8}},
+         "source": _permutation(8)},
         {"name": "clos_n16_p2", "k": 4, "latency": 4, "partitions": 2,
          "quanta": 6_000, "warmup": 200,
-         "source": {"kind": "permutation", "words": 256, "shift": 8}},
+         "source": _permutation(8)},
     ],
     "quick": [
         {"name": "clos_n256", "k": 16, "latency": 8, "partitions": 4,
          "quanta": 300, "warmup": 50,
-         "source": {"kind": "permutation", "words": 256, "shift": 128}},
+         "source": _permutation(128)},
         {"name": "clos_n64", "k": 8, "latency": 8, "partitions": 4,
          "quanta": 800, "warmup": 100,
-         "source": {"kind": "permutation", "words": 256, "shift": 32}},
+         "source": _permutation(32)},
         {"name": "clos_n64_p2", "k": 8, "latency": 8, "partitions": 2,
          "quanta": 800, "warmup": 100,
-         "source": {"kind": "permutation", "words": 256, "shift": 32}},
+         "source": _permutation(32)},
         {"name": "clos_n16", "k": 4, "latency": 4, "partitions": 3,
          "quanta": 1_500, "warmup": 100,
-         "source": {"kind": "permutation", "words": 256, "shift": 8}},
+         "source": _permutation(8)},
         {"name": "clos_n16_p2", "k": 4, "latency": 4, "partitions": 2,
          "quanta": 1_500, "warmup": 100,
-         "source": {"kind": "permutation", "words": 256, "shift": 8}},
+         "source": _permutation(8)},
     ],
 }
 

@@ -46,7 +46,6 @@ from repro.core.multicast import (
     MulticastRequest,
 )
 from repro.core.asmparse import parse_listing, make_resolver, AsmParseError
-from repro.core.compose import ClosFabric, clos_vs_single_ring
 from repro.core.compute import (
     StreamTransform,
     Identity,
@@ -87,8 +86,6 @@ __all__ = [
     "MulticastAllocation",
     "MulticastGrant",
     "MulticastRequest",
-    "ClosFabric",
-    "clos_vs_single_ring",
     "parse_listing",
     "make_resolver",
     "AsmParseError",

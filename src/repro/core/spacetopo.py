@@ -1,10 +1,11 @@
 """Space-partitionable fabric topology: chips, boundary channels, windows.
 
-:mod:`repro.core.compose` composes 4-port Rotating Crossbars into one
-Clos fabric, but its step loop reads remote state inside a quantum
-(same-quantum occupancy back-pressure, a global blocked reduction), so
-it can only run in one process.  This module rebuilds the composition as
-an explicitly *distributable* graph:
+The thesis's scaling proposal (section 8.5) builds a larger router "out
+of multiple 4-port crossbars".  This module is the repo's one model of
+that composition -- a three-stage Clos of k-port Rotating Crossbars --
+built as an explicitly *distributable* graph: no chip reads another
+chip's state inside a quantum (no same-quantum back-pressure, no global
+blocked reduction), so any set of chips can run in its own process:
 
 * a :class:`ChipNode` is one k-port Rotating Crossbar (allocator, token,
   per-input-leg FIFOs) making **local-only** decisions;
@@ -271,10 +272,10 @@ class ChipNode:
     """One k-port Rotating Crossbar chip with per-input-leg FIFOs.
 
     Queue entries are ``(frag, out_leg)`` -- the forwarding decision is
-    made once at enqueue time, exactly like
-    :class:`repro.core.compose._Crossbar`.  The chip's quantum (requests
-    from the queue heads, one allocation, pop the granted heads, rotate
-    the token) runs inline in :meth:`PartitionSim.advance`.
+    made once at enqueue time (:meth:`SpaceTopology.route`).  The chip's
+    quantum (requests from the queue heads, one allocation, pop the
+    granted heads, rotate the token) runs inline in
+    :meth:`PartitionSim.advance`.
     """
 
     __slots__ = ("nid", "k", "allocator", "token", "queues")
@@ -335,7 +336,6 @@ class PartitionSim:
         topo: SpaceTopology,
         node_ids: Iterable[int],
         costs: CostModel = CostModel.default(),
-        max_quantum_words: Optional[int] = None,
         fault_plan=None,
     ):
         self.topo = topo
@@ -348,12 +348,7 @@ class PartitionSim:
         )
         self.owned = sorted(node_ids)
         own = set(self.owned)
-        self.max_quantum_words = (
-            costs.max_quantum_words
-            if max_quantum_words is None
-            else max_quantum_words
-        )
-        if self.max_quantum_words < 1:
+        if costs.max_quantum_words < 1:
             raise ValueError("max_quantum_words must be >= 1")
         self.nodes: Dict[int, ChipNode] = {
             nid: ChipNode(nid, topo.k) for nid in self.owned
@@ -482,7 +477,7 @@ class PartitionSim:
                 f"quantum is {self._next_q}"
             )
         num_ports = self.topo.num_ports
-        mqw = self.max_quantum_words
+        mqw = self.costs.max_quantum_words
         stats = self.stats
         tel = self._tel
         due = self._due

@@ -125,24 +125,6 @@ class WorkloadSpec:
             d["traffic"] = self.traffic.to_dict()
         return d
 
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "WorkloadSpec":
-        """Round-trip a :meth:`to_dict` form (schema-checked).
-
-        Nested ``fault_plan`` / ``traffic`` dicts ride through as-is --
-        ``resolve_plan()`` / ``resolve_traffic()`` normalize them at
-        engine build time."""
-        d = dict(d)
-        schema = d.pop("schema", WORKLOAD_SCHEMA)
-        if schema != WORKLOAD_SCHEMA:
-            raise ValueError(
-                f"workload schema is {schema!r}, expected {WORKLOAD_SCHEMA!r}"
-            )
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown workload fields: {sorted(unknown)}")
-        return cls(**d)
-
 
 @dataclass
 class RunResult:

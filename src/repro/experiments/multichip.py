@@ -3,25 +3,33 @@
 The thesis's scaling future-work: compose the 4-port Rotating Crossbar
 rather than grow one ring.  This experiment measures why -- the single
 k*k-ring's bisection caps antipodal permutations near the 4-port rate,
-while a three-stage Clos of kxk Rotating Crossbars (with adaptive
-middle-stage reselection) restores ~4x of it -- and what it costs
-(3k crossbar chips and a 3-quantum pipeline instead of 1 ring).
+while a three-stage Clos of kxk Rotating Crossbars restores ~4x of it --
+and what it costs (3k crossbar chips and a 3-quantum pipeline instead of
+1 ring).
 
-``run()`` is parameterized over chip count (``k``: k*k external ports
-on 3k chips) and -- via the space-partitioned engine
-(:mod:`repro.parallel.space_shard`, DESIGN.md §13) -- the number of
-worker processes the Clos is distributed across.  The distributed
+Every Clos row runs on the space engine's stepper
+(:class:`~repro.core.spacetopo.PartitionSim`, DESIGN.md §13): the
+reference rows in one process
+(:func:`~repro.parallel.space_shard.run_space_serial`), the distributed
+row across ``partitions`` worker processes
+(:func:`~repro.parallel.space_shard.run_space`).  The distributed
 numbers are asserted bit-identical to the serial reference before they
 are reported, so the partitioned rows measure *the same* fabric.
 """
 
 from __future__ import annotations
 
-from repro.core.compose import ClosFabric, clos_vs_single_ring
+from repro.config import SimConfig
+from repro.core.fabricsim import FabricSimulator
+from repro.core.ring import RingGeometry
 from repro.experiments.common import ExperimentResult
-from repro.config import CostModel, SimConfig
-from repro.traffic.build import fabric_source
-from repro.traffic.spec import PatternSpec, SizeSpec, TrafficSpec
+from repro.traffic.build import fabric_source, shard_source
+from repro.traffic.spec import (
+    PatternSpec,
+    SizeSpec,
+    TrafficSpec,
+    spec_from_legacy,
+)
 
 
 def run(
@@ -35,10 +43,18 @@ def run(
     """Compare one big ring against composed crossbars at ``k*k`` ports.
 
     ``k`` sets the chip size and port count (k*k ports from 3k chips);
-    ``partitions``/``latency`` drive the same Clos through the
-    space-partitioned token-window engine for the distributed rows
+    ``latency`` is every Clos row's inter-chip channel latency in quanta,
+    and ``partitions`` the worker count of the distributed row
     (DESIGN.md §13).
     """
+    # Loaded here, not at module level, so importing the experiment
+    # registry (``import repro.cli``) does not load the space engine.
+    from repro.parallel.space_shard import (
+        SpaceSpec,
+        run_space,
+        run_space_serial,
+    )
+
     num_ports = k * k
     result = ExperimentResult(
         name="ext_multichip",
@@ -47,52 +63,45 @@ def run(
             f"crossbars ({3 * k} chips, P={partitions} space partitions)"
         ),
     )
-    words = CostModel.default().bytes_to_words(size_bytes)
+    warmup = quanta // 10
 
-    ring_gbps, clos_gbps = clos_vs_single_ring(
-        num_ports=num_ports, words=words, quanta=quanta, shift=num_ports // 2
+    def ring_gbps(traffic: TrafficSpec) -> float:
+        sim = FabricSimulator(ring=RingGeometry(num_ports))
+        source = fabric_source(traffic, SimConfig(ports=num_ports, seed=seed))
+        return sim.run(source, quanta=quanta, warmup_quanta=warmup).gbps
+
+    def clos(traffic: TrafficSpec) -> SpaceSpec:
+        return SpaceSpec(
+            k=k,
+            latency=latency,
+            partitions=partitions,
+            source=SpaceSpec.pack_source(shard_source(traffic, seed=seed)),
+            quanta=quanta,
+            warmup_quanta=warmup,
+        )
+
+    antipodal = spec_from_legacy(
+        "permutation", size_bytes, shift=num_ports // 2
     )
-    result.add("antipodal_single_ring_gbps", ring_gbps)
-    result.add("antipodal_clos_gbps", clos_gbps)
-    result.add("antipodal_clos_gain", clos_gbps / ring_gbps if ring_gbps else 0.0)
+    antipodal_clos = clos(antipodal)
+    ring = ring_gbps(antipodal)
+    serial = run_space_serial(antipodal_clos)
+    result.add("antipodal_single_ring_gbps", ring)
+    result.add("antipodal_clos_gbps", serial.gbps)
+    result.add("antipodal_clos_gain", serial.gbps / ring if ring else 0.0)
 
-    ring_n_gbps, clos_n_gbps = clos_vs_single_ring(
-        num_ports=num_ports, words=words, quanta=quanta, shift=1
-    )
-    result.add("neighbor_single_ring_gbps", ring_n_gbps)
-    result.add("neighbor_clos_gbps", clos_n_gbps)
+    neighbor = spec_from_legacy("permutation", size_bytes, shift=1)
+    result.add("neighbor_single_ring_gbps", ring_gbps(neighbor))
+    result.add("neighbor_clos_gbps", run_space_serial(clos(neighbor)).gbps)
 
-    clos = ClosFabric(k=k)
-    uniform_spec = TrafficSpec(
+    uniform = TrafficSpec(
         pattern=PatternSpec(kind="uniform"), sizes=SizeSpec(bytes=size_bytes)
     )
-    uni = clos.run(
-        fabric_source(uniform_spec, SimConfig(ports=num_ports, seed=seed)),
-        quanta=quanta,
-        warmup_quanta=quanta // 10,
-    )
-    result.add("uniform_clos_gbps", uni.gbps)
+    result.add("uniform_clos_gbps", run_space_serial(clos(uniform)).gbps)
 
-    # The same Clos through the space-partitioned engine: serial
-    # reference first, then P token-window workers, asserted identical.
-    from repro.parallel.space_shard import (
-        SpaceSpec,
-        run_space,
-        run_space_serial,
-    )
-
-    spec = SpaceSpec(
-        k=k,
-        latency=latency,
-        partitions=partitions,
-        source=SpaceSpec.pack_source(
-            {"kind": "permutation", "words": words, "shift": num_ports // 2}
-        ),
-        quanta=quanta,
-        warmup_quanta=quanta // 10,
-    )
-    serial = run_space_serial(spec)
-    dist, info = run_space(spec)
+    # The antipodal Clos again across P token-window workers, asserted
+    # identical to its serial run.
+    dist, info = run_space(antipodal_clos)
     if dist.counters() != serial.counters():
         raise AssertionError(
             "space-partitioned Clos diverged from the serial reference"

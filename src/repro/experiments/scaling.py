@@ -22,8 +22,13 @@ from repro.core.ring import RingGeometry
 from repro.core.token import RotatingToken
 from repro.experiments.common import ExperimentResult
 from repro.config import CostModel, SimConfig
-from repro.traffic.build import fabric_source
-from repro.traffic.spec import PatternSpec, SizeSpec, TrafficSpec
+from repro.traffic.build import fabric_source, shard_source
+from repro.traffic.spec import (
+    PatternSpec,
+    SizeSpec,
+    TrafficSpec,
+    spec_from_legacy,
+)
 
 
 def run(
@@ -105,9 +110,9 @@ def run(
             k=k,
             latency=4,
             partitions=partitions,
-            source=SpaceSpec.pack_source(
-                {"kind": "permutation", "words": words, "shift": n // 2}
-            ),
+            source=SpaceSpec.pack_source(shard_source(
+                spec_from_legacy("permutation", size_bytes, shift=n // 2)
+            )),
             quanta=q,
             warmup_quanta=200,
         )

@@ -59,7 +59,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import CostModel
 from repro.core.allocator import compiled_allocator
-from repro.core.fabricsim import FabricStats, saturated_permutation
+from repro.core.fabricsim import FabricStats
 from repro.core.spacetopo import (
     PartitionSim,
     SpaceTopology,
@@ -70,6 +70,17 @@ from repro.faults.plan import FaultPlan
 from repro.telemetry import runtime as _telemetry
 
 
+def _default_source() -> Tuple[Tuple[str, Any], ...]:
+    """:attr:`SpaceSpec.source`'s default: a saturated 1,024 B shift-2
+    permutation."""
+    from repro.traffic.build import shard_source
+    from repro.traffic.spec import spec_from_legacy
+
+    return SpaceSpec.pack_source(
+        shard_source(spec_from_legacy("permutation", 1024, shift=2))
+    )
+
+
 @dataclass(frozen=True)
 class SpaceSpec:
     """A picklable description of one space-partitionable fabric run.
@@ -77,18 +88,21 @@ class SpaceSpec:
     ``k`` is the chip port count: the Clos has ``k * k`` external ports
     on ``3k`` chips, so at most ``3k`` partitions.  ``latency`` is the
     uniform inter-chip channel latency in quanta and therefore the token
-    window.  ``source`` is a declarative workload: ``{"kind":
-    "permutation", "words": W, "shift": s}`` or ``{"kind": "traffic",
-    "json": <TrafficSpec.to_json()>, "seed": s}`` (see
-    :func:`repro.traffic.build.shard_source`), always instantiated
-    counter-based so per-port draws are partition-independent.
+    window.  ``source`` is a declarative workload, ``{"kind": "traffic",
+    "json": <TrafficSpec.to_json()>, "seed": s}`` packed by
+    :meth:`pack_source` (:func:`repro.traffic.build.shard_source` writes
+    it), always instantiated counter-based so per-port draws are
+    partition-independent.  The default is a saturated 1,024 B shift-2
+    permutation.
     """
 
     k: int = 4
     latency: int = 4
     partitions: int = 3
     costs: CostModel = field(default_factory=CostModel.default)
-    source: Tuple[Tuple[str, Any], ...] = (("kind", "permutation"), ("words", 256))
+    source: Tuple[Tuple[str, Any], ...] = field(
+        default_factory=_default_source
+    )
     quanta: int = 2000
     warmup_quanta: int = 200
     fault_plan: Optional[FaultPlan] = None  #: intra-partition link faults
@@ -165,20 +179,19 @@ class SpaceRunInfo:
 def make_space_source(spec: SpaceSpec):
     """Instantiate the declarative workload for ``spec.num_ports`` ports.
 
-    Every supported kind draws per-port from independent counters, which
+    The ``traffic`` kind draws per-port from independent counters, which
     is what lets a partition poll only its own external ports and still
     reproduce the serial draw sequence exactly.
     """
     src = spec.source_dict()
     kind = src["kind"]
-    n = spec.num_ports
-    if kind == "permutation":
-        return saturated_permutation(src["words"], shift=src.get("shift", 2), n=n)
-    if kind == "traffic":
-        from repro.traffic.build import fabric_source_for_shard
+    if kind != "traffic":
+        raise ValueError(f"unknown space source kind {kind!r}")
+    from repro.traffic.build import fabric_source_for_shard
 
-        return fabric_source_for_shard(src, ports=n, costs=spec.costs)
-    raise ValueError(f"unknown space source kind {kind!r}")
+    return fabric_source_for_shard(
+        src, ports=spec.num_ports, costs=spec.costs
+    )
 
 
 def build_partition(spec: SpaceSpec, topo: SpaceTopology, node_ids) -> PartitionSim:

@@ -175,6 +175,10 @@ class TestMultichip:
         assert result.measured("antipodal_clos_gain") > 3.0
         # Neighbor traffic: the big ring is already fine.
         assert result.measured("neighbor_single_ring_gbps") > 90
+        antipodal = result.measured("antipodal_clos_gbps")
+        assert antipodal == 107.08496732026144
+        assert result.measured("neighbor_clos_gbps") == 107.43606557377049
+        assert result.measured("space_clos_antipodal_gbps") == antipodal
 
 
 class TestLoadLatency:

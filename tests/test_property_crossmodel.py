@@ -79,18 +79,17 @@ def test_fragmentation_overhead_formula(words, quantum):
 def test_clos_conserves_packets(seed, n):
     """Clos composition: every delivered packet's words are intact and
     per-port counters sum to the totals, for any square size."""
-    from repro.core.compose import ClosFabric
-    from repro.traffic.build import fabric_source
+    from repro.parallel.space_shard import SpaceSpec, run_space_serial
+    from repro.traffic.build import shard_source
 
-    k = int(round(n ** 0.5))
-    clos = ClosFabric(k=k)
-    source = fabric_source(spec_from_legacy("uniform", 128),
-                           SimConfig(ports=n, seed=seed))
-    stats = clos.run(
-        source,
+    source = shard_source(spec_from_legacy("uniform", 128), seed=seed)
+    stats = run_space_serial(SpaceSpec(
+        k=int(round(n ** 0.5)),
+        partitions=1,
+        source=SpaceSpec.pack_source(source),
         quanta=150,
         warmup_quanta=15,
-    )
+    ))
     assert stats.delivered_words == stats.delivered_packets * 32
     assert sum(stats.per_port_packets) == stats.delivered_packets
     assert sum(stats.per_port_words) == stats.delivered_words

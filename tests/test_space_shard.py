@@ -44,12 +44,14 @@ def assert_stats_identical(a: FabricStats, b: FabricStats) -> None:
     assert a.counters() == b.counters()
 
 
-#: Every counter-based source kind: the direct permutation kind, every
-#: traffic preset, the flat-kwargs uniform spec at two sizes, and trace
-#: replay.  The imix preset appears twice: named as a preset and packed
-#: as a ``TrafficSpec``, at two seeds.
+#: Every counter-based traffic family: a permutation, every traffic
+#: preset, the flat-kwargs uniform spec at two sizes, and trace replay.
+#: The imix preset appears twice: named as a preset and packed as a
+#: ``TrafficSpec``, at two seeds.
 SOURCES = {
-    "permutation": {"kind": "permutation", "words": 64, "shift": 3},
+    "permutation": shard_source(
+        spec_from_legacy(pattern="permutation", packet_bytes=256, shift=3)
+    ),
     "uniform": shard_source(
         spec_from_legacy(pattern="uniform", packet_bytes=192), seed=11
     ),
@@ -467,10 +469,13 @@ class TestSpaceEngine:
         assert len(sp["pipe_stall_s"]) == 2
         assert len(sp["boundary_flits"]) == 2
 
-    @pytest.mark.parametrize("kind", ["zipf", "uniform_counter"])
+    @pytest.mark.parametrize(
+        "kind", ["zipf", "uniform_counter", "permutation"]
+    )
     def test_unknown_source_kind_rejected(self, kind):
-        # "uniform_counter" was a source kind once; a stale spec that
-        # still names it must fail loudly, not run some other source.
+        # "uniform_counter" and "permutation" were source kinds once; a
+        # stale spec that still names one must fail loudly, not run some
+        # other source.
         spec = SpaceSpec(source=SpaceSpec.pack_source({"kind": kind}))
         with pytest.raises(ValueError, match=f"unknown space source kind '{kind}'"):
             run_space_serial(spec)

@@ -184,7 +184,9 @@ class TestMergeAlgebra:
 
 
 SOURCES = {
-    "permutation": {"kind": "permutation", "words": 64, "shift": 3},
+    "permutation": shard_source(
+        spec_from_legacy(pattern="permutation", packet_bytes=256, shift=3)
+    ),
     "uniform": shard_source(
         spec_from_legacy(pattern="uniform", packet_bytes=192), seed=11
     ),

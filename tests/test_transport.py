@@ -44,9 +44,9 @@ def spec_for(partitions: int, k: int = 4, quanta: int = 120,
         k=k,
         latency=2,
         partitions=partitions,
-        source=SpaceSpec.pack_source(
-            {"kind": "permutation", "words": 48, "shift": 5}
-        ),
+        source=SpaceSpec.pack_source(shard_source(
+            spec_from_legacy(pattern="permutation", packet_bytes=192, shift=5)
+        )),
         quanta=quanta,
         warmup_quanta=warmup,
         **kw,
